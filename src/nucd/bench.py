@@ -407,8 +407,8 @@ class ExperimentSpec:
     lam2: float | None = None
     algos: tuple = ("nu-acdm", "acdm", "rcdm")
     betas: tuple = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
-    epochs: int = 40
-    eps: float = 1e-8
+    epochs: int | None = None  # None: the experiment's own default
+    eps: float | None = None  # None: the experiment's own default
     instance_seed: int = 0
 
     def __post_init__(self):
@@ -416,6 +416,8 @@ class ExperimentSpec:
             raise ValueError("need at least one seed")
         if self.experiment == "erm-race" and not self.algos:
             raise ValueError("need at least one algorithm")
+        if self.experiment == "beta-sweep" and self.eps is not None:
+            raise ValueError("beta-sweep runs a fixed horizon; eps does not apply")
 
 
 def default_dataset(spec: ExperimentSpec) -> Dataset:
@@ -425,21 +427,27 @@ def default_dataset(spec: ExperimentSpec) -> Dataset:
 
 def run_experiment(spec: ExperimentSpec, dataset: Dataset | None = None):
     if spec.experiment == "kaczmarz-race":
+        limits = {}
+        if spec.eps is not None:
+            limits["eps"] = spec.eps
+        if spec.epochs is not None:
+            limits["max_epochs"] = spec.epochs
         return run_kaczmarz_race(
-            spec.m, spec.n, spec.r, spec.seeds, eps=spec.eps,
-            instance_seed=spec.instance_seed, jobs=spec.jobs,
+            spec.m, spec.n, spec.r, spec.seeds,
+            instance_seed=spec.instance_seed, jobs=spec.jobs, **limits,
         )
     if dataset is None:
         dataset = default_dataset(spec)
+    epochs = 40 if spec.epochs is None else spec.epochs
     if spec.experiment == "erm-race":
         return run_erm_race(
             dataset, spec.variant, spec.lam, spec.lam2, algos=spec.algos,
-            seeds=spec.seeds, epochs=spec.epochs, jobs=spec.jobs,
+            seeds=spec.seeds, epochs=epochs, eps=spec.eps, jobs=spec.jobs,
         )
     if spec.experiment == "beta-sweep":
         return beta_sweep(
             dataset, spec.lam, beta_list=spec.betas, seeds=spec.seeds,
-            epochs=spec.epochs, enforce=False, jobs=spec.jobs,
+            epochs=epochs, enforce=False, jobs=spec.jobs,
         )
     raise ValueError(f"unknown experiment {spec.experiment!r}")
 

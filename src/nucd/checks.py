@@ -9,6 +9,7 @@ execute the same suite.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass
@@ -116,10 +117,12 @@ def check_sc_convergence_decay(seeds=200) -> CheckResult:
     return _result("sc-convergence-decay", started, ok, detail)
 
 
+@functools.cache
 def _fully_checked_runs():
     """A battery of small runs with check_level=full: every solver family
     on every problem family it applies to.  Any violated per-iteration
-    guarantee raises inside the solver."""
+    guarantee raises inside the solver.  The battery is deterministic, so
+    it runs once per process and both checks that read it share it."""
     runs = []
     rng = np.random.default_rng(99)
     for beta in (0.0, 0.5, 1.0):
@@ -143,7 +146,7 @@ def _fully_checked_runs():
     cfg = SolverConfig(iters=300, seed=7, check_level="full")
     runs.append(("ridge/nu_acdm", nu_acdm(ridge, ridge_prof, np.zeros(20), cfg)[1]))
     runs.append(("penalty/nu_acdm_ns", nu_acdm_ns(pen, pen_prof, np.zeros(20), cfg)[1]))
-    return runs
+    return tuple(runs)
 
 
 def check_per_step_descent() -> CheckResult:

@@ -103,8 +103,10 @@ def build_parser() -> _Parser:
                          default=("nu-acdm", "acdm", "rcdm"))
     bench_p.add_argument("--betas", type=_csv_floats,
                          default=(0.0, 0.2, 0.4, 0.6, 0.8, 1.0))
-    bench_p.add_argument("--epochs", type=int, default=40)
-    bench_p.add_argument("--eps", type=float, default=1e-8)
+    bench_p.add_argument("--epochs", type=int, default=None,
+                         help="epoch budget (default: the experiment's own)")
+    bench_p.add_argument("--eps", type=float, default=None,
+                         help="race target (default: the experiment's own)")
     bench_p.add_argument("--instance-seed", type=int, default=0)
     bench_p.set_defaults(func=cmd_bench)
 

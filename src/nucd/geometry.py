@@ -65,7 +65,8 @@ def s_alpha(profile: SmoothnessProfile, alpha: float) -> float:
 def lbeta_norm_sq(x: np.ndarray, profile: SmoothnessProfile) -> float:
     """Squared norm sum_i L_i^beta * x_i^2 in the profile's geometry."""
     x = np.asarray(x, dtype=float)
-    assert x.shape == profile.l.shape
+    if x.shape != profile.l.shape:
+        raise ValueError("x must have one entry per coordinate")
     return float(np.sum(profile.l ** profile.beta * x * x))
 
 
@@ -73,7 +74,8 @@ def lbeta_inner(x: np.ndarray, y: np.ndarray, profile: SmoothnessProfile) -> flo
     """Inner product sum_i L_i^beta * x_i * y_i in the profile's geometry."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    assert x.shape == y.shape == profile.l.shape
+    if not x.shape == y.shape == profile.l.shape:
+        raise ValueError("x and y must have one entry per coordinate")
     return float(np.sum(profile.l ** profile.beta * x * y))
 
 
@@ -137,7 +139,8 @@ class TrackedPoint:
     def __init__(self, oracle: CoordOracle, x: np.ndarray):
         self.oracle = oracle
         self.x = np.array(x, dtype=float)
-        assert self.x.shape == (oracle.n,)
+        if self.x.shape != (oracle.n,):
+            raise ValueError(f"point must have shape ({oracle.n},), got {self.x.shape}")
         self.agg = oracle.aggregate(self.x)
 
     def copy(self) -> "TrackedPoint":

@@ -56,7 +56,8 @@ class SparseRowMatrix:
     @classmethod
     def from_dense(cls, arr) -> "SparseRowMatrix":
         arr = np.asarray(arr, dtype=float)
-        assert arr.ndim == 2
+        if arr.ndim != 2:
+            raise ValueError("from_dense needs a 2-d array")
         m, d = arr.shape
         mask = arr != 0.0
         counts = mask.sum(axis=1)
@@ -73,7 +74,8 @@ class SparseRowMatrix:
         for cols, vals in rows:
             cols = np.asarray(cols, dtype=np.int64)
             vals = np.asarray(vals, dtype=float)
-            assert cols.shape == vals.shape
+            if cols.shape != vals.shape:
+                raise ValueError("each row needs as many values as column ids")
             idx_parts.append(cols)
             val_parts.append(vals)
             indptr.append(indptr[-1] + cols.size)

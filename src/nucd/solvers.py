@@ -2,9 +2,13 @@
 
 All methods consume a CoordOracle plus a SmoothnessProfile and draw
 coordinates from a seeded alias sampler, so a run is bit-reproducible from
-(oracle, profile, x0, config).  The accelerated solvers keep three coupled
-iterate sequences x, y, z; per iteration they pay one coordinate gradient,
-one sparse cache update per sequence touched, and O(n) vector recombination.
+(oracle, profile, x0, config).  The sampled coordinate methods share one
+loop: each step draws a coordinate, takes one coordinate gradient and one
+coordinate step.  The accelerated methods add a step-size schedule to it,
+constant (tau, eta) in the strongly convex case or growing otherwise; the
+schedule couples the step with a second sequence z through O(n) vector
+recombinations.  Without a schedule the loop is plain randomized
+coordinate descent on a single sequence.
 
 Iteration cost is honest: no solver ever forms a full gradient except
 full_gd, which exists as a reference baseline.
@@ -87,21 +91,6 @@ class ConvergenceTrace:
 
     def final_dist(self) -> float:
         return float(self.dists[-1])
-
-
-@dataclass
-class TriState:
-    """Coupled iterate triple of the accelerated loop after k iterations."""
-
-    x: TrackedPoint
-    y: TrackedPoint
-    z: TrackedPoint
-    k: int = 0
-
-
-def initial_state(oracle: CoordOracle, x0: np.ndarray) -> TriState:
-    x = TrackedPoint(oracle, x0)
-    return TriState(x=x, y=x.copy(), z=x.copy())
 
 
 class _Recorder:
@@ -259,70 +248,133 @@ def _descent_violation(f_x: float, f_y: float, g: float, l_i: float) -> float:
     return (f_y - (f_x - g * g / (2.0 * l_i))) / max(1.0, abs(f_x))
 
 
-# --- accelerated solvers ---
+# --- the coordinate loop and its schedules ---
 
 
-def _accel_run(oracle, profile, x0, cfg, p, rate_constant, algo):
-    """Shared strongly-convex accelerated loop; see nu_acdm for the update
-    formulas.  p is the sampling distribution, rate_constant the M whose
-    square root controls the 1 - tau contraction."""
-    sigma = profile.sigma_beta
-    tau, eta = accel_schedule(rate_constant, sigma)
-    checking = cfg.check_level != "off"
-    check_all = cfg.check_level == "full"
-    if checking:
-        # schedule identity; a failure here means a corrupted profile
-        lhs, rhs = 1.0 + eta * sigma, 1.0 / (1.0 - tau)
+class _StronglyConvex:
+    """Constant (tau, eta); each step shrinks z and pulls it toward x.
+
+    rate_constant is the M whose square root controls the 1 - tau
+    contraction (see accel_schedule)."""
+
+    def __init__(self, profile: SmoothnessProfile, p: np.ndarray, rate_constant: float):
+        self.sigma = profile.sigma_beta
+        self.tau, self.eta = accel_schedule(rate_constant, self.sigma)
+        self.shrink = 1.0 / (1.0 + self.eta * self.sigma)
+        self.z_coef = self.eta / (p * profile.l ** profile.beta)
+
+    def step(self, k: int):
+        return self.tau, self.eta
+
+    def move_z(self, z: TrackedPoint, x: TrackedPoint, i: int, g: float, eta: float):
+        shrink = self.shrink
+        z.combine(shrink, z, shrink * eta * self.sigma, x)
+        z.apply_coord_step(i, -shrink * self.z_coef[i] * g)
+
+    def check_start(self, algo: str):
+        # a failure here means a corrupted profile
+        lhs, rhs = 1.0 + self.eta * self.sigma, 1.0 / (1.0 - self.tau)
         if abs(lhs - rhs) > 1e-12 * abs(lhs):
             raise InvariantViolation(f"{algo}: schedule identity off: {lhs} vs {rhs}")
 
+    def check_step(self, algo: str, k: int, eta: float):
+        pass
+
+
+class _Growing:
+    """eta_{k+1} = (k+2)/(2 S^2) and tau_k = 2/(k+2) (see ns_schedule); each
+    step moves z in the sampled coordinate only."""
+
+    sigma = 0.0
+
+    def __init__(self, profile: SmoothnessProfile, p: np.ndarray, s_alpha_sq: float):
+        self.s_sq = s_alpha_sq
+        self.inv_plb = 1.0 / (p * profile.l ** profile.beta)
+
+    def step(self, k: int):
+        eta, tau = ns_schedule(k, self.s_sq)
+        return tau, eta
+
+    def move_z(self, z: TrackedPoint, x: TrackedPoint, i: int, g: float, eta: float):
+        z.apply_coord_step(i, -eta * self.inv_plb[i] * g)
+
+    def check_start(self, algo: str):
+        pass
+
+    def check_step(self, algo: str, k: int, eta: float):
+        # eta recurrence linking consecutive steps
+        s_sq = self.s_sq
+        e_prev = (k + 1.0) / (2.0 * s_sq)
+        lhs = e_prev * e_prev * s_sq
+        rhs = eta * eta * s_sq - eta + 1.0 / (4.0 * s_sq)
+        if abs(lhs - rhs) > 1e-12 * max(1.0, abs(lhs)):
+            raise InvariantViolation(
+                f"{algo}: step recurrence off at iteration {k}: {lhs} vs {rhs}"
+            )
+
+
+def _coordinate_loop(oracle, profile, x0, cfg, p, algo, schedule=None):
+    """The one coordinate-step loop behind every sampled solver.
+
+    Each step draws i ~ p and moves y to x - (1/L_i) grad_i f(x) e_i.  With
+    a schedule the run is accelerated: x_{k+1} = tau_k z_k + (1 - tau_k) y_k
+    before the draw, and the schedule moves z after it.  Without one, x and
+    y are the same point and the run is plain randomized coordinate
+    descent.  Returns (y_final, trace); the trace records f(y_k).
+    """
+    checking = cfg.check_level != "off"
+    check_all = cfg.check_level == "full"
     l = profile.l
     inv_l = 1.0 / l
-    z_coef = eta / (p * l ** profile.beta)  # (n,) mirror-step scale per coordinate
-    shrink = 1.0 / (1.0 + eta * sigma)
 
-    state = initial_state(oracle, x0)
-    x, y, z = state.x, state.y, state.z
+    x = TrackedPoint(oracle, x0)
+    y, z = (x, None) if schedule is None else (x.copy(), x.copy())
     next_index = _IndexStream(WeightedSampler(p, cfg.seed))
     rec = _Recorder(algo, cfg, units_per_epoch=oracle.n)
     worst_descent = -math.inf
-    worst_mirror = 0.0
+    worst_mirror = 0.0 if schedule is not None else math.nan
+    if checking and schedule is not None:
+        schedule.check_start(algo)
 
     stopped = rec.record(0, y.value(), y.x, y.agg)
     k = 0
     while k < cfg.iters and not stopped:
-        x.combine(tau, z, 1.0 - tau, y)
+        if schedule is not None:
+            tau, eta = schedule.step(k)
+            x.combine(tau, z, 1.0 - tau, y)
+            y.copy_from(x)
         i = next_index()
         g = x.coord_grad(i)
         if not math.isfinite(g):
             raise InvariantViolation(f"{algo}: non-finite gradient at iteration {k}")
 
-        y.copy_from(x)
-        y.apply_coord_step(i, -g * inv_l[i])
-
         at_record = (k + 1) % cfg.trace_stride == 0 or (k + 1) == cfg.iters
         check_now = check_all or (checking and at_record)
-        z_prev = z.x.copy() if check_now else None
-
-        z.combine(shrink, z, shrink * eta * sigma, x)
-        z.apply_coord_step(i, -shrink * z_coef[i] * g)
+        f_x = x.value() if check_now else 0.0
+        y.apply_coord_step(i, -g * inv_l[i])
 
         if check_now:
-            viol = _descent_violation(x.value(), y.value(), g, l[i])
+            viol = _descent_violation(f_x, y.value(), g, l[i])
             worst_descent = max(worst_descent, viol)
             if viol > DESCENT_SLACK:
                 raise InvariantViolation(
                     f"{algo}: coordinate descent guarantee violated by {viol:.3e} "
                     f"at iteration {k}"
                 )
-            res = mirror_step_residual(
-                profile, z_prev, z.x, x.x, i, g, p[i], eta, sigma
-            )
-            worst_mirror = max(worst_mirror, res)
-            if res > MIRROR_RESIDUAL_TOL:
-                raise InvariantViolation(
-                    f"{algo}: z-step residual {res:.3e} at iteration {k}"
+
+        if schedule is not None:
+            z_prev = z.x.copy() if check_now else None
+            schedule.move_z(z, x, i, g, eta)
+            if check_now:
+                schedule.check_step(algo, k, eta)
+                res = mirror_step_residual(
+                    profile, z_prev, z.x, x.x, i, g, p[i], eta, schedule.sigma
                 )
+                worst_mirror = max(worst_mirror, res)
+                if res > MIRROR_RESIDUAL_TOL:
+                    raise InvariantViolation(
+                        f"{algo}: z-step residual {res:.3e} at iteration {k}"
+                    )
 
         k += 1
         if at_record:
@@ -330,9 +382,12 @@ def _accel_run(oracle, profile, x0, cfg, p, rate_constant, algo):
 
     return y.x.copy(), rec.finish(
         cfg.seed,
-        worst_descent if checking else float("nan"),
-        worst_mirror if checking else float("nan"),
+        worst_descent if checking else math.nan,
+        worst_mirror if checking else math.nan,
     )
+
+
+# --- accelerated solvers ---
 
 
 def generalized_accel(
@@ -363,7 +418,8 @@ def generalized_accel(
         raise ValueError(
             f"rate_constant {rate_constant} below the valid minimum {m_valid}"
         )
-    return _accel_run(oracle, profile, x0, cfg, p, rate_constant, algo="accel")
+    schedule = _StronglyConvex(profile, p, rate_constant)
+    return _coordinate_loop(oracle, profile, x0, cfg, p, "accel", schedule)
 
 
 def nu_acdm(
@@ -387,9 +443,7 @@ def nu_acdm(
     Expected suboptimality contracts by (1 - tau) per iteration.
     Returns (y_final, trace); the trace records f(y_k).
     """
-    x0 = np.asarray(x0, dtype=float)
-    p = nu_probabilities(profile)
-    out, trace = generalized_accel(oracle, profile, x0, cfg, p)
+    out, trace = generalized_accel(oracle, profile, x0, cfg, nu_probabilities(profile))
     trace.algo = "nu-acdm"
     return out, trace
 
@@ -439,77 +493,9 @@ def nu_acdm_ns(
     Expected suboptimality after T steps is at most
     2 * ||x0 - x*||^2_{L^beta} * S^2 / (T+1)^2.
     """
-    x0 = np.asarray(x0, dtype=float)
     p = nu_probabilities(profile)
-    s_sq = s_alpha(profile, profile.alpha) ** 2
-    l = profile.l
-    inv_l = 1.0 / l
-    inv_plb = 1.0 / (p * l ** profile.beta)
-    checking = cfg.check_level != "off"
-    check_all = cfg.check_level == "full"
-
-    state = initial_state(oracle, x0)
-    x, y, z = state.x, state.y, state.z
-    next_index = _IndexStream(WeightedSampler(p, cfg.seed))
-    rec = _Recorder("nu-acdm-ns", cfg, units_per_epoch=oracle.n)
-    worst_descent = -math.inf
-    worst_mirror = 0.0
-
-    stopped = rec.record(0, y.value(), y.x, y.agg)
-    k = 0
-    while k < cfg.iters and not stopped:
-        eta, tau = ns_schedule(k, s_sq)
-        x.combine(tau, z, 1.0 - tau, y)
-        i = next_index()
-        g = x.coord_grad(i)
-        if not math.isfinite(g):
-            raise InvariantViolation(f"nu-acdm-ns: non-finite gradient at iteration {k}")
-
-        y.copy_from(x)
-        y.apply_coord_step(i, -g * inv_l[i])
-
-        at_record = (k + 1) % cfg.trace_stride == 0 or (k + 1) == cfg.iters
-        check_now = check_all or (checking and at_record)
-        z_prev = z.x[i] if check_now else 0.0
-
-        z.apply_coord_step(i, -eta * inv_plb[i] * g)
-
-        if check_now:
-            # eta recurrence linking consecutive steps
-            e_prev = (k + 1.0) / (2.0 * s_sq)
-            lhs = e_prev * e_prev * s_sq
-            rhs = eta * eta * s_sq - eta + 1.0 / (4.0 * s_sq)
-            if abs(lhs - rhs) > 1e-12 * max(1.0, abs(lhs)):
-                raise InvariantViolation(
-                    f"nu-acdm-ns: step recurrence off at iteration {k}: {lhs} vs {rhs}"
-                )
-            viol = _descent_violation(x.value(), y.value(), g, l[i])
-            worst_descent = max(worst_descent, viol)
-            if viol > DESCENT_SLACK:
-                raise InvariantViolation(
-                    f"nu-acdm-ns: coordinate descent guarantee violated by "
-                    f"{viol:.3e} at iteration {k}"
-                )
-            # z changed in one coordinate; the subproblem residual reduces
-            # to that coordinate's first-order condition
-            res = abs(
-                l[i] ** profile.beta * (z.x[i] - z_prev) + (eta / p[i]) * g
-            ) * math.sqrt(l[i] ** profile.beta)
-            worst_mirror = max(worst_mirror, res)
-            if res > MIRROR_RESIDUAL_TOL:
-                raise InvariantViolation(
-                    f"nu-acdm-ns: z-step residual {res:.3e} at iteration {k}"
-                )
-
-        k += 1
-        if at_record:
-            stopped = rec.record(k, y.value(), y.x, y.agg)
-
-    return y.x.copy(), rec.finish(
-        cfg.seed,
-        worst_descent if checking else float("nan"),
-        worst_mirror if checking else float("nan"),
-    )
+    schedule = _Growing(profile, p, s_alpha(profile, profile.alpha) ** 2)
+    return _coordinate_loop(oracle, profile, x0, cfg, p, "nu-acdm-ns", schedule)
 
 
 # --- unaccelerated baselines ---
@@ -524,44 +510,7 @@ def rcdm(
     """Plain randomized coordinate descent: draw i proportional to
     L_i^(1-beta), step x <- x - (1/L_i) grad_i f(x) e_i.  Descends in
     every iteration."""
-    x0 = np.asarray(x0, dtype=float)
-    p = rcdm_probabilities(profile)
-    l = profile.l
-    x = TrackedPoint(oracle, x0)
-    next_index = _IndexStream(WeightedSampler(p, cfg.seed))
-    rec = _Recorder("rcdm", cfg, units_per_epoch=oracle.n)
-    checking = cfg.check_level != "off"
-    check_all = cfg.check_level == "full"
-    worst_descent = -math.inf
-
-    stopped = rec.record(0, x.value(), x.x, x.agg)
-    k = 0
-    while k < cfg.iters and not stopped:
-        i = next_index()
-        g = x.coord_grad(i)
-        if not math.isfinite(g):
-            raise InvariantViolation(f"rcdm: non-finite gradient at iteration {k}")
-        at_record = (k + 1) % cfg.trace_stride == 0 or (k + 1) == cfg.iters
-        check_now = check_all or (checking and at_record)
-        f_before = x.value() if check_now else 0.0
-
-        x.apply_coord_step(i, -g / l[i])
-
-        if check_now:
-            viol = _descent_violation(f_before, x.value(), g, l[i])
-            worst_descent = max(worst_descent, viol)
-            if viol > DESCENT_SLACK:
-                raise InvariantViolation(
-                    f"rcdm: coordinate descent guarantee violated by {viol:.3e} "
-                    f"at iteration {k}"
-                )
-        k += 1
-        if at_record:
-            stopped = rec.record(k, x.value(), x.x, x.agg)
-
-    return x.x.copy(), rec.finish(
-        cfg.seed, worst_descent if checking else float("nan")
-    )
+    return _coordinate_loop(oracle, profile, x0, cfg, rcdm_probabilities(profile), "rcdm")
 
 
 def full_gd(
@@ -618,7 +567,8 @@ def kaczmarz(
     b = np.asarray(b, dtype=float)
     x = np.array(x0, dtype=float)
     m = a_matrix.m
-    assert b.shape == (m,) and x.shape == (a_matrix.d,)
+    if b.shape != (m,) or x.shape != (a_matrix.d,):
+        raise ValueError("b must have one entry per row and x0 one per column")
     norms_sq = a_matrix.row_norms_sq
     if np.any(norms_sq <= 0.0):
         raise ValueError("kaczmarz requires every row to be nonzero")

@@ -145,3 +145,33 @@ def test_bench_race_writes_summary_and_traces(tmp_path, capsys):
     traces = read_trace(out_dir / "traces.csv")
     assert {t.algo for t in traces} == {"nu-acdm", "acdm", "kaczmarz"}
     assert len(traces) == 6
+
+
+def test_bench_eps_reaches_erm_race(tmp_path, capsys):
+    out_dir = tmp_path / "erm"
+    code, *_ = run(capsys, "bench", "--experiment", "erm-race", "--seeds", "1",
+                   "--m", "20", "--d", "5", "--epochs", "2", "--eps", "1e-2",
+                   "--out", str(out_dir))
+    assert code == 0
+    rows = (out_dir / "summary.csv").read_text().strip().splitlines()[1:]
+    assert rows
+    assert all(row.split(",")[1] == "0.01" for row in rows)
+
+
+def test_bench_epochs_cap_kaczmarz_race(tmp_path, capsys):
+    # eps=0 is never reached, so every run spends its whole epoch budget
+    out_dir = tmp_path / "race"
+    code, *_ = run(capsys, "bench", "--experiment", "kaczmarz-race", "--seeds", "1",
+                   "--m", "30", "--n", "10", "--r", "0.5", "--eps", "0",
+                   "--epochs", "3", "--out", str(out_dir))
+    assert code == 0
+    traces = read_trace(out_dir / "traces.csv")
+    assert {t.algo for t in traces} == {"nu-acdm", "acdm", "kaczmarz"}
+    assert all(t.epochs[-1] == 3.0 for t in traces)
+
+
+def test_bench_rejects_eps_for_beta_sweep(capsys):
+    code, _out, err = run(capsys, "bench", "--experiment", "beta-sweep", "--seeds", "1",
+                          "--m", "10", "--n", "4", "--eps", "1e-3")
+    assert code == 1
+    assert "eps" in err

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nucd.geometry import s_alpha
 from nucd.problems import build_kaczmarz, build_separable_quadratic
 from nucd.sampling import WeightedSampler
 from nucd.solvers import (
@@ -141,6 +142,60 @@ def test_ns_loop_matches_hand_transcript():
     assert trace.algo == "nu-acdm-ns"
 
 
+def test_generalized_loop_at_acdm_distribution_matches_hand_transcript():
+    """generalized_accel under the acdm distribution, which is not the nu
+    distribution, at the acdm rate constant n * sum L^(1-beta); on this
+    skewed profile that constant is the binding one."""
+    l = np.array([100.0, 1.0, 1.0, 1.0])
+    target = np.array([0.5, -2.0, 1.0, 3.0])
+    oracle, prof = build_separable_quadratic(l, target, beta=0.5)
+    x0 = np.array([4.0, 1.0, -3.0, 0.0])
+    iters, seed = 30, 17
+    p = acdm_probabilities(prof)
+    rate = prof.n * s_alpha(prof, 1.0 - prof.beta)
+    cfg = SolverConfig(iters=iters, seed=seed)
+    out, trace = generalized_accel(oracle, prof, x0, cfg, p, rate_constant=rate)
+
+    sigma = prof.sigma_beta
+    tau, eta = accel_schedule(rate, sigma)
+    shrink = 1.0 / (1.0 + eta * sigma)
+    idx = _indices(p, seed, iters)
+    x, y, z = x0.copy(), x0.copy(), x0.copy()
+    values = [oracle.value(y)]
+    for k in range(iters):
+        x = tau * z + (1.0 - tau) * y
+        i = int(idx[k])
+        g = l[i] * (x[i] - target[i])
+        y = x.copy()
+        y[i] -= g / l[i]
+        z = shrink * z + shrink * eta * sigma * x
+        z[i] -= shrink * eta / (p[i] * l[i] ** prof.beta) * g
+        values.append(oracle.value(y))
+
+    assert np.allclose(out, y, rtol=1e-12, atol=1e-12)
+    assert np.allclose(trace.values, values, rtol=1e-12, atol=1e-12)
+
+
+def test_rcdm_matches_hand_transcript():
+    l = np.array([1.0, 4.0, 0.25])
+    target = np.array([2.0, -1.0, 3.0])
+    oracle, prof = build_separable_quadratic(l, target, beta=0.5)
+    x0 = np.array([-1.0, 5.0, 0.0])
+    iters, seed = 40, 21
+    out, trace = rcdm(oracle, prof, x0, SolverConfig(iters=iters, seed=seed))
+
+    idx = _indices(rcdm_probabilities(prof), seed, iters)
+    x = x0.copy()
+    values = [oracle.value(x)]
+    for k in range(iters):
+        i = int(idx[k])
+        x[i] -= l[i] * (x[i] - target[i]) / l[i]
+        values.append(oracle.value(x))
+    assert np.allclose(out, x, rtol=1e-12, atol=1e-12)
+    assert np.allclose(trace.values, values, rtol=1e-12, atol=1e-12)
+    assert trace.algo == "rcdm"
+
+
 def test_kaczmarz_matches_hand_transcript():
     a, b, _x_star = gen_linear_system(6, 3, 0.5, seed=2)
     x0 = np.zeros(3)
@@ -232,10 +287,14 @@ def test_full_gd_monotone_and_convergent():
 def test_full_check_level_clean_on_quadratics():
     oracle, prof = build_separable_quadratic(10.0 ** np.linspace(-2, 2, 8), beta=0.5)
     cfg = SolverConfig(iters=500, seed=9, check_level="full")
-    for solver in (nu_acdm, nu_acdm_ns):
+    for solver in (nu_acdm, nu_acdm_ns, acdm_baseline, rcdm):
         _out, trace = solver(oracle, prof, np.ones(8), cfg)
         assert trace.max_descent_violation <= 0.0 or trace.max_descent_violation < 1e-14
-        assert trace.max_mirror_residual < 1e-10
+        if solver is rcdm:
+            # no z sequence, so no mirror step to check
+            assert math.isnan(trace.max_mirror_residual)
+        else:
+            assert trace.max_mirror_residual < 1e-10
 
 
 # --- trace contract ---
