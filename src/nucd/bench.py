@@ -1,8 +1,8 @@
 """Experiment drivers: head-to-head solver races on generated instances.
 
 Epochs (passes over the data: n coordinate steps, m row picks for row
-projection) are the x-axis everywhere; wall-clock is recorded as metadata
-only.  Each (algorithm, seed) cell is an independent run, so cells may be
+projection) are the x-axis everywhere; wall-clock is recorded per cell and
+reported as a per-algorithm median next to the epoch counts.  Each (algorithm, seed) cell is an independent run, so cells may be
 executed in parallel; results are merged by sorted key and a race is
 bit-reproducible from its parameters.
 """
@@ -453,9 +453,14 @@ def run_experiment(spec: ExperimentSpec, dataset: Dataset | None = None):
 
 
 def summary_lines(result: RaceResult) -> list[str]:
-    """CSV summary: per-algorithm median epochs to the race target."""
-    lines = ["algo,eps,median_epochs,speedup_theory"]
+    """CSV summary: per-algorithm median epochs to the race target, and the
+    median wall-clock seconds of that algorithm's runs."""
+    lines = ["algo,eps,median_epochs,speedup_theory,median_wall_s"]
     for algo in result.algos:
         med = result.median_epochs_to(algo)
-        lines.append(f"{algo},{result.eps:g},{med:.17g},{result.speedup:.17g}")
+        wall = np.median([e["wall_seconds"] for (a, _s), e in result.extras.items()
+                          if a == algo])
+        lines.append(
+            f"{algo},{result.eps:g},{med:.17g},{result.speedup:.17g},{wall:.6g}"
+        )
     return lines

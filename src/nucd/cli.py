@@ -91,18 +91,26 @@ def build_parser() -> _Parser:
                          help="number of seeds (0..K-1)")
     bench_p.add_argument("--out", default=None, help="output directory")
     bench_p.add_argument("--jobs", type=int, default=1)
-    bench_p.add_argument("--m", type=int, default=300)
-    bench_p.add_argument("--n", type=int, default=100)
-    bench_p.add_argument("--d", type=int, default=20)
-    bench_p.add_argument("--r", type=float, default=0.1)
+    # experiment parameters default to None, meaning ExperimentSpec's
+    # default; cmd_bench rejects those the experiment does not read
+    bench_p.add_argument("--m", type=int, default=None,
+                         help="rows of the system (kaczmarz-race; default 300)")
+    bench_p.add_argument("--n", type=int, default=None,
+                         help="columns (kaczmarz-race) / examples (default 100)")
+    bench_p.add_argument("--d", type=int, default=None,
+                         help="features (erm-race, beta-sweep; default 20)")
+    bench_p.add_argument("--r", type=float, default=None,
+                         help="fraction of rows at the high norm level (default 0.1)")
     bench_p.add_argument("--variant", choices=("ridge", "lasso", "penalty"),
-                         default="ridge")
-    bench_p.add_argument("--lambda", dest="lam", type=float, default=0.1)
-    bench_p.add_argument("--lambda2", dest="lam2", type=float, default=None)
-    bench_p.add_argument("--algos", type=_csv_names,
-                         default=("nu-acdm", "acdm", "rcdm"))
-    bench_p.add_argument("--betas", type=_csv_floats,
-                         default=(0.0, 0.2, 0.4, 0.6, 0.8, 1.0))
+                         default=None, help="erm-race only (default ridge)")
+    bench_p.add_argument("--lambda", dest="lam", type=float, default=None,
+                         help="erm-race, beta-sweep (default 0.1)")
+    bench_p.add_argument("--lambda2", dest="lam2", type=float, default=None,
+                         help="erm-race with --variant lasso (default lambda/10)")
+    bench_p.add_argument("--algos", type=_csv_names, default=None,
+                         help="erm-race only (default nu-acdm,acdm,rcdm)")
+    bench_p.add_argument("--betas", type=_csv_floats, default=None,
+                         help="beta-sweep only (default 0,0.2,...,1)")
     bench_p.add_argument("--epochs", type=int, default=None,
                          help="epoch budget (default: the experiment's own)")
     bench_p.add_argument("--eps", type=float, default=None,
@@ -213,23 +221,32 @@ def _run_coord(args, oracle, profile, dist):
     return trace
 
 
+# ExperimentSpec fields each experiment reads, by bench flag destination
+_BENCH_PARAMS = {
+    "kaczmarz-race": ("m", "n", "r", "epochs", "eps"),
+    "erm-race": ("n", "d", "r", "variant", "lam", "lam2", "algos", "epochs", "eps"),
+    "beta-sweep": ("n", "d", "r", "lam", "betas", "epochs"),
+}
+_BENCH_FLAGS = {"m": "--m", "n": "--n", "d": "--d", "r": "--r",
+                "variant": "--variant", "lam": "--lambda", "lam2": "--lambda2",
+                "algos": "--algos", "betas": "--betas", "epochs": "--epochs",
+                "eps": "--eps"}
+
+
 def cmd_bench(args) -> int:
+    given = {k: getattr(args, k) for k in _BENCH_FLAGS if getattr(args, k) is not None}
+    reads = set(_BENCH_PARAMS[args.experiment])
+    if given.get("variant", bench.ExperimentSpec.variant) != "lasso":
+        reads.discard("lam2")  # only the lasso variant has a second weight
+    ignored = [_BENCH_FLAGS[k] for k in given if k not in reads]
+    if ignored:
+        raise _UsageError(f"{args.experiment} does not read {', '.join(ignored)}")
     spec = bench.ExperimentSpec(
         experiment=args.experiment,
         seeds=tuple(range(args.seeds)),
         jobs=args.jobs,
-        m=args.m,
-        n=args.n,
-        d=args.d,
-        r=args.r,
-        variant=args.variant,
-        lam=args.lam,
-        lam2=args.lam2,
-        algos=args.algos,
-        betas=args.betas,
-        epochs=args.epochs,
-        eps=args.eps,
         instance_seed=args.instance_seed,
+        **given,
     )
     result = bench.run_experiment(spec)
 

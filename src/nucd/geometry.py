@@ -92,12 +92,13 @@ def speedup_factor(profile: SmoothnessProfile) -> float:
 class CoordOracle:
     """First-order access to a convex function through single coordinates.
 
-    Subclasses must set ``n`` and implement ``value`` and ``coord_grad``.
-    Oracles whose gradients depend on the iterate only through a vector
-    aggregate that is *linear* in the point (a matrix product, a weighted
-    feature sum) additionally implement the aggregate protocol below; the
-    solvers then pay O(nnz of one row) per coordinate step instead of a
-    full recomputation.
+    Subclasses must set ``n`` and implement ``value`` and
+    ``coord_grad_local``.  Oracles whose gradients depend on the iterate only
+    through a vector aggregate that is *linear* in the point (a matrix
+    product, a weighted feature sum) additionally implement the aggregate
+    protocol below.  Coordinate i then reads and writes only the aggregate
+    entries ``support(i)``, so the solvers pay O(nnz of one row) per
+    coordinate step instead of a full recomputation.
     """
 
     n: int = 0
@@ -105,10 +106,25 @@ class CoordOracle:
     def value(self, x: np.ndarray, aggregate: np.ndarray | None = None) -> float:
         raise NotImplementedError
 
+    def support(self, i: int) -> np.ndarray | None:
+        """Aggregate entries coordinate i reads and writes (an index array),
+        or None when the oracle keeps no aggregate."""
+        return None
+
+    def coord_grad_local(self, i: int, x_i: float, agg_part: np.ndarray | None) -> float:
+        """grad_i f from x_i and the aggregate restricted to support(i)
+        (None when the oracle keeps no aggregate)."""
+        raise NotImplementedError
+
     def coord_grad(
         self, x: np.ndarray, i: int, aggregate: np.ndarray | None = None
     ) -> float:
-        raise NotImplementedError
+        """grad_i f(x); the aggregate is built from x when not given."""
+        if aggregate is None:
+            aggregate = self.aggregate(x)
+        cols = self.support(i)
+        part = None if cols is None else aggregate[cols]
+        return self.coord_grad_local(i, x[i], part)
 
     def full_grad(self, x: np.ndarray, aggregate: np.ndarray | None = None) -> np.ndarray:
         # generic fallback; oracles with cheap matrix forms override this
@@ -121,14 +137,15 @@ class CoordOracle:
         return None
 
     def update_aggregate(self, agg: np.ndarray, i: int, delta: float) -> None:
-        """Apply the effect of x_i += delta to a cache built by aggregate()."""
+        """Apply the effect of x_i += delta to a cache built by aggregate();
+        touches agg[support(i)] only."""
         raise NotImplementedError
 
 
 class TrackedPoint:
     """A query point bundled with the oracle's cache for it.
 
-    The solvers keep one of these per iterate sequence.  Because every cache
+    The coordinate loop keeps one of these per stored vector.  Because every cache
     in this package is linear in the point, an affine recombination of two
     tracked points recombines the caches with the same scalars; a single
     coordinate step delegates to the oracle's sparse update.

@@ -3,12 +3,14 @@
 CSR-style arrays with cheap per-row views: the coordinate solvers touch one
 row per iteration, so row access must be a pair of array slices rather than
 a scipy object allocation.  Full products (A @ x, A.T @ y) are needed only
-at setup and trace time and are vectorized.
+at setup and trace time; they go through a scipy CSR array that shares the
+same three arrays.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse
 
 
 class SparseRowMatrix:
@@ -25,12 +27,16 @@ class SparseRowMatrix:
         self.data = np.asarray(data, dtype=float)
         self.m, self.d = int(shape[0]), int(shape[1])
         self._validate()
-        counts = np.diff(self.indptr)
-        self._row_of_entry = np.repeat(np.arange(self.m), counts)
+        # no copies: products read the arrays above
+        self._csr = scipy.sparse.csr_array(
+            (self.data, self.indices, self.indptr), shape=(self.m, self.d), copy=False
+        )
+        self._csr_t = self._csr.T
         # row norms are consumed as smoothness constants and sampling
         # weights; cache once
+        row_of_entry = np.repeat(np.arange(self.m), np.diff(self.indptr))
         sq = np.zeros(self.m)
-        np.add.at(sq, self._row_of_entry, self.data * self.data)
+        np.add.at(sq, row_of_entry, self.data * self.data)
         self.row_norms_sq = sq
         self.row_norms = np.sqrt(sq)
 
@@ -48,10 +54,13 @@ class SparseRowMatrix:
                 raise ValueError("column index out of range")
         if not np.all(np.isfinite(self.data)):
             raise ValueError("matrix values must be finite")
-        for i in range(self.m):
-            lo, hi = self.indptr[i], self.indptr[i + 1]
-            if np.any(np.diff(self.indices[lo:hi]) <= 0):
-                raise ValueError(f"row {i}: column indices not strictly ascending")
+        # entry j + 1 must exceed entry j wherever both lie in one row
+        bad = np.diff(self.indices) <= 0
+        starts = self.indptr[1:-1]
+        bad[starts[(starts > 0) & (starts < self.nnz)] - 1] = False
+        if bad.any():
+            i = int(np.searchsorted(self.indptr, np.argmax(bad) + 1, side="right")) - 1
+            raise ValueError(f"row {i}: column indices not strictly ascending")
 
     @classmethod
     def from_dense(cls, arr) -> "SparseRowMatrix":
@@ -95,20 +104,14 @@ class SparseRowMatrix:
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """A @ x, shape (m,)."""
-        out = np.zeros(self.m)
-        np.add.at(out, self._row_of_entry, self.data * x[self.indices])
-        return out
+        return self._csr @ x
 
     def rmatvec(self, y: np.ndarray) -> np.ndarray:
         """A.T @ y, shape (d,)."""
-        out = np.zeros(self.d)
-        np.add.at(out, self.indices, self.data * y[self._row_of_entry])
-        return out
+        return self._csr_t @ y
 
     def to_dense(self) -> np.ndarray:
-        out = np.zeros((self.m, self.d))
-        out[self._row_of_entry, self.indices] = self.data
-        return out
+        return self._csr.toarray()
 
     @property
     def nnz(self) -> int:

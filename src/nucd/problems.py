@@ -59,8 +59,8 @@ class SeparableQuadratic(CoordOracle):
         d = x - self.target
         return 0.5 * float(np.sum(self.l * d * d))
 
-    def coord_grad(self, x, i, aggregate=None):
-        return float(self.l[i] * (x[i] - self.target[i]))
+    def coord_grad_local(self, i, x_i, agg_part=None):
+        return float(self.l[i] * (x_i - self.target[i]))
 
     def full_grad(self, x, aggregate=None):
         return self.l * (x - self.target)
@@ -105,13 +105,20 @@ class KaczmarzQuadratic(CoordOracle):
         lo, hi = self.a.indptr[i], self.a.indptr[i + 1]
         agg[self.a.indices[lo:hi]] += delta * self.a.data[lo:hi]
 
+    def support(self, i):
+        return self.a.indices[self.a.indptr[i]:self.a.indptr[i + 1]]
+
     def value(self, y, aggregate=None):
         w = self.aggregate(y) if aggregate is None else aggregate
         return 0.5 * float(np.dot(w, w)) - float(np.dot(self.b, y))
 
-    def coord_grad(self, y, i, aggregate=None):
-        w = self.aggregate(y) if aggregate is None else aggregate
-        return self.a.row_dot(i, w) - float(self.b[i])
+    def coord_grad_local(self, i, y_i, agg_part):
+        lo, hi = self.a.indptr[i], self.a.indptr[i + 1]
+        return float(np.dot(self.a.data[lo:hi], agg_part)) - float(self.b[i])
+
+    # bound in the class itself: perfbench/spans.py wraps each oracle
+    # class's own coord_grad
+    coord_grad = CoordOracle.coord_grad
 
     def full_grad(self, y, aggregate=None):
         w = self.aggregate(y) if aggregate is None else aggregate
@@ -257,6 +264,9 @@ class ErmDual(CoordOracle):
         lo, hi = self.data.indptr[i], self.data.indptr[i + 1]
         agg[self.data.indices[lo:hi]] += (delta / self.n) * self.data.data[lo:hi]
 
+    def support(self, i):
+        return self.data.indices[self.data.indptr[i]:self.data.indptr[i + 1]]
+
     def _reg_conj_value(self, v):
         """r*(-v); |.| makes the sign flip immaterial for these r."""
         if self.variant == "smoothed_lasso":
@@ -265,7 +275,8 @@ class ErmDual(CoordOracle):
         return float(np.dot(v, v)) / (2.0 * self.lam)
 
     def _reg_conj_grad(self, v):
-        """gradient of r* evaluated at -v (a d-vector)."""
+        """gradient of r* evaluated at -v, elementwise (a d-vector or any
+        part of one)."""
         if self.variant == "smoothed_lasso":
             return soft_threshold(-v, self.lam) / self.lam2
         return -v / self.lam
@@ -275,14 +286,16 @@ class ErmDual(CoordOracle):
         sep = float(np.sum(self.loss.conj(y, self.labels))) / self.n
         return sep + self._reg_conj_value(v)
 
-    def coord_grad(self, y, i, aggregate=None):
-        v = self.aggregate(y) if aggregate is None else aggregate
-        sep = float(self.loss.conj_deriv(y[i], self.labels[i])) / self.n
+    def coord_grad_local(self, i, y_i, agg_part):
+        # r* acts elementwise, so the row's own entries of v suffice
+        sep = float(self.loss.conj_deriv(y_i, self.labels[i])) / self.n
         lo, hi = self.data.indptr[i], self.data.indptr[i + 1]
-        row_dot = float(
-            np.dot(self.data.data[lo:hi], self._reg_conj_grad(v)[self.data.indices[lo:hi]])
-        )
+        row_dot = float(np.dot(self.data.data[lo:hi], self._reg_conj_grad(agg_part)))
         return sep - row_dot / self.n
+
+    # bound in the class itself: perfbench/spans.py wraps each oracle
+    # class's own coord_grad
+    coord_grad = CoordOracle.coord_grad
 
     def full_grad(self, y, aggregate=None):
         v = self.aggregate(y) if aggregate is None else aggregate

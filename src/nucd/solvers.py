@@ -6,9 +6,11 @@ coordinates from a seeded alias sampler, so a run is bit-reproducible from
 loop: each step draws a coordinate, takes one coordinate gradient and one
 coordinate step.  The accelerated methods add a step-size schedule to it,
 constant (tau, eta) in the strongly convex case or growing otherwise; the
-schedule couples the step with a second sequence z through O(n) vector
-recombinations.  Without a schedule the loop is plain randomized
-coordinate descent on a single sequence.
+schedule couples the step with a second sequence z.  The loop keeps both
+sequences implicitly, as two stored vectors and one scalar, so the coupling
+costs O(1) and a step O(nnz of one row); whole iterates are formed only at
+trace records, checked steps and return.  Without a schedule the loop is
+plain randomized coordinate descent on a single sequence.
 
 Iteration cost is honest: no solver ever forms a full gradient except
 full_gd, which exists as a reference baseline.
@@ -30,6 +32,11 @@ from .sampling import WeightedSampler
 DESCENT_SLACK = 1e-12
 # absolute tolerance on the first-order residual of the z-step subproblem
 MIRROR_RESIDUAL_TOL = 1e-9
+# the accelerated loop folds its implicit coefficient c into the stored
+# vectors once c falls below this: an O(n + d) step, taken at step 0 by the
+# growing schedule (tau_0 = 1) and about every 100/tau steps by the
+# strongly convex one
+FOLD_BELOW = 2.0 ** -300
 
 _CHECK_LEVELS = ("off", "cheap", "full")
 
@@ -255,21 +262,25 @@ class _StronglyConvex:
     """Constant (tau, eta); each step shrinks z and pulls it toward x.
 
     rate_constant is the M whose square root controls the 1 - tau
-    contraction (see accel_schedule)."""
+    contraction (see accel_schedule).  In the loop's implicit form
+    (y = u + c v, z = u + r c v) the recombination step maps (y, z) by a
+    matrix whose rows sum to 1, because 1 + eta sigma = 1/(1 - tau); its
+    other eigenvector is (1, r) with r = -(1 - tau) and eigenvalue
+    rho = (1 - tau)^2.  So the step only scales c by rho."""
 
     def __init__(self, profile: SmoothnessProfile, p: np.ndarray, rate_constant: float):
         self.sigma = profile.sigma_beta
         self.tau, self.eta = accel_schedule(rate_constant, self.sigma)
-        self.shrink = 1.0 / (1.0 + self.eta * self.sigma)
-        self.z_coef = self.eta / (p * profile.l ** profile.beta)
+        self.r = -(1.0 - self.tau)
+        self.rho = (1.0 - self.tau) ** 2
+        shrink = 1.0 / (1.0 + self.eta * self.sigma)
+        self.z_step = shrink * self.eta / (p * profile.l ** profile.beta)
 
     def step(self, k: int):
-        return self.tau, self.eta
+        return self.rho, self.eta
 
-    def move_z(self, z: TrackedPoint, x: TrackedPoint, i: int, g: float, eta: float):
-        shrink = self.shrink
-        z.combine(shrink, z, shrink * eta * self.sigma, x)
-        z.apply_coord_step(i, -shrink * self.z_coef[i] * g)
+    def z_delta(self, i: int, g: float, eta: float) -> float:
+        return -self.z_step[i] * g
 
     def check_start(self, algo: str):
         # a failure here means a corrupted profile
@@ -283,9 +294,11 @@ class _StronglyConvex:
 
 class _Growing:
     """eta_{k+1} = (k+2)/(2 S^2) and tau_k = 2/(k+2) (see ns_schedule); each
-    step moves z in the sampled coordinate only."""
+    step moves z in the sampled coordinate only.  In the loop's implicit
+    form z = u (r = 0) and the recombination scales c by rho_k = 1 - tau_k."""
 
     sigma = 0.0
+    r = 0.0
 
     def __init__(self, profile: SmoothnessProfile, p: np.ndarray, s_alpha_sq: float):
         self.s_sq = s_alpha_sq
@@ -293,10 +306,10 @@ class _Growing:
 
     def step(self, k: int):
         eta, tau = ns_schedule(k, self.s_sq)
-        return tau, eta
+        return 1.0 - tau, eta
 
-    def move_z(self, z: TrackedPoint, x: TrackedPoint, i: int, g: float, eta: float):
-        z.apply_coord_step(i, -eta * self.inv_plb[i] * g)
+    def z_delta(self, i: int, g: float, eta: float) -> float:
+        return -eta * self.inv_plb[i] * g
 
     def check_start(self, algo: str):
         pass
@@ -321,54 +334,104 @@ def _coordinate_loop(oracle, profile, x0, cfg, p, algo, schedule=None):
     before the draw, and the schedule moves z after it.  Without one, x and
     y are the same point and the run is plain randomized coordinate
     descent.  Returns (y_final, trace); the trace records f(y_k).
+
+    The accelerated iterates are implicit (Lee & Sidford 2013, section 5):
+    two stored vectors u, v with their caches and a scalar c give
+    y = u + c v and z = u + r c v, r fixed by the schedule.  The
+    recombination x = tau z + (1 - tau) y maps (y, z) onto the same form
+    with c scaled by the schedule's rho_k, after which x = u + c v.  A step
+    reads x_i and the cache on support(i), then moves u and v in coordinate
+    i only, so it costs O(nnz of one row).  Whole points are formed at
+    trace records, at checked steps and at return.
     """
     checking = cfg.check_level != "off"
     check_all = cfg.check_level == "full"
+    stride, iters = cfg.trace_stride, cfg.iters
     l = profile.l
     inv_l = 1.0 / l
 
-    x = TrackedPoint(oracle, x0)
-    y, z = (x, None) if schedule is None else (x.copy(), x.copy())
+    u = TrackedPoint(oracle, x0)
+    accel = schedule is not None
+    v = TrackedPoint(oracle, np.zeros(oracle.n)) if accel else None
+    ux, uagg = u.x, u.agg
+    vx, vagg = (v.x, v.agg) if accel else (None, None)
+    c = 1.0
+    r = schedule.r if accel else 0.0
+    one_minus_r = 1.0 - r
+    support = oracle.support
+    grad_local = oracle.coord_grad_local
+    u_step = u.apply_coord_step
+    v_step = v.apply_coord_step if accel else None
+
+    def point(coef):
+        """(u + coef v, its cache); u itself when there is no v."""
+        if not accel:
+            return ux, uagg
+        return ux + coef * vx, (None if uagg is None else uagg + coef * vagg)
+
+    def value_at(coef):
+        x, agg = point(coef)
+        return oracle.value(x, agg), x, agg
+
     next_index = _IndexStream(WeightedSampler(p, cfg.seed))
     rec = _Recorder(algo, cfg, units_per_epoch=oracle.n)
     worst_descent = -math.inf
-    worst_mirror = 0.0 if schedule is not None else math.nan
-    if checking and schedule is not None:
+    worst_mirror = 0.0 if accel else math.nan
+    if checking and accel:
         schedule.check_start(algo)
 
-    stopped = rec.record(0, y.value(), y.x, y.agg)
+    stopped = rec.record(0, *value_at(c))
     k = 0
-    while k < cfg.iters and not stopped:
-        if schedule is not None:
-            tau, eta = schedule.step(k)
-            x.combine(tau, z, 1.0 - tau, y)
-            y.copy_from(x)
+    while k < iters and not stopped:
+        at_record = (k + 1) % stride == 0 or (k + 1) == iters
+        check_now = check_all or (checking and at_record)
+        if accel:
+            if check_now:
+                z_prev = point(r * c)[0]
+            rho, eta = schedule.step(k)
+            c *= rho
+            if c < FOLD_BELOW:
+                # y and z are unchanged: u + c v = u + 1 (c v)
+                vx *= c
+                if vagg is not None:
+                    vagg *= c
+                c = 1.0
         i = next_index()
-        g = x.coord_grad(i)
+        cols = support(i)
+        if accel:
+            x_i = ux[i] + c * vx[i]
+            part = None if cols is None else uagg[cols] + c * vagg[cols]
+        else:
+            x_i = ux[i]
+            part = None if cols is None else uagg[cols]
+        g = grad_local(i, x_i, part)
         if not math.isfinite(g):
             raise InvariantViolation(f"{algo}: non-finite gradient at iteration {k}")
 
-        at_record = (k + 1) % cfg.trace_stride == 0 or (k + 1) == cfg.iters
-        check_now = check_all or (checking and at_record)
-        f_x = x.value() if check_now else 0.0
-        y.apply_coord_step(i, -g * inv_l[i])
+        if check_now:
+            f_x, x_pt, _ = value_at(c)
+        dy = -g * inv_l[i]
+        if accel:
+            # y_i += dy and z_i += dz, in the (u, v) basis
+            dz = schedule.z_delta(i, g, eta)
+            u_step(i, (dz - r * dy) / one_minus_r)
+            v_step(i, (dy - dz) / (c * one_minus_r))
+        else:
+            u_step(i, dy)
 
         if check_now:
-            viol = _descent_violation(f_x, y.value(), g, l[i])
+            viol = _descent_violation(f_x, value_at(c)[0], g, l[i])
             worst_descent = max(worst_descent, viol)
             if viol > DESCENT_SLACK:
                 raise InvariantViolation(
                     f"{algo}: coordinate descent guarantee violated by {viol:.3e} "
                     f"at iteration {k}"
                 )
-
-        if schedule is not None:
-            z_prev = z.x.copy() if check_now else None
-            schedule.move_z(z, x, i, g, eta)
-            if check_now:
+            if accel:
                 schedule.check_step(algo, k, eta)
                 res = mirror_step_residual(
-                    profile, z_prev, z.x, x.x, i, g, p[i], eta, schedule.sigma
+                    profile, z_prev, point(r * c)[0], x_pt, i, g, p[i], eta,
+                    schedule.sigma,
                 )
                 worst_mirror = max(worst_mirror, res)
                 if res > MIRROR_RESIDUAL_TOL:
@@ -378,9 +441,9 @@ def _coordinate_loop(oracle, profile, x0, cfg, p, algo, schedule=None):
 
         k += 1
         if at_record:
-            stopped = rec.record(k, y.value(), y.x, y.agg)
+            stopped = rec.record(k, *value_at(c))
 
-    return y.x.copy(), rec.finish(
+    return point(c)[0].copy(), rec.finish(
         cfg.seed,
         worst_descent if checking else math.nan,
         worst_mirror if checking else math.nan,

@@ -160,13 +160,14 @@ def test_experiment_spec_validation_and_dispatch():
     )
     res = run_experiment(spec)
     lines = summary_lines(res)
-    assert lines[0] == "algo,eps,median_epochs,speedup_theory"
+    assert lines[0] == "algo,eps,median_epochs,speedup_theory,median_wall_s"
     assert len(lines) == 1 + len(res.algos)
     for line in lines[1:]:
-        algo, eps, med, sp = line.split(",")
+        algo, eps, med, sp, wall = line.split(",")
         assert algo in res.algos
         assert float(eps) == 1e-6
         assert float(sp) == res.speedup
+        assert float(wall) > 0.0
 
 
 def test_race_rejects_empty_seeds():

@@ -122,7 +122,7 @@ def test_missing_output_dir_exits_three(tmp_path, capsys):
 def test_bench_beta_sweep_writes_csv(tmp_path, capsys):
     out_dir = tmp_path / "sweep"
     code, *_ = run(capsys, "bench", "--experiment", "beta-sweep", "--seeds", "3",
-                   "--m", "20", "--n", "5", "--lambda", "0.2", "--betas", "0,1",
+                   "--n", "5", "--lambda", "0.2", "--betas", "0,1",
                    "--epochs", "6", "--out", str(out_dir))
     assert code == 0
     lines = (out_dir / "sweep.csv").read_text().strip().splitlines()
@@ -140,7 +140,7 @@ def test_bench_race_writes_summary_and_traces(tmp_path, capsys):
                    "--out", str(out_dir))
     assert code == 0
     summary = (out_dir / "summary.csv").read_text().strip().splitlines()
-    assert summary[0] == "algo,eps,median_epochs,speedup_theory"
+    assert summary[0] == "algo,eps,median_epochs,speedup_theory,median_wall_s"
     assert len(summary) == 4
     traces = read_trace(out_dir / "traces.csv")
     assert {t.algo for t in traces} == {"nu-acdm", "acdm", "kaczmarz"}
@@ -150,7 +150,7 @@ def test_bench_race_writes_summary_and_traces(tmp_path, capsys):
 def test_bench_eps_reaches_erm_race(tmp_path, capsys):
     out_dir = tmp_path / "erm"
     code, *_ = run(capsys, "bench", "--experiment", "erm-race", "--seeds", "1",
-                   "--m", "20", "--d", "5", "--epochs", "2", "--eps", "1e-2",
+                   "--d", "5", "--epochs", "2", "--eps", "1e-2",
                    "--out", str(out_dir))
     assert code == 0
     rows = (out_dir / "summary.csv").read_text().strip().splitlines()[1:]
@@ -172,6 +172,55 @@ def test_bench_epochs_cap_kaczmarz_race(tmp_path, capsys):
 
 def test_bench_rejects_eps_for_beta_sweep(capsys):
     code, _out, err = run(capsys, "bench", "--experiment", "beta-sweep", "--seeds", "1",
-                          "--m", "10", "--n", "4", "--eps", "1e-3")
+                          "--n", "4", "--eps", "1e-3")
     assert code == 1
     assert "eps" in err
+
+
+@pytest.mark.parametrize(
+    "experiment, flag, value",
+    [
+        ("kaczmarz-race", "--d", "5"),
+        ("kaczmarz-race", "--variant", "lasso"),
+        ("kaczmarz-race", "--lambda", "0.2"),
+        ("kaczmarz-race", "--lambda2", "0.01"),
+        ("kaczmarz-race", "--algos", "nu-acdm"),
+        ("kaczmarz-race", "--betas", "0,1"),
+        ("erm-race", "--m", "20"),
+        ("erm-race", "--betas", "0,1"),
+        ("erm-race", "--lambda2", "0.01"),  # the default variant is ridge
+        ("beta-sweep", "--m", "20"),
+        ("beta-sweep", "--variant", "lasso"),
+        ("beta-sweep", "--lambda2", "0.01"),
+        ("beta-sweep", "--algos", "nu-acdm"),
+    ],
+)
+def test_bench_rejects_flags_the_experiment_ignores(tmp_path, capsys, experiment, flag, value):
+    out_dir = tmp_path / "out"
+    code, _out, err = run(capsys, "bench", "--experiment", experiment, "--seeds", "1",
+                          flag, value, "--out", str(out_dir))
+    assert code == 1
+    assert flag in err
+    assert not out_dir.exists()
+
+
+def test_bench_accepts_lambda2_for_lasso_erm_race(tmp_path, capsys):
+    out_dir = tmp_path / "erm"
+    code, *_ = run(capsys, "bench", "--experiment", "erm-race", "--seeds", "1",
+                   "--n", "20", "--d", "5", "--variant", "lasso", "--lambda2", "0.02",
+                   "--algos", "nu-acdm", "--epochs", "2", "--out", str(out_dir))
+    assert code == 0
+    assert (out_dir / "summary.csv").exists()
+
+
+def test_bench_summary_reports_median_wall_seconds(tmp_path, capsys):
+    out_dir = tmp_path / "race"
+    code, *_ = run(capsys, "bench", "--experiment", "kaczmarz-race", "--seeds", "3",
+                   "--m", "30", "--n", "10", "--r", "0.5", "--eps", "1e-6",
+                   "--out", str(out_dir))
+    assert code == 0
+    header, *rows = (out_dir / "summary.csv").read_text().strip().splitlines()
+    assert header.split(",")[-1] == "median_wall_s"
+    walls = {row.split(",")[0]: float(row.split(",")[-1]) for row in rows}
+    assert set(walls) == {"nu-acdm", "acdm", "kaczmarz"}
+    assert all(0.0 < w < 60.0 for w in walls.values())

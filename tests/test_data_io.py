@@ -73,6 +73,64 @@ def test_parse_errors_carry_position(tmp_path):
         assert msg in str(err.value), text
 
 
+# corrupted label -> message; corrupted feature (given its index and the
+# previous one) -> (token, message)
+_BAD_LABELS = [("abc", "bad label"), ("1e", "bad label"), ("inf", "non-finite label"),
+               ("nan", "non-finite label")]
+_BAD_FEATURES = [
+    lambda idx, prev: ("x:1", "bad index"),
+    lambda idx, prev: ("1.5:1", "bad index"),
+    lambda idx, prev: ("0:1", "not 1-based"),
+    lambda idx, prev: (f"{idx}", "expected idx:value"),
+    lambda idx, prev: (f"{idx}:1:2", "expected idx:value"),
+    lambda idx, prev: (f"{idx}:zz", "bad value"),
+    lambda idx, prev: (f"{idx}:-inf", "non-finite value"),
+    lambda idx, prev: (f"{prev}:1", "not ascending" if prev else "not 1-based"),
+]
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.data())
+def test_corrupted_token_error_names_its_position(tmp_path_factory, data):
+    """Corrupt one token of a valid file: the ParseError names that token's
+    line and column and the reason."""
+    gap = st.text(" \t", min_size=1, max_size=3)
+    lines = []  # (text, [(column, token, feature index or None)])
+    for _ in range(data.draw(st.integers(1, 5))):
+        if data.draw(st.booleans()):
+            lines.append((data.draw(st.sampled_from(["", "# note", "   "])), []))
+        text = data.draw(st.text(" \t", max_size=2))
+        tokens = []
+        label = repr(data.draw(st.floats(-5, 5)))
+        tokens.append((len(text), label, None))
+        text += label
+        idx = 0
+        for _ in range(data.draw(st.integers(0, 4))):
+            idx += data.draw(st.integers(1, 3))
+            tok = f"{idx}:{data.draw(st.floats(-5, 5))!r}"
+            text += data.draw(gap)
+            tokens.append((len(text), tok, idx))
+            text += tok
+        lines.append((text, tokens))
+    parse_libsvm(_write(tmp_path_factory.mktemp("ok"), "\n".join(t for t, _ in lines)))
+
+    line_no = data.draw(st.sampled_from([j for j, (_, toks) in enumerate(lines) if toks]))
+    text, tokens = lines[line_no]
+    k = data.draw(st.integers(0, len(tokens) - 1))
+    col, tok, idx = tokens[k]
+    if idx is None:
+        bad, msg = data.draw(st.sampled_from(_BAD_LABELS))
+    else:
+        prev = tokens[k - 1][2] or 0
+        bad, msg = data.draw(st.sampled_from(_BAD_FEATURES))(idx, prev)
+    lines[line_no] = (text[:col] + bad + text[col + len(tok):], tokens)
+    p = _write(tmp_path_factory.mktemp("bad"), "\n".join(t for t, _ in lines) + "\n")
+    with pytest.raises(ParseError) as err:
+        parse_libsvm(p)
+    assert f"{p}:{line_no + 1}:{col + 1}:" in str(err.value)
+    assert msg in str(err.value)
+
+
 @settings(deadline=None, max_examples=40)
 @given(st.data())
 def test_libsvm_round_trip_bitwise(tmp_path_factory, data):

@@ -5,8 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nucd import solvers
 from nucd.geometry import s_alpha
-from nucd.problems import build_kaczmarz, build_separable_quadratic
+from nucd.problems import (
+    build_kaczmarz,
+    build_lasso_dual,
+    build_penalty_dual,
+    build_separable_quadratic,
+)
 from nucd.sampling import WeightedSampler
 from nucd.solvers import (
     InvariantViolation,
@@ -24,7 +30,7 @@ from nucd.solvers import (
     rcdm,
     rcdm_probabilities,
 )
-from nucd.data_io import gen_linear_system
+from nucd.data_io import gen_linear_system, gen_skewed_dataset, two_level_norms
 
 
 # --- schedules and distributions ---
@@ -219,6 +225,147 @@ def test_kaczmarz_single_projection_lands_on_hyperplane():
     out, _tr = kaczmarz(a, b, np.zeros(4), SolverConfig(iters=1, seed=0))
     i = int(_indices(a.row_norms_sq, 0, 1)[0])
     assert abs(a.to_dense()[i] @ out - b[i]) < 1e-12
+
+
+# --- literal rules on oracles with an aggregate ---
+
+
+def _close(got, want, tol=1e-12):
+    got, want = np.asarray(got), np.asarray(want)
+    return float(np.max(np.abs(got - want))) <= tol * max(1.0, float(np.max(np.abs(want))))
+
+
+def _literal_run(oracle, prof, x0, idx, schedule):
+    """The written update rules, with every gradient read off the full
+    gradient at x (its aggregate rebuilt from x).  schedule(k) gives
+    (tau, z-map), where the z-map takes (z, x, i, g) to z_{k+1}.  Returns
+    the y_k."""
+    y, z = x0.copy(), x0.copy()
+    ys = [y]
+    for k, i in enumerate(int(j) for j in idx):
+        tau, z_map = schedule(k)
+        x = tau * z + (1.0 - tau) * y
+        g = oracle.full_grad(x)[i]
+        y = x.copy()
+        y[i] -= g / prof.l[i]
+        z = z_map(z, x, i, g)
+        ys.append(y)
+    return ys
+
+
+def _sc_rules(prof, p, rate):
+    tau, eta = accel_schedule(rate, prof.sigma_beta)
+    sigma = prof.sigma_beta
+    shrink = 1.0 / (1.0 + eta * sigma)
+    lb = prof.l ** prof.beta
+
+    def z_map(z, x, i, g):
+        z = shrink * z + shrink * eta * sigma * x
+        z[i] -= shrink * eta / (p[i] * lb[i]) * g
+        return z
+
+    return lambda k: (tau, z_map)
+
+
+def _ns_rules(prof, p):
+    s_sq = s_alpha(prof, prof.alpha) ** 2
+    lb = prof.l ** prof.beta
+
+    def rules(k):
+        eta, tau = (k + 2.0) / (2.0 * s_sq), 2.0 / (k + 2.0)
+
+        def z_map(z, x, i, g):
+            z = z.copy()
+            z[i] -= eta / (p[i] * lb[i]) * g
+            return z
+
+        return tau, z_map
+
+    return rules
+
+
+def _check_against_rules(oracle, prof, solver, rules, x0, iters, seed):
+    seen = []
+    cfg = SolverConfig(iters=iters, seed=seed,
+                       on_record=lambda k, x, agg, value: seen.append(
+                           (x.copy(), None if agg is None else agg.copy(), value)))
+    out, _trace = solver(oracle, prof, x0, cfg)
+    p = nu_probabilities(prof)
+    if solver is nu_acdm:
+        p = p / p.sum()  # as generalized_accel renormalizes; moves the alias table
+    ys = _literal_run(oracle, prof, x0, _indices(p, seed, iters), rules)
+    assert len(seen) == iters + 1
+    for (x, agg, value), y in zip(seen, ys):
+        assert _close(x, y)
+        if agg is not None:
+            assert _close(agg, oracle.aggregate(y))
+        assert _close(value, oracle.value(y))
+    assert _close(out, ys[-1])
+
+
+def test_nu_acdm_on_kaczmarz_dual_matches_literal_rules():
+    a, b, _ = gen_linear_system(12, 4, 0.25, seed=8)
+    oracle, prof = build_kaczmarz(a, b, beta=0.5)
+    rules = _sc_rules(prof, nu_probabilities(prof), s_alpha(prof, prof.alpha) ** 2)
+    _check_against_rules(oracle, prof, nu_acdm, rules, np.full(12, 0.3), 400, 5)
+
+
+def test_nu_acdm_on_lasso_dual_matches_literal_rules():
+    ds = gen_skewed_dataset(15, 6, two_level_norms(15, 0.2), seed=4)
+    oracle, prof = build_lasso_dual(ds.features, ds.labels, 0.05, 0.01)
+    rules = _sc_rules(prof, nu_probabilities(prof), s_alpha(prof, prof.alpha) ** 2)
+    _check_against_rules(oracle, prof, nu_acdm, rules, np.zeros(15), 400, 6)
+
+
+def test_nu_acdm_ns_on_penalty_dual_matches_literal_rules():
+    ds = gen_skewed_dataset(12, 5, two_level_norms(12, 0.25), seed=2)
+    oracle, prof = build_penalty_dual(ds.features, ds.labels, 0.2, beta=0.3)
+    rules = _ns_rules(prof, nu_probabilities(prof))
+    _check_against_rules(oracle, prof, nu_acdm_ns, rules, np.zeros(12), 400, 7)
+
+
+def test_fold_keeps_the_strongly_convex_loop_on_the_rules():
+    """Enough steps that (1 - tau)^(2 iters) falls below FOLD_BELOW, so the
+    implicit coefficient is folded into the stored vectors mid-run."""
+    l = np.array([1.0, 4.0])
+    oracle, prof = build_separable_quadratic(l, np.array([2.0, -1.0]))
+    rate = s_alpha(prof, prof.alpha) ** 2
+    iters = 1000
+    tau, _eta = accel_schedule(rate, prof.sigma_beta)
+    assert (1.0 - tau) ** (2 * iters) < solvers.FOLD_BELOW
+    rules = _sc_rules(prof, nu_probabilities(prof), rate)
+    _check_against_rules(oracle, prof, nu_acdm, rules, np.array([10.0, -3.0]), iters, 123)
+
+
+@pytest.mark.parametrize("solver", [nu_acdm, nu_acdm_ns])
+def test_frequent_folds_keep_the_aggregate_on_the_rules(monkeypatch, solver):
+    """A fold threshold of 1/2 folds every few steps while the iterates still
+    move, on an oracle whose aggregate must be folded too."""
+    monkeypatch.setattr(solvers, "FOLD_BELOW", 0.5)
+    a, b, _ = gen_linear_system(10, 4, 0.3, seed=1)
+    oracle, prof = build_kaczmarz(a, b)
+    p = nu_probabilities(prof)
+    rules = (_sc_rules(prof, p, s_alpha(prof, prof.alpha) ** 2) if solver is nu_acdm
+             else _ns_rules(prof, p))
+    _check_against_rules(oracle, prof, solver, rules, np.full(10, -0.2), 300, 9)
+
+
+def test_aggregate_drift_stays_bounded_over_a_long_run():
+    """1000 epochs of nu_acdm on a 300x100 linear-system dual: the aggregate
+    the loop hands to each record matches A^T y rebuilt from y."""
+    a, b, _ = gen_linear_system(300, 100, 0.1, seed=0)
+    oracle, prof = build_kaczmarz(a, b)
+    worst = [0.0]
+
+    def drift(k, y, agg, value):
+        fresh = oracle.aggregate(y)
+        rel = np.max(np.abs(agg - fresh)) / max(1e-300, np.max(np.abs(fresh)))
+        worst[0] = max(worst[0], float(rel))
+
+    cfg = SolverConfig(iters=1000 * 300, seed=3, trace_stride=300, on_record=drift)
+    _out, trace = nu_acdm(oracle, prof, np.zeros(300), cfg)
+    assert len(trace.iters) == 1001
+    assert worst[0] <= 1e-11
 
 
 # --- structural behavior ---
