@@ -158,14 +158,6 @@ def cmd_gen(args) -> int:
     return 0
 
 
-_COORD_SOLVERS = {
-    "nu-acdm": solvers.nu_acdm,
-    "nu-acdm-ns": solvers.nu_acdm_ns,
-    "acdm": solvers.acdm_baseline,
-    "rcdm": solvers.rcdm,
-}
-
-
 def cmd_solve(args) -> int:
     if args.problem == "kaczmarz":
         if args.data is not None:
@@ -190,16 +182,8 @@ def cmd_solve(args) -> int:
             ds = parse_libsvm(args.data)
         else:
             ds = gen_skewed_dataset(100, 20, two_level_norms(100, 0.1), seed=0)
-        if args.problem == "ridge":
-            oracle, profile = problems.build_ridge_dual(
-                ds.features, ds.labels, args.lam, beta=args.beta)
-        elif args.problem == "lasso":
-            lam2 = args.lam / 10.0 if args.lam2 is None else args.lam2
-            oracle, profile = problems.build_lasso_dual(
-                ds.features, ds.labels, args.lam, lam2, beta=args.beta)
-        else:
-            oracle, profile = problems.build_penalty_dual(
-                ds.features, ds.labels, args.lam, beta=args.beta)
+        oracle, profile = bench.build_erm(ds, args.problem, args.lam, args.lam2,
+                                          args.beta)
         trace = _run_coord(args, oracle, profile, None)
 
     out = sys.stdout if args.trace_out == "-" else args.trace_out
@@ -217,7 +201,7 @@ def _run_coord(args, oracle, profile, dist):
         return trace
     cfg = SolverConfig(iters=args.epochs * oracle.n, seed=args.seed,
                        trace_stride=oracle.n, dist_fn=dist)
-    _x, trace = _COORD_SOLVERS[args.algo](oracle, profile, x0, cfg)
+    _x, trace = bench.coord_solver(args.algo)(oracle, profile, x0, cfg)
     return trace
 
 

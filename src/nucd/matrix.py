@@ -38,7 +38,6 @@ class SparseRowMatrix:
         sq = np.zeros(self.m)
         np.add.at(sq, row_of_entry, self.data * self.data)
         self.row_norms_sq = sq
-        self.row_norms = np.sqrt(sq)
 
     def _validate(self):
         if self.indptr.shape != (self.m + 1,):

@@ -1,11 +1,14 @@
-"""Seeded constant-time sampling from fixed non-uniform distributions.
+"""Seeded sampling from fixed non-uniform distributions.
 
 The solvers draw millions of coordinate indices from a distribution that
-never changes during a run, so the table is built once (O(n)) with the
-alias method and each draw costs one uniform variate.  Randomness comes
-from numpy's PCG64 generator; a given (weights, seed) pair yields one
-reproducible index stream regardless of whether it is consumed one draw
-at a time or in vectorized blocks.
+never changes during a run, so the cumulative distribution is built once
+(one O(n) numpy pass) and indices are drawn in vectorized blocks by
+inverse-CDF lookup, O(log n) per draw.  Randomness comes from numpy's
+PCG64 generator; a given (weights, seed) pair yields one reproducible
+index stream however the blocks are sized.  Scaling the weights by a
+positive factor (normalising them, say) moves each table entry by rounding
+only, so a draw can change only if its uniform falls within an ulp or so of
+a boundary.
 """
 
 from __future__ import annotations
@@ -14,11 +17,11 @@ import numpy as np
 
 
 class WeightedSampler:
-    """Alias-table sampler over indices 0..n-1 with fixed weights.
+    """Inverse-CDF sampler over indices 0..n-1 with fixed weights.
 
     Weights must be finite, nonnegative, and not all zero.  Indices with
-    zero weight stay legal inputs but are never returned: the table is
-    built over the support only.
+    zero weight stay legal inputs but are never returned: each owns an
+    empty interval of the cumulative table.
     """
 
     def __init__(self, weights, seed: int):
@@ -35,69 +38,15 @@ class WeightedSampler:
         self.probabilities = w / total  # (n,) exposed for tests and schedules
         self.seed = seed
         self._rng = np.random.default_rng(seed)
-
-        support = np.flatnonzero(w)
-        self._support = support
-        self._build_table(w[support] / total)
-
-    def _build_table(self, p):
-        """Vose's construction: split scaled masses into small/large worklists
-        and pair each deficient column with a donor."""
-        k = p.size
-        scaled = p * k
-        prob = np.zeros(k)
-        alias = np.zeros(k, dtype=np.int64)
-
-        small = [i for i in range(k) if scaled[i] < 1.0]
-        large = [i for i in range(k) if scaled[i] >= 1.0]
-
-        while small and large:
-            s = small.pop()
-            g = large.pop()
-            prob[s] = scaled[s]
-            alias[s] = g
-            scaled[g] = (scaled[g] + scaled[s]) - 1.0
-            if scaled[g] < 1.0:
-                small.append(g)
-            else:
-                large.append(g)
-
-        # leftovers differ from 1 only by accumulated rounding
-        for g in large:
-            prob[g] = 1.0
-            alias[g] = g
-        for s in small:
-            prob[s] = 1.0
-            alias[s] = s
-
-        self._prob = prob
-        self._alias = alias
-
-    def sample(self) -> int:
-        """Draw one index; O(1)."""
-        r = self._rng.random() * self._prob.size
-        col = int(r)
-        if r - col < self._prob[col]:
-            return int(self._support[col])
-        return int(self._support[self._alias[col]])
+        # the last entry is exactly 1.0, so every uniform in [0, 1) lands
+        cdf = np.cumsum(w)
+        self._cdf = cdf / cdf[-1]
 
     def sample_block(self, size: int) -> np.ndarray:
-        """Draw `size` indices at once; same stream as repeated sample()."""
-        r = self._rng.random(size) * self._prob.size
-        col = r.astype(np.int64)
-        take_alias = (r - col) >= self._prob[col]
-        col[take_alias] = self._alias[col[take_alias]]
-        return self._support[col]
+        """Draw `size` indices; consecutive blocks continue one stream."""
+        return np.searchsorted(self._cdf, self._rng.random(size), side="right")
 
     def table_mass(self) -> np.ndarray:
-        """Exact index-selection probabilities implied by the finished table.
-
-        Enumerates every column's direct and alias contribution; used to
-        verify the construction against the requested distribution.
-        """
-        k = self._prob.size
-        mass = np.zeros(self.n)
-        for col in range(k):
-            mass[self._support[col]] += self._prob[col] / k
-            mass[self._support[self._alias[col]]] += (1.0 - self._prob[col]) / k
-        return mass
+        """Exact index-selection probabilities implied by the cumulative
+        table; used to verify it against the requested distribution."""
+        return np.diff(self._cdf, prepend=0.0)

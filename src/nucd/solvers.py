@@ -1,8 +1,8 @@
 """Randomized coordinate solvers.
 
 All methods consume a CoordOracle plus a SmoothnessProfile and draw
-coordinates from a seeded alias sampler, so a run is bit-reproducible from
-(oracle, profile, x0, config).  The sampled coordinate methods share one
+coordinates from a seeded inverse-CDF sampler, so a run is bit-reproducible
+from (oracle, profile, x0, config).  The sampled coordinate methods share one
 loop: each step draws a coordinate, takes one coordinate gradient and one
 coordinate step.  The accelerated methods add a step-size schedule to it,
 constant (tau, eta) in the strongly convex case or growing otherwise; the
@@ -144,23 +144,10 @@ class _Recorder:
         )
 
 
-class _IndexStream:
-    """Block-buffered view of a sampler's index stream (identical to
-    repeated single draws, cheaper per element)."""
-
-    def __init__(self, sampler: WeightedSampler, block: int = 4096):
-        self.sampler = sampler
-        self.block = block
-        self.buf = None
-        self.pos = 0
-
-    def __call__(self) -> int:
-        if self.buf is None or self.pos == len(self.buf):
-            self.buf = self.sampler.sample_block(self.block)
-            self.pos = 0
-        i = self.buf[self.pos]
-        self.pos += 1
-        return i
+def _index_stream(sampler: WeightedSampler):
+    """The sampler's index stream, drawn 4096 at a time (cheaper per index)."""
+    while True:
+        yield from sampler.sample_block(4096)
 
 
 # --- step-size schedules ---
@@ -373,7 +360,7 @@ def _coordinate_loop(oracle, profile, x0, cfg, p, algo, schedule=None):
         x, agg = point(coef)
         return oracle.value(x, agg), x, agg
 
-    next_index = _IndexStream(WeightedSampler(p, cfg.seed))
+    next_index = _index_stream(WeightedSampler(p, cfg.seed)).__next__
     rec = _Recorder(algo, cfg, units_per_epoch=oracle.n)
     worst_descent = -math.inf
     worst_mirror = 0.0 if accel else math.nan
@@ -635,7 +622,7 @@ def kaczmarz(
     norms_sq = a_matrix.row_norms_sq
     if np.any(norms_sq <= 0.0):
         raise ValueError("kaczmarz requires every row to be nonzero")
-    next_index = _IndexStream(WeightedSampler(norms_sq, cfg.seed))
+    next_index = _index_stream(WeightedSampler(norms_sq, cfg.seed)).__next__
     rec = _Recorder("kaczmarz", cfg, units_per_epoch=m)
     indptr, indices, data = a_matrix.indptr, a_matrix.indices, a_matrix.data
 

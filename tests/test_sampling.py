@@ -4,7 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from nucd.data_io import gen_skewed_dataset, two_level_norms
+from nucd.problems import build_lasso_dual
 from nucd.sampling import WeightedSampler
+from nucd.solvers import nu_probabilities
 
 
 def test_rejects_bad_weights():
@@ -24,15 +27,15 @@ def test_probabilities_normalized():
         lambda w: sum(w) > 0.0
     )
 )
-def test_alias_table_mass_exact(weights):
-    """Enumerating the finished table must reproduce the requested
+def test_cdf_table_mass_exact(weights):
+    """Differencing the cumulative table must reproduce the requested
     distribution to rounding error, including exact zeros."""
     w = np.asarray(weights)
     s = WeightedSampler(w, seed=0)
     assert np.max(np.abs(s.table_mass() - w / w.sum())) < 1e-12
 
 
-def test_alias_table_mass_extreme_skew():
+def test_cdf_table_mass_extreme_skew():
     w = 10.0 ** np.linspace(-8, 8, 33)
     s = WeightedSampler(w, seed=0)
     assert np.max(np.abs(s.table_mass() - w / w.sum())) < 1e-12
@@ -66,23 +69,27 @@ def test_same_seed_same_stream():
     assert not np.array_equal(a, c)
 
 
-def test_block_matches_scalar_stream():
-    w = np.array([4.0, 1.0, 2.0, 8.0])
-    block = WeightedSampler(w, seed=3).sample_block(500)
-    scalar = WeightedSampler(w, seed=3)
-    singles = np.array([scalar.sample() for _ in range(500)])
-    assert np.array_equal(block, singles)
-
-
-def test_mixed_block_and_scalar_stream():
-    w = np.array([1.0, 9.0])
+def test_consecutive_blocks_continue_one_stream():
+    w = np.array([1.0, 9.0, 0.0, 4.0])
     ref = WeightedSampler(w, seed=9).sample_block(60)
     s = WeightedSampler(w, seed=9)
-    mixed = []
-    mixed.extend(s.sample_block(17))
-    mixed.extend(s.sample() for _ in range(5))
-    mixed.extend(s.sample_block(38))
-    assert np.array_equal(ref, np.array(mixed))
+    parts = [s.sample_block(17), s.sample_block(5), s.sample_block(38)]
+    assert np.array_equal(ref, np.concatenate(parts))
+
+
+def test_stream_does_not_depend_on_weight_normalisation():
+    """generalized_accel renormalises p; the stream it draws must be the
+    one drawn from nu_probabilities itself."""
+    split = []
+    for s in range(200):
+        ds = gen_skewed_dataset(15, 6, two_level_norms(15, 0.2), seed=s)
+        _oracle, profile = build_lasso_dual(ds.features, ds.labels, 0.05, 0.01)
+        p = nu_probabilities(profile)
+        a = WeightedSampler(p, s).sample_block(4096)
+        b = WeightedSampler(p / p.sum(), s).sample_block(4096)
+        if not np.array_equal(a, b):
+            split.append(s)
+    assert split == []
 
 
 def test_single_index_degenerate():

@@ -290,10 +290,8 @@ def _check_against_rules(oracle, prof, solver, rules, x0, iters, seed):
                        on_record=lambda k, x, agg, value: seen.append(
                            (x.copy(), None if agg is None else agg.copy(), value)))
     out, _trace = solver(oracle, prof, x0, cfg)
-    p = nu_probabilities(prof)
-    if solver is nu_acdm:
-        p = p / p.sum()  # as generalized_accel renormalizes; moves the alias table
-    ys = _literal_run(oracle, prof, x0, _indices(p, seed, iters), rules)
+    ys = _literal_run(oracle, prof, x0, _indices(nu_probabilities(prof), seed, iters),
+                      rules)
     assert len(seen) == iters + 1
     for (x, agg, value), y in zip(seen, ys):
         assert _close(x, y)
