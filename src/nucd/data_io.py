@@ -8,6 +8,7 @@ parse(write(x)) is bitwise faithful.
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from dataclasses import dataclass
@@ -20,6 +21,13 @@ from .solvers import ConvergenceTrace
 TRACE_HEADER = "algo,seed,iter,epoch,value,dist_to_min"
 
 _TOKEN = re.compile(r"\S+")
+_TEXT = np.dtypes.StringDType()
+_COLON = np.array(":", dtype=_TEXT)
+# parse_libsvm converts about this many characters of whole lines at a
+# time: blocks of 64 KiB parse as fast as 1 MiB ones and hold less memory
+_BLOCK_BYTES = 1 << 16
+# indices (and so the feature count) must fit in int64
+_INDEX_MAX = np.iinfo(np.int64).max
 
 
 class ParseError(ValueError):
@@ -59,75 +67,147 @@ class Dataset:
 def parse_libsvm(path, n_features: int | None = None) -> Dataset:
     """Read `<label> <idx>:<val> ...` lines; 1-based strictly ascending
     indices, `#` starts a comment.  Stored indices are 0-based; the feature
-    count is the largest index seen unless n_features overrides it."""
-    labels = []
-    rows = []
-    max_idx = 0
+    count is the largest index seen unless n_features overrides it; an
+    index above n_features, or beyond int64, is an error.
+
+    Lines are read _BLOCK_BYTES at a time and each block is converted in
+    bulk; a block that fails a check is re-read by _scan_line, which names
+    the first bad token's line and column."""
+    limit = _INDEX_MAX if n_features is None else n_features
+    blocks = [_convert_block([], limit)]  # typed empty arrays
+    first_line = 1
     with open(path) as fh:
-        for line_no, raw in enumerate(fh, 1):
-            hash_pos = raw.find("#")
-            if hash_pos >= 0:
-                raw = raw[:hash_pos]
-            tokens = list(_TOKEN.finditer(raw))
-            if not tokens:
-                continue
-            label_tok = tokens[0]
-            try:
-                label = float(label_tok.group())
-            except ValueError:
-                raise ParseError(
-                    f"{path}:{line_no}:{label_tok.start() + 1}: "
-                    f"bad label {label_tok.group()!r}"
-                ) from None
-            if not math.isfinite(label):
-                raise ParseError(
-                    f"{path}:{line_no}:{label_tok.start() + 1}: non-finite label"
-                )
-            cols = []
-            vals = []
-            prev_idx = 0
-            for tok in tokens[1:]:
-                col_no = tok.start() + 1
-                parts = tok.group().split(":")
-                if len(parts) != 2:
-                    raise ParseError(
-                        f"{path}:{line_no}:{col_no}: expected idx:value, "
-                        f"got {tok.group()!r}"
-                    )
-                try:
-                    idx = int(parts[0])
-                except ValueError:
-                    raise ParseError(
-                        f"{path}:{line_no}:{col_no}: bad index {parts[0]!r}"
-                    ) from None
-                if idx < 1:
-                    raise ParseError(
-                        f"{path}:{line_no}:{col_no}: index {idx} is not 1-based"
-                    )
-                if idx <= prev_idx:
-                    raise ParseError(
-                        f"{path}:{line_no}:{col_no}: index {idx} not ascending "
-                        f"(previous {prev_idx})"
-                    )
-                try:
-                    val = float(parts[1])
-                except ValueError:
-                    raise ParseError(
-                        f"{path}:{line_no}:{col_no}: bad value {parts[1]!r}"
-                    ) from None
-                if not math.isfinite(val):
-                    raise ParseError(
-                        f"{path}:{line_no}:{col_no}: non-finite value"
-                    )
-                prev_idx = idx
-                cols.append(idx - 1)
-                vals.append(val)
-            max_idx = max(max_idx, prev_idx)
-            labels.append(label)
-            rows.append((np.asarray(cols, dtype=np.int64), np.asarray(vals)))
-    d = n_features if n_features is not None else max_idx
-    features = SparseRowMatrix.from_rows(rows, d)
-    return Dataset(features, np.asarray(labels))
+        while block := fh.readlines(_BLOCK_BYTES):
+            parts = _convert_block(block, limit)
+            if parts is None:
+                parts = _scan_block(path, first_line, block, n_features)
+            blocks.append(parts)
+            first_line += len(block)
+    labels, counts, indices, data = map(np.concatenate, zip(*blocks))
+    del blocks  # free the per-block copies before the matrix build
+    if n_features is None:
+        n_features = int(indices.max()) + 1 if indices.size else 0
+    indptr = np.concatenate([[0], np.cumsum(counts)])
+    features = SparseRowMatrix(indptr, indices, data, (counts.size, n_features))
+    return Dataset(features, labels)
+
+
+def _convert_block(lines, limit):
+    """(labels, per-row entry counts, 0-based indices, values) of a block of
+    lines, or None if any token fails a check."""
+    rows = []
+    for raw in lines:
+        hash_pos = raw.find("#")
+        tokens = (raw[:hash_pos] if hash_pos >= 0 else raw).split()
+        if tokens:
+            rows.append(tokens)
+    counts = np.fromiter(map(len, rows), np.int64, len(rows))
+    tokens = np.array(list(itertools.chain.from_iterable(rows)), dtype=_TEXT)
+    is_label = np.zeros(tokens.size, dtype=bool)
+    is_label[np.cumsum(counts) - counts] = True
+    # a token with no colon leaves an empty value, one with two a value
+    # containing ":"; neither converts to float
+    idx_text, _, val_text = np.strings.partition(tokens[~is_label], _COLON)
+    try:
+        labels = tokens[is_label].astype(np.float64)
+        idx = idx_text.astype(np.int64)
+        vals = val_text.astype(np.float64)
+    except (ValueError, OverflowError):
+        return None
+    if not (np.all(np.isfinite(labels)) and np.all(np.isfinite(vals))):
+        return None
+    if idx.size and (idx.min() < 1 or idx.max() > limit):
+        return None
+    # entry j + 1 must exceed entry j wherever both lie in one row
+    counts -= 1
+    starts = np.cumsum(counts) - counts
+    ascending = np.diff(idx) > 0
+    ascending[starts[(starts > 0) & (starts < idx.size)] - 1] = True
+    if not np.all(ascending):
+        return None
+    return labels, counts, idx - 1, vals
+
+
+def _scan_block(path, first_line, lines, n_features):
+    """_convert_block's output built one line at a time by _scan_line."""
+    rows = [row for line_no, raw in enumerate(lines, first_line)
+            if (row := _scan_line(path, line_no, raw, n_features)) is not None]
+    return (
+        np.array([label for label, _, _ in rows], dtype=float),
+        np.array([len(cols) for _, cols, _ in rows], dtype=np.int64),
+        np.array([c for _, cols, _ in rows for c in cols], dtype=np.int64),
+        np.array([v for _, _, vals in rows for v in vals], dtype=float),
+    )
+
+
+def _scan_line(path, line_no, raw, n_features):
+    """Parse one line token by token: None for a blank or comment-only line,
+    else (label, 0-based column ids, values).  Raises ParseError naming
+    `path:line:column` of the first bad token."""
+    limit = _INDEX_MAX if n_features is None else n_features
+    hash_pos = raw.find("#")
+    if hash_pos >= 0:
+        raw = raw[:hash_pos]
+    tokens = list(_TOKEN.finditer(raw))
+    if not tokens:
+        return None
+    label_tok = tokens[0]
+    try:
+        label = float(label_tok.group())
+    except ValueError:
+        raise ParseError(
+            f"{path}:{line_no}:{label_tok.start() + 1}: "
+            f"bad label {label_tok.group()!r}"
+        ) from None
+    if not math.isfinite(label):
+        raise ParseError(
+            f"{path}:{line_no}:{label_tok.start() + 1}: non-finite label"
+        )
+    cols = []
+    vals = []
+    prev_idx = 0
+    for tok in tokens[1:]:
+        col_no = tok.start() + 1
+        parts = tok.group().split(":")
+        if len(parts) != 2:
+            raise ParseError(
+                f"{path}:{line_no}:{col_no}: expected idx:value, "
+                f"got {tok.group()!r}"
+            )
+        try:
+            idx = int(parts[0])
+        except ValueError:
+            raise ParseError(
+                f"{path}:{line_no}:{col_no}: bad index {parts[0]!r}"
+            ) from None
+        if idx < 1:
+            raise ParseError(
+                f"{path}:{line_no}:{col_no}: index {idx} is not 1-based"
+            )
+        if idx > limit:
+            raise ParseError(
+                f"{path}:{line_no}:{col_no}: index {idx} out of range "
+                f"(at most {limit})"
+            )
+        if idx <= prev_idx:
+            raise ParseError(
+                f"{path}:{line_no}:{col_no}: index {idx} not ascending "
+                f"(previous {prev_idx})"
+            )
+        try:
+            val = float(parts[1])
+        except ValueError:
+            raise ParseError(
+                f"{path}:{line_no}:{col_no}: bad value {parts[1]!r}"
+            ) from None
+        if not math.isfinite(val):
+            raise ParseError(
+                f"{path}:{line_no}:{col_no}: non-finite value"
+            )
+        prev_idx = idx
+        cols.append(idx - 1)
+        vals.append(val)
+    return label, cols, vals
 
 
 def write_libsvm(dataset: Dataset, path) -> None:

@@ -74,23 +74,6 @@ class SparseRowMatrix:
         data = arr[mask]
         return cls(indptr, indices, data, (m, d))
 
-    @classmethod
-    def from_rows(cls, rows, d: int) -> "SparseRowMatrix":
-        """rows: iterable of (column_ids, values) pairs, already ascending."""
-        indptr = [0]
-        idx_parts, val_parts = [], []
-        for cols, vals in rows:
-            cols = np.asarray(cols, dtype=np.int64)
-            vals = np.asarray(vals, dtype=float)
-            if cols.shape != vals.shape:
-                raise ValueError("each row needs as many values as column ids")
-            idx_parts.append(cols)
-            val_parts.append(vals)
-            indptr.append(indptr[-1] + cols.size)
-        indices = np.concatenate(idx_parts) if idx_parts else np.zeros(0, np.int64)
-        data = np.concatenate(val_parts) if val_parts else np.zeros(0)
-        return cls(np.asarray(indptr), indices, data, (len(indptr) - 1, d))
-
     def row(self, i: int):
         """Views (column_ids, values) of row i; no copies."""
         lo, hi = self.indptr[i], self.indptr[i + 1]

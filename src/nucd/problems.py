@@ -136,7 +136,10 @@ def build_kaczmarz(a_matrix: SparseRowMatrix, b, beta: float = 0.0):
     for beta > 0."""
     oracle = KaczmarzQuadratic(a_matrix, b)
     l = a_matrix.row_norms_sq.copy()
-    gram = a_matrix.to_dense().T @ a_matrix.to_dense()
+    # the copy keeps numpy on its general product: for x.T @ x on one
+    # buffer it calls BLAS syrk, whose rounding moves sigma0
+    dense = a_matrix.to_dense()
+    gram = dense.T @ dense.copy()
     sigma0 = smallest_positive_eigenvalue(gram)
     # on short-and-wide or tiny systems the row-space modulus can exceed the
     # curvature of a single coordinate; the profile's validity cap wins then
@@ -369,8 +372,10 @@ def duality_gap(problem: ErmDual, y) -> float:
     """P(w(y)) + D(y), nonnegative and zero exactly at the optimum (for the
     Lasso variant the smoothed primal is used, which is the pair D dualizes)."""
     y = np.asarray(y, dtype=float)
-    w = primal_from_dual(problem, y)
-    return primal_objective(problem, w) + smoothing_term(problem, w) + problem.value(y)
+    v = problem.aggregate(y)
+    w = primal_from_dual(problem, y, aggregate=v)
+    return (primal_objective(problem, w) + smoothing_term(problem, w)
+            + problem.value(y, aggregate=v))
 
 
 # --- reference minima ---

@@ -111,6 +111,15 @@ def test_parse_error_exits_three(tmp_path, capsys):
     assert "parse error" in err
 
 
+def test_overflowing_index_exits_three(tmp_path, capsys):
+    bad = tmp_path / "bad.libsvm"
+    bad.write_text("1 99999999999999999999:1\n")
+    code, _out, err = run(capsys, "solve", "--problem", "kaczmarz",
+                          "--algo", "kaczmarz", "--data", str(bad))
+    assert code == 3
+    assert f"parse error: {bad}:1:3: index 99999999999999999999 out of range" in err
+
+
 def test_missing_output_dir_exits_three(tmp_path, capsys):
     target = tmp_path / "nope" / "sys.libsvm"
     code, _out, err = run(capsys, "gen", "--kind", "linsys", "--m", "5", "--n", "2",

@@ -19,7 +19,8 @@ from nucd.data_io import (
     write_solution,
     write_trace,
 )
-from nucd.data_io import _ceil_fraction
+from nucd import data_io
+from nucd.data_io import _ceil_fraction, _scan_line
 from nucd.matrix import SparseRowMatrix
 from nucd.solvers import ConvergenceTrace
 
@@ -64,11 +65,13 @@ def test_parse_errors_carry_position(tmp_path):
         ("1 2:zz\n", "1:3", "bad value"),
         ("1 2:nan\n", "1:3", "non-finite value"),
         ("1 2\n", "1:3", "expected idx:value"),
+        ("1 5:1\n", "1:3", "out of range", 3),
+        ("1 99999999999999999999:1\n", "1:3", "out of range"),
     ]
-    for text, loc, msg in cases:
+    for text, loc, msg, *n_features in cases:
         p = _write(tmp_path, text)
         with pytest.raises(ParseError) as err:
-            parse_libsvm(p)
+            parse_libsvm(p, *n_features)
         assert f"{p}:{loc}" in str(err.value), text
         assert msg in str(err.value), text
 
@@ -146,6 +149,133 @@ def test_libsvm_round_trip_bitwise(tmp_path_factory, data):
     back = parse_libsvm(p, n_features=d)
     assert np.array_equal(back.features.to_dense(), dense)
     assert np.array_equal(back.labels, labels)
+
+
+def _scan_file(path, n_features=None):
+    """Reference parse: _scan_line on every line, rows stacked into CSR."""
+    with open(path) as fh:
+        rows = [row for line_no, raw in enumerate(fh, 1)
+                if (row := _scan_line(path, line_no, raw, n_features)) is not None]
+    cols = [c for _, row_cols, _ in rows for c in row_cols]
+    indptr = np.cumsum([0] + [len(row_cols) for _, row_cols, _ in rows])
+    d = n_features if n_features is not None else max(cols, default=-1) + 1
+    return (indptr, np.array(cols, dtype=np.int64),
+            np.array([v for _, _, vals in rows for v in vals]),
+            np.array([label for label, _, _ in rows]), d)
+
+
+def _assert_same_parse(ds, ref):
+    indptr, indices, data, labels, d = ref
+    f = ds.features
+    assert np.array_equal(f.indptr, indptr)
+    assert np.array_equal(f.indices, indices)
+    for got, want in ((f.data, data), (ds.labels, labels)):
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+    assert f.d == d
+
+
+_ARABIC_INDIC = str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664"
+                              "\u0665\u0666\u0667\u0668\u0669")
+
+
+def _spellings(digits):
+    """Ways to write the unsigned integer `digits` that int() and float()
+    read as the same number."""
+    out = [digits, "00" + digits, digits.translate(_ARABIC_INDIC)]
+    if len(digits) > 1:
+        out.append(digits[0] + "_" + digits[1:])
+    return out
+
+
+@st.composite
+def _number(draw):
+    body = draw(st.sampled_from([
+        *_spellings(str(draw(st.integers(0, 120)))),
+        repr(abs(draw(st.floats(-1e6, 1e6)))),
+        "0", "0.0", "1_0.5", "\u0661.\u0665", "2.5e-3",
+    ]))
+    return draw(st.sampled_from(["", "+", "-"])) + body
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.data())
+def test_parse_matches_line_scanner(tmp_path_factory, data):
+    """Valid files with blank lines, comments, tabs, form feeds, CRLF line
+    ends, signed and zero-padded indices, underscores and Unicode digits:
+    the block parser equals a row-by-row build from _scan_line."""
+    gap = st.text(" \t\x0c", min_size=1, max_size=3)
+    lines = []
+    for _ in range(data.draw(st.integers(0, 8))):
+        kind = data.draw(st.sampled_from(["data", "data", "blank", "comment"]))
+        if kind == "blank":
+            text = data.draw(st.text(" \t\x0c", max_size=3))
+        elif kind == "comment":
+            text = data.draw(st.text(" \t", max_size=2)) + "# note 1:2"
+        else:
+            text = data.draw(st.text(" \t\x0c", max_size=2))
+            text += data.draw(_number())
+            idx = 0
+            for _ in range(data.draw(st.integers(0, 5))):
+                idx += data.draw(st.integers(1, 40))
+                spelled = data.draw(st.sampled_from(_spellings(str(idx))))
+                sign = data.draw(st.sampled_from(["", "+"]))
+                text += data.draw(gap) + f"{sign}{spelled}:{data.draw(_number())}"
+            if data.draw(st.booleans()):
+                text += data.draw(gap) + "#tail"
+        lines.append(text + data.draw(st.sampled_from(["\n", "\r\n"])))
+    p = tmp_path_factory.mktemp("diff") / "data.libsvm"
+    p.write_text("".join(lines), newline="")
+    _assert_same_parse(parse_libsvm(p), _scan_file(p))
+    d = max(data.draw(st.integers(0, 210)), parse_libsvm(p).d)
+    _assert_same_parse(parse_libsvm(p, n_features=d), _scan_file(p, d))
+
+
+def _many_block_file(tmp_path):
+    rng = np.random.default_rng(5)
+    lines = []
+    for i in range(40):
+        cols = np.sort(rng.choice(9, size=3, replace=False)) + 1
+        vals = rng.standard_normal(3).tolist()
+        lines.append(f"{i % 3 - 1} " + " ".join(f"{c}:{v!r}" for c, v in zip(cols, vals)))
+        if i % 7 == 0:
+            lines.append("# comment")
+    return _write(tmp_path, "\n".join(lines) + "\n")
+
+
+def _blocks(path):
+    with open(path) as fh:
+        return list(iter(lambda: fh.readlines(data_io._BLOCK_BYTES), []))
+
+
+def test_small_blocks_parse_like_one_block(tmp_path, monkeypatch):
+    p = _many_block_file(tmp_path)
+    whole = parse_libsvm(p, n_features=9)
+    scanned = []
+    monkeypatch.setattr(data_io, "_BLOCK_BYTES", 40)
+    monkeypatch.setattr(data_io, "_scan_line", lambda *a: scanned.append(a) or _scan_line(*a))
+    assert len(_blocks(p)) > 10
+    small = parse_libsvm(p, n_features=9)
+    assert not scanned  # valid blocks never reach the per-token scanner
+    _assert_same_parse(small, _scan_file(p, 9))
+    _assert_same_parse(whole, _scan_file(p, 9))
+
+
+def test_error_in_third_block_names_its_line(tmp_path, monkeypatch):
+    monkeypatch.setattr(data_io, "_BLOCK_BYTES", 40)
+    lines = [f"{i % 10} 1:0.5 2:-1.25 3:2" for i in range(12)]
+    blocks = _blocks(_write(tmp_path, "\n".join(lines) + "\n"))
+    first = len(blocks[0]) + len(blocks[1]) + 1  # the third block's first line
+    assert len(blocks[2]) >= 2
+    lines[first] = lines[first].replace("-1.25", "zzzzz")  # same length
+    p = _write(tmp_path, "\n".join(lines) + "\n")
+    scanned = []
+    monkeypatch.setattr(data_io, "_scan_line", lambda *a: scanned.append(a[1]) or _scan_line(*a))
+    with pytest.raises(ParseError) as err:
+        parse_libsvm(p)
+    assert str(err.value) == f"{p}:{first + 1}:9: bad value 'zzzzz'"
+    # only the failing block is rescanned, up to the bad line
+    assert scanned == [first, first + 1]
 
 
 # --- generators ---

@@ -221,8 +221,7 @@ def test_decoupled_dual_with_zero_features():
     minimum -(1/2n) sum l_i^2 at y_i = -l_i."""
     n = 6
     labels = np.linspace(-2, 2, n)
-    rows = [(np.zeros(0, dtype=np.int64), np.zeros(0)) for _ in range(n)]
-    feats = SparseRowMatrix.from_rows(rows, d=3)
+    feats = SparseRowMatrix.from_dense(np.zeros((n, 3)))
     oracle, prof = build_ridge_dual(feats, labels, lam=1.0)
     assert abs(oracle.value(-labels) - (-(labels @ labels) / (2 * n))) < 1e-14
     ref = reference_minimum(oracle, prof, seed=0)
@@ -277,6 +276,36 @@ def test_ridge_primal_dual_consistency():
     assert duality_gap(oracle, ref.minimizer + rng.standard_normal(18)) > 1e-6
     with pytest.raises(ValueError):
         ridge_primal_reference(build_penalty_dual(data.features, data.labels, lam=lam)[0])
+
+
+def test_duality_gap_forms_the_aggregate_once(monkeypatch):
+    data = _skewed(n=10, d=4)
+    rng = np.random.default_rng(8)
+    calls = []
+    rmatvec = SparseRowMatrix.rmatvec
+    monkeypatch.setattr(SparseRowMatrix, "rmatvec",
+                        lambda self, v: calls.append(1) or rmatvec(self, v))
+    for oracle, _ in (
+        build_ridge_dual(data.features, data.labels, lam=0.1),
+        build_lasso_dual(data.features, data.labels, lam=0.05, lam2=0.01),
+        build_penalty_dual(data.features, data.labels, lam=0.1),
+    ):
+        y = rng.standard_normal(10)
+        w = primal_from_dual(oracle, y)
+        expect = primal_objective(oracle, w) + smoothing_term(oracle, w) + oracle.value(y)
+        calls.clear()
+        assert duality_gap(oracle, y) == expect
+        assert len(calls) == 1
+
+
+def test_build_kaczmarz_sigma_bitwise_from_general_product():
+    """sigma0 comes from the general matrix product of two dense copies, not
+    from numpy's symmetric x.T @ x path, whose rounding differs."""
+    a, b, _ = gen_linear_system(300, 100, 0.1, seed=4)
+    _, prof = build_kaczmarz(a, b)
+    sigma0 = smallest_positive_eigenvalue(a.to_dense().T @ a.to_dense())
+    assert sigma0 < float(np.min(prof.l))  # the cap is not what is compared
+    assert prof.sigma_beta == sigma0
 
 
 def test_penalty_reference_is_a_minimum():

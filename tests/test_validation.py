@@ -23,11 +23,12 @@ _SYSTEM = gen_linear_system(5, 3, 0.5, seed=0)
         lambda: TrackedPoint(SeparableQuadratic(np.ones(3)), np.ones(2)),
         lambda: SeparableQuadratic(np.ones(3), target=np.ones(2)),
         lambda: SparseRowMatrix.from_dense(np.ones(3)),
-        lambda: SparseRowMatrix.from_rows([([0, 1], [1.0])], d=2),
+        lambda: SparseRowMatrix([0, 2], [0, 1], [1.0], (1, 2)),
     ],
     ids=[
         "kaczmarz-b", "kaczmarz-x0", "lbeta_norm_sq", "lbeta_inner",
-        "TrackedPoint", "SeparableQuadratic", "from_dense", "from_rows",
+        "TrackedPoint", "SeparableQuadratic", "from_dense",
+        "SparseRowMatrix",
     ],
 )
 def test_bad_shapes_raise_value_error(call):
