@@ -73,9 +73,14 @@ def build_parser() -> _Parser:
     solve.add_argument("--algo", required=True,
                        choices=("nu-acdm", "nu-acdm-ns", "acdm", "rcdm",
                                 "kaczmarz", "gd"))
-    solve.add_argument("--beta", type=float, default=0.0)
-    solve.add_argument("--lambda", dest="lam", type=float, default=0.1)
-    solve.add_argument("--lambda2", dest="lam2", type=float, default=None)
+    # None means the default the help names; cmd_solve rejects a flag the
+    # run does not read
+    solve.add_argument("--beta", type=float, default=None,
+                       help="geometry exponent; not read by kaczmarz or gd (default 0)")
+    solve.add_argument("--lambda", dest="lam", type=float, default=None,
+                       help="ridge, lasso, penalty (default 0.1)")
+    solve.add_argument("--lambda2", dest="lam2", type=float, default=None,
+                       help="lasso only (default lambda/10)")
     solve.add_argument("--epochs", type=int, default=40)
     solve.add_argument("--seed", type=int, default=0)
     solve.add_argument("--data", default=None,
@@ -158,7 +163,31 @@ def cmd_gen(args) -> int:
     return 0
 
 
+_SOLVE_FLAGS = {"beta": "--beta", "lam": "--lambda", "lam2": "--lambda2"}
+
+
+def _solve_reads(problem: str, algo: str) -> set:
+    """The flags of _SOLVE_FLAGS that a (problem, algo) run reads."""
+    reads = set()
+    if problem != "kaczmarz":
+        reads.add("lam")
+    if problem == "lasso":
+        reads.add("lam2")
+    if algo not in ("kaczmarz", "gd"):  # gd steps by the global constant
+        reads.add("beta")
+    return reads
+
+
 def cmd_solve(args) -> int:
+    if args.algo == "kaczmarz" and args.problem != "kaczmarz":
+        raise _UsageError("--algo kaczmarz applies only to --problem kaczmarz")
+    reads = _solve_reads(args.problem, args.algo)
+    ignored = [flag for k, flag in _SOLVE_FLAGS.items()
+               if getattr(args, k) is not None and k not in reads]
+    if ignored:
+        raise _UsageError(f"solve --problem {args.problem} --algo {args.algo} "
+                          f"does not read {', '.join(ignored)}")
+    beta = 0.0 if args.beta is None else args.beta
     if args.problem == "kaczmarz":
         if args.data is not None:
             ds = parse_libsvm(args.data)
@@ -173,17 +202,15 @@ def cmd_solve(args) -> int:
                                trace_stride=a.m, dist_fn=dist)
             _x, trace = solvers.kaczmarz(a, b, np.zeros(a.d), cfg)
         else:
-            oracle, profile = problems.build_kaczmarz(a, b, beta=args.beta)
+            oracle, profile = problems.build_kaczmarz(a, b, beta=beta)
             trace = _run_coord(args, oracle, profile, dist)
     else:
-        if args.algo == "kaczmarz":
-            raise _UsageError("--algo kaczmarz applies only to --problem kaczmarz")
         if args.data is not None:
             ds = parse_libsvm(args.data)
         else:
             ds = gen_skewed_dataset(100, 20, two_level_norms(100, 0.1), seed=0)
-        oracle, profile = bench.build_erm(ds, args.problem, args.lam, args.lam2,
-                                          args.beta)
+        lam = 0.1 if args.lam is None else args.lam
+        oracle, profile = bench.build_erm(ds, args.problem, lam, args.lam2, beta)
         trace = _run_coord(args, oracle, profile, None)
 
     out = sys.stdout if args.trace_out == "-" else args.trace_out

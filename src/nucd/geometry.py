@@ -96,24 +96,34 @@ class CoordOracle:
     ``coord_grad_local``.  Oracles whose gradients depend on the iterate only
     through a vector aggregate that is *linear* in the point (a matrix
     product, a weighted feature sum) additionally implement the aggregate
-    protocol below.  Coordinate i then reads and writes only the aggregate
-    entries ``support(i)``, so the solvers pay O(nnz of one row) per
-    coordinate step instead of a full recomputation.
+    protocol below.  Coordinate i then owns one row of a table:
+    ``row_table()[i]`` is ``(cols, vals)``, the aggregate entries the
+    coordinate reads and writes and the row's values there.  A coordinate
+    step gathers the aggregate on ``cols`` once, takes the gradient from that
+    part and ``vals``, and adds ``(delta / agg_div) * vals`` to the aggregate
+    on ``cols``; so the solvers pay O(nnz of one row) per coordinate step
+    instead of a full recomputation.
     """
 
     n: int = 0
+    # x_i += delta moves the aggregate on row i's columns by
+    # (delta / agg_div) * vals
+    agg_div: float = 1.0
 
     def value(self, x: np.ndarray, aggregate: np.ndarray | None = None) -> float:
         raise NotImplementedError
 
-    def support(self, i: int) -> np.ndarray | None:
-        """Aggregate entries coordinate i reads and writes (an index array),
-        or None when the oracle keeps no aggregate."""
+    def row_table(self) -> list | None:
+        """Entry i is (cols, vals): the aggregate entries coordinate i reads
+        and writes (an index array, or a slice when they form one run) and
+        the row's values there.  None when the oracle keeps no aggregate."""
         return None
 
-    def coord_grad_local(self, i: int, x_i: float, agg_part: np.ndarray | None) -> float:
-        """grad_i f from x_i and the aggregate restricted to support(i)
-        (None when the oracle keeps no aggregate)."""
+    def coord_grad_local(
+        self, i: int, x_i: float, agg_part: np.ndarray | None, vals: np.ndarray | None
+    ) -> float:
+        """grad_i f from x_i, the aggregate gathered on row i's columns and
+        row i's values (both None when the oracle keeps no aggregate)."""
         raise NotImplementedError
 
     def coord_grad(
@@ -122,9 +132,11 @@ class CoordOracle:
         """grad_i f(x); the aggregate is built from x when not given."""
         if aggregate is None:
             aggregate = self.aggregate(x)
-        cols = self.support(i)
-        part = None if cols is None else aggregate[cols]
-        return self.coord_grad_local(i, x[i], part)
+        rows = self.row_table()
+        if rows is None:
+            return self.coord_grad_local(i, float(x[i]), None, None)
+        cols, vals = rows[i]
+        return self.coord_grad_local(i, float(x[i]), aggregate[cols], vals)
 
     def full_grad(self, x: np.ndarray, aggregate: np.ndarray | None = None) -> np.ndarray:
         # generic fallback; oracles with cheap matrix forms override this
@@ -137,18 +149,19 @@ class CoordOracle:
         return None
 
     def update_aggregate(self, agg: np.ndarray, i: int, delta: float) -> None:
-        """Apply the effect of x_i += delta to a cache built by aggregate();
-        touches agg[support(i)] only."""
+        """Apply the effect of x_i += delta to a cache built by aggregate():
+        agg[cols] += (delta / agg_div) * vals for (cols, vals) = row i."""
         raise NotImplementedError
 
 
 class TrackedPoint:
     """A query point bundled with the oracle's cache for it.
 
-    The coordinate loop keeps one of these per stored vector.  Because every cache
-    in this package is linear in the point, an affine recombination of two
-    tracked points recombines the caches with the same scalars; a single
-    coordinate step delegates to the oracle's sparse update.
+    The coordinate loop keeps one of these per stored vector and steps its
+    arrays directly.  Because every cache in this package is linear in the
+    point, an affine recombination of two tracked points recombines the
+    caches with the same scalars; apply_coord_step delegates to the oracle's
+    sparse update.
     """
 
     __slots__ = ("oracle", "x", "agg")

@@ -1,10 +1,13 @@
 """Row-oriented sparse matrix storage.
 
 CSR-style arrays with cheap per-row views: the coordinate solvers touch one
-row per iteration, so row access must be a pair of array slices rather than
-a scipy object allocation.  Full products (A @ x, A.T @ y) are needed only
-at setup and trace time; they go through a scipy CSR array that shares the
-same three arrays.
+row per iteration, so row access must be a pair of array views rather than
+a scipy object allocation.  The matrix holds no per-row objects: an oracle
+built on it keeps its own table of those views (problems._row_table), made
+on its first solve, so a step fetches its row once without slicing, and a
+matrix that is only projected on (solvers.kaczmarz) or parsed never pays
+for one.  Full products (A @ x, A.T @ y) are needed only at setup and trace
+time; they go through a scipy CSR array that shares the same three arrays.
 """
 
 from __future__ import annotations

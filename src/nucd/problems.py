@@ -9,6 +9,7 @@ A separable quadratic is included as the standard synthetic test family.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -59,7 +60,7 @@ class SeparableQuadratic(CoordOracle):
         d = x - self.target
         return 0.5 * float(np.sum(self.l * d * d))
 
-    def coord_grad_local(self, i, x_i, agg_part=None):
+    def coord_grad_local(self, i, x_i, agg_part=None, vals=None):
         return float(self.l[i] * (x_i - self.target[i]))
 
     def full_grad(self, x, aggregate=None):
@@ -73,6 +74,27 @@ def build_separable_quadratic(l, target=None, beta: float = 0.0):
     sigma = float(np.min(oracle.l ** (1.0 - beta)))
     profile = SmoothnessProfile(oracle.l.copy(), beta=beta, sigma_beta=sigma)
     return oracle, profile
+
+
+# --- row-backed oracles ---
+
+
+def _row_table(matrix: SparseRowMatrix) -> list:
+    """Entry i is (cols, vals) for row i of matrix, views into its CSR
+    arrays.  cols is a slice when the row's columns form one contiguous run
+    (an empty row too), so numpy gathers and scatters through basic indexing;
+    otherwise it is the row's stretch of the column ids."""
+    indices, data = matrix.indices, matrix.data
+    ptr = matrix.indptr.tolist()
+    rows = []
+    for lo, hi in zip(ptr, ptr[1:]):
+        cols = indices[lo:hi]
+        if hi == lo:
+            cols = slice(0, 0)
+        elif cols[-1] - cols[0] == hi - lo - 1:  # ascending ids, so one run
+            cols = slice(int(cols[0]), int(cols[-1]) + 1)
+        rows.append((cols, data[lo:hi]))
+    return rows
 
 
 # --- linear systems over row space ---
@@ -96,7 +118,9 @@ class KaczmarzQuadratic(CoordOracle):
             raise ValueError("zero rows are not allowed")
         self.a = a_matrix
         self.b = b
+        self._b = b.tolist()  # read one entry per step, as Python floats
         self.n = a_matrix.m  # coordinates are rows of A
+        self._rows = None  # row table, built on first use
 
     def aggregate(self, y):
         return self.a.rmatvec(y)
@@ -105,16 +129,17 @@ class KaczmarzQuadratic(CoordOracle):
         lo, hi = self.a.indptr[i], self.a.indptr[i + 1]
         agg[self.a.indices[lo:hi]] += delta * self.a.data[lo:hi]
 
-    def support(self, i):
-        return self.a.indices[self.a.indptr[i]:self.a.indptr[i + 1]]
+    def row_table(self):
+        if self._rows is None:
+            self._rows = _row_table(self.a)
+        return self._rows
 
     def value(self, y, aggregate=None):
         w = self.aggregate(y) if aggregate is None else aggregate
         return 0.5 * float(np.dot(w, w)) - float(np.dot(self.b, y))
 
-    def coord_grad_local(self, i, y_i, agg_part):
-        lo, hi = self.a.indptr[i], self.a.indptr[i + 1]
-        return float(np.dot(self.a.data[lo:hi], agg_part)) - float(self.b[i])
+    def coord_grad_local(self, i, y_i, agg_part, vals):
+        return float(np.dot(vals, agg_part)) - self._b[i]
 
     # bound in the class itself: perfbench/spans.py wraps each oracle
     # class's own coord_grad
@@ -162,11 +187,18 @@ class ScalarConjugate:
     phi        : primal loss value
     conj       : phi*(s; label)
     conj_deriv : derivative of phi* in s (subgradient choice 0 at kinks)
+    conj_deriv_scalar : conj_deriv for one Python float s and label,
+                 bitwise equal to it; defaults to conj_deriv itself
     """
 
     phi: Callable
     conj: Callable
     conj_deriv: Callable
+    conj_deriv_scalar: Callable | None = None
+
+    def __post_init__(self):
+        if self.conj_deriv_scalar is None:
+            object.__setattr__(self, "conj_deriv_scalar", self.conj_deriv)
 
 
 def _sq_phi(t, l):
@@ -193,8 +225,20 @@ def _pen_conj_deriv(s, l):
     return l + np.sign(s) * np.maximum(np.abs(s) - 1.0, 0.0)
 
 
+def _pen_conj_deriv_scalar(s: float, l: float) -> float:
+    """_pen_conj_deriv for one float, equal to the array form bit for bit:
+    np.sign is +0 at s = -0 and passes a nan through with its sign."""
+    excess = abs(s) - 1.0
+    if excess > 0.0:
+        return l + math.copysign(excess, s)
+    if s != s:
+        return l + s
+    return l + (-0.0 if s < 0.0 else 0.0)
+
+
 SQUARED_LOSS = ScalarConjugate(_sq_phi, _sq_conj, _sq_conj_deriv)
-PENALTY_LOSS = ScalarConjugate(_pen_phi, _pen_conj, _pen_conj_deriv)
+PENALTY_LOSS = ScalarConjugate(_pen_phi, _pen_conj, _pen_conj_deriv,
+                               _pen_conj_deriv_scalar)
 
 _VARIANTS = ("ridge", "smoothed_lasso", "l1l2_penalty")
 
@@ -251,12 +295,15 @@ class ErmDual(CoordOracle):
             lam2 = None
         self.data = data
         self.labels = labels
+        self._labels = labels.tolist()  # read one entry per step
         self.lam = float(lam)
         self.lam2 = None if lam2 is None else float(lam2)
         self.variant = variant
         self.n = data.m
         self.d = data.d
+        self.agg_div = float(data.m)
         self.loss = PENALTY_LOSS if variant == "l1l2_penalty" else SQUARED_LOSS
+        self._rows = None  # row table, built on first use
 
     # aggregate v = (1/n) sum_i y_i a_i
 
@@ -267,8 +314,10 @@ class ErmDual(CoordOracle):
         lo, hi = self.data.indptr[i], self.data.indptr[i + 1]
         agg[self.data.indices[lo:hi]] += (delta / self.n) * self.data.data[lo:hi]
 
-    def support(self, i):
-        return self.data.indices[self.data.indptr[i]:self.data.indptr[i + 1]]
+    def row_table(self):
+        if self._rows is None:
+            self._rows = _row_table(self.data)
+        return self._rows
 
     def _reg_conj_value(self, v):
         """r*(-v); |.| makes the sign flip immaterial for these r."""
@@ -289,11 +338,10 @@ class ErmDual(CoordOracle):
         sep = float(np.sum(self.loss.conj(y, self.labels))) / self.n
         return sep + self._reg_conj_value(v)
 
-    def coord_grad_local(self, i, y_i, agg_part):
+    def coord_grad_local(self, i, y_i, agg_part, vals):
         # r* acts elementwise, so the row's own entries of v suffice
-        sep = float(self.loss.conj_deriv(y_i, self.labels[i])) / self.n
-        lo, hi = self.data.indptr[i], self.data.indptr[i + 1]
-        row_dot = float(np.dot(self.data.data[lo:hi], self._reg_conj_grad(agg_part)))
+        sep = self.loss.conj_deriv_scalar(y_i, self._labels[i]) / self.n
+        row_dot = float(np.dot(vals, self._reg_conj_grad(agg_part)))
         return sep - row_dot / self.n
 
     # bound in the class itself: perfbench/spans.py wraps each oracle

@@ -8,9 +8,11 @@ coordinate step.  The accelerated methods add a step-size schedule to it,
 constant (tau, eta) in the strongly convex case or growing otherwise; the
 schedule couples the step with a second sequence z.  The loop keeps both
 sequences implicitly, as two stored vectors and one scalar, so the coupling
-costs O(1) and a step O(nnz of one row); whole iterates are formed only at
-trace records, checked steps and return.  Without a schedule the loop is
-plain randomized coordinate descent on a single sequence.
+costs O(1).  On an oracle with a row table a step fetches the sampled row
+once, gathers the aggregate on its columns once and scatters into the two
+stored caches directly, so it costs O(nnz of one row); whole iterates are
+formed only at trace records, checked steps and return.  Without a schedule
+the loop is plain randomized coordinate descent on a single sequence.
 
 Iteration cost is honest: no solver ever forms a full gradient except
 full_gd, which exists as a reference baseline.
@@ -145,9 +147,10 @@ class _Recorder:
 
 
 def _index_stream(sampler: WeightedSampler):
-    """The sampler's index stream, drawn 4096 at a time (cheaper per index)."""
+    """The sampler's index stream as Python ints, drawn 4096 at a time
+    (cheaper per index)."""
     while True:
-        yield from sampler.sample_block(4096)
+        yield from sampler.sample_block(4096).tolist()
 
 
 # --- step-size schedules ---
@@ -261,7 +264,7 @@ class _StronglyConvex:
         self.r = -(1.0 - self.tau)
         self.rho = (1.0 - self.tau) ** 2
         shrink = 1.0 / (1.0 + self.eta * self.sigma)
-        self.z_step = shrink * self.eta / (p * profile.l ** profile.beta)
+        self.z_step = (shrink * self.eta / (p * profile.l ** profile.beta)).tolist()
 
     def step(self, k: int):
         return self.rho, self.eta
@@ -289,7 +292,7 @@ class _Growing:
 
     def __init__(self, profile: SmoothnessProfile, p: np.ndarray, s_alpha_sq: float):
         self.s_sq = s_alpha_sq
-        self.inv_plb = 1.0 / (p * profile.l ** profile.beta)
+        self.inv_plb = (1.0 / (p * profile.l ** profile.beta)).tolist()
 
     def step(self, k: int):
         eta, tau = ns_schedule(k, self.s_sq)
@@ -326,16 +329,21 @@ def _coordinate_loop(oracle, profile, x0, cfg, p, algo, schedule=None):
     two stored vectors u, v with their caches and a scalar c give
     y = u + c v and z = u + r c v, r fixed by the schedule.  The
     recombination x = tau z + (1 - tau) y maps (y, z) onto the same form
-    with c scaled by the schedule's rho_k, after which x = u + c v.  A step
-    reads x_i and the cache on support(i), then moves u and v in coordinate
-    i only, so it costs O(nnz of one row).  Whole points are formed at
-    trace records, at checked steps and at return.
+    with c scaled by the schedule's rho_k, after which x = u + c v.
+
+    A step fetches (cols, vals) = oracle.row_table()[i] once, gathers
+    part = u.agg[cols] + c v.agg[cols] once and takes the gradient from x_i,
+    part and vals.  It then writes u_i and v_i and scatters
+    (du / agg_div) vals and (dv / agg_div) vals into the two caches on cols,
+    so it costs O(nnz of one row).  An oracle without a table is asked for
+    the gradient from x_i alone.  Whole points are formed at trace records,
+    at checked steps and at return.
     """
     checking = cfg.check_level != "off"
     check_all = cfg.check_level == "full"
     stride, iters = cfg.trace_stride, cfg.iters
     l = profile.l
-    inv_l = 1.0 / l
+    inv_l = (1.0 / l).tolist()
 
     u = TrackedPoint(oracle, x0)
     accel = schedule is not None
@@ -345,10 +353,11 @@ def _coordinate_loop(oracle, profile, x0, cfg, p, algo, schedule=None):
     c = 1.0
     r = schedule.r if accel else 0.0
     one_minus_r = 1.0 - r
-    support = oracle.support
+    rows = oracle.row_table()
+    if rows is None and uagg is not None:
+        raise TypeError(f"{type(oracle).__name__} keeps an aggregate but no row table")
+    div = oracle.agg_div
     grad_local = oracle.coord_grad_local
-    u_step = u.apply_coord_step
-    v_step = v.apply_coord_step if accel else None
 
     def point(coef):
         """(u + coef v, its cache); u itself when there is no v."""
@@ -384,14 +393,18 @@ def _coordinate_loop(oracle, profile, x0, cfg, p, algo, schedule=None):
                     vagg *= c
                 c = 1.0
         i = next_index()
-        cols = support(i)
+        u_i = ux.item(i)
         if accel:
-            x_i = ux[i] + c * vx[i]
-            part = None if cols is None else uagg[cols] + c * vagg[cols]
+            v_i = vx.item(i)
+            x_i = u_i + c * v_i
         else:
-            x_i = ux[i]
-            part = None if cols is None else uagg[cols]
-        g = grad_local(i, x_i, part)
+            x_i = u_i
+        if rows is None:
+            g = grad_local(i, x_i, None, None)
+        else:
+            cols, vals = rows[i]
+            part = uagg[cols] + c * vagg[cols] if accel else uagg[cols]
+            g = grad_local(i, x_i, part, vals)
         if not math.isfinite(g):
             raise InvariantViolation(f"{algo}: non-finite gradient at iteration {k}")
 
@@ -401,10 +414,17 @@ def _coordinate_loop(oracle, profile, x0, cfg, p, algo, schedule=None):
         if accel:
             # y_i += dy and z_i += dz, in the (u, v) basis
             dz = schedule.z_delta(i, g, eta)
-            u_step(i, (dz - r * dy) / one_minus_r)
-            v_step(i, (dy - dz) / (c * one_minus_r))
+            du = (dz - r * dy) / one_minus_r
+            dv = (dy - dz) / (c * one_minus_r)
+            ux[i] = u_i + du
+            vx[i] = v_i + dv
+            if rows is not None:
+                uagg[cols] += (du / div) * vals
+                vagg[cols] += (dv / div) * vals
         else:
-            u_step(i, dy)
+            ux[i] = u_i + dy
+            if rows is not None:
+                uagg[cols] += (dy / div) * vals
 
         if check_now:
             viol = _descent_violation(f_x, value_at(c)[0], g, l[i])

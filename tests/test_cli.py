@@ -233,3 +233,52 @@ def test_bench_summary_reports_median_wall_seconds(tmp_path, capsys):
     walls = {row.split(",")[0]: float(row.split(",")[-1]) for row in rows}
     assert set(walls) == {"nu-acdm", "acdm", "kaczmarz"}
     assert all(0.0 < w < 60.0 for w in walls.values())
+
+
+@pytest.mark.parametrize(
+    "argv, flags",
+    [
+        # the projection method reads no geometry and no regularizer
+        (["--problem", "kaczmarz", "--algo", "kaczmarz", "--lambda", "5",
+          "--lambda2", "3", "--beta", "0.5"], ["--beta", "--lambda", "--lambda2"]),
+        (["--problem", "ridge", "--algo", "rcdm", "--lambda2", "0.01"], ["--lambda2"]),
+        (["--problem", "penalty", "--algo", "nu-acdm-ns", "--lambda2", "0.01"],
+         ["--lambda2"]),
+        # gd steps by the global smoothness constant, with no profile
+        (["--problem", "ridge", "--algo", "gd", "--beta", "0.5"], ["--beta"]),
+        (["--problem", "kaczmarz", "--algo", "nu-acdm", "--lambda", "0.2"], ["--lambda"]),
+        (["--problem", "kaczmarz", "--algo", "rcdm", "--lambda2", "0.01"], ["--lambda2"]),
+        (["--problem", "kaczmarz", "--algo", "gd", "--lambda", "0.2", "--lambda2", "0.01"],
+         ["--lambda", "--lambda2"]),
+    ],
+)
+def test_solve_rejects_flags_the_run_does_not_read(tmp_path, capsys, argv, flags):
+    out = tmp_path / "trace.csv"
+    code, _out, err = run(capsys, "solve", *argv, "--epochs", "1",
+                          "--trace-out", str(out))
+    assert code == 1
+    message = err.strip().splitlines()[-1]
+    assert message.startswith("usage error: ")
+    assert message.endswith("does not read " + ", ".join(flags))
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--problem", "kaczmarz", "--algo", "nu-acdm", "--beta", "0.5"],
+        ["--problem", "lasso", "--algo", "rcdm", "--lambda", "0.2", "--lambda2", "0.02",
+         "--beta", "0.3"],
+        ["--problem", "ridge", "--algo", "gd", "--lambda", "0.2"],
+    ],
+)
+def test_solve_flags_that_are_read_reach_the_run(tmp_path, capsys, argv):
+    """A flag the run reads changes its trace."""
+    traces = []
+    for extra in ([], argv[4:]):
+        out = tmp_path / f"trace{len(traces)}.csv"
+        code, *_ = run(capsys, "solve", *argv[:4], *extra, "--epochs", "2",
+                       "--trace-out", str(out))
+        assert code == 0
+        traces.append(read_trace(out)[0].values)
+    assert not np.array_equal(traces[0], traces[1])

@@ -1,0 +1,325 @@
+"""Differential tests for the row-table fast path of the coordinate loop.
+
+The loop fetches (cols, vals) = oracle.row_table()[i] once per step, takes
+the gradient from the gathered aggregate and vals, and scatters
+(delta / agg_div) * vals into the caches itself.  Every trajectory must stay
+bitwise what the public coord_grad / update_aggregate protocol gives, so
+these tests compare with array_equal and sign bits, never a tolerance.
+"""
+
+import struct
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from nucd import problems, solvers
+from nucd.data_io import gen_linear_system
+from nucd.geometry import s_alpha
+from nucd.matrix import SparseRowMatrix
+from nucd.problems import (
+    ErmDual,
+    KaczmarzQuadratic,
+    _pen_conj_deriv,
+    _pen_conj_deriv_scalar,
+    build_kaczmarz,
+    build_lasso_dual,
+    build_penalty_dual,
+    build_ridge_dual,
+)
+from nucd.sampling import WeightedSampler
+from nucd.solvers import (
+    SolverConfig,
+    acdm_baseline,
+    acdm_probabilities,
+    kaczmarz,
+    nu_acdm,
+    nu_acdm_ns,
+    nu_probabilities,
+    rcdm,
+    rcdm_probabilities,
+)
+
+
+def _bits(x) -> bytes:
+    return struct.pack("<d", float(x))
+
+
+def _same(a, b) -> bool:
+    """Equal values, nan where nan, and equal sign bits (so -0.0 != 0.0)."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return (a.shape == b.shape and np.array_equal(a, b, equal_nan=True)
+            and np.array_equal(np.signbit(a), np.signbit(b)))
+
+
+# --- the scalar conjugate derivative ---
+
+
+_ULP = np.spacing(1.0)
+_SPECIAL_S = [0.0, -0.0, 1.0, -1.0, 1.0 + _ULP, 1.0 - _ULP / 2, -1.0 - _ULP,
+              -1.0 + _ULP / 2, np.inf, -np.inf, np.nan, -np.nan, 0.5, -2.5]
+_LABELS = [0.0, -0.0, 1.5, -2.0]
+
+
+def test_scalar_penalty_conj_deriv_is_the_array_form_bit_for_bit():
+    rng = np.random.default_rng(0)
+    s_all = _SPECIAL_S + list(rng.standard_normal(500) * 2.0)
+    for l in _LABELS + list(rng.standard_normal(5)):
+        s = np.array(s_all)
+        want = _pen_conj_deriv(s, np.full(s.size, l))
+        for s_k, want_k in zip(s_all, want):
+            got = _pen_conj_deriv_scalar(float(s_k), float(l))
+            assert type(got) is float
+            assert _bits(got) == _bits(want_k), (s_k, l, got, want_k)
+
+
+def test_penalty_loss_uses_the_scalar_form_and_squared_loss_its_own():
+    assert problems.PENALTY_LOSS.conj_deriv_scalar is _pen_conj_deriv_scalar
+    assert problems.SQUARED_LOSS.conj_deriv_scalar is problems.SQUARED_LOSS.conj_deriv
+
+
+# --- oracle level: the table, its gradient and its scatter ---
+
+
+_VALUES = st.floats(-10.0, 10.0).filter(lambda v: abs(v) > 1e-3)
+_POINT = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, -3.0]),
+                   st.floats(-4.0, 4.0, allow_nan=False))
+
+
+@st.composite
+def _matrices(draw, allow_empty):
+    """Rows that are empty, one contiguous run, or scattered columns."""
+    m = draw(st.integers(1, 7))
+    d = draw(st.integers(1, 12))
+    kinds = ["run", "scattered"] + (["empty"] if allow_empty else [])
+    dense = np.zeros((m, d))
+    for i in range(m):
+        kind = draw(st.sampled_from(kinds))
+        if kind == "run":
+            lo = draw(st.integers(0, d - 1))
+            cols = range(lo, draw(st.integers(lo + 1, d)))
+        elif kind == "scattered":
+            cols = draw(st.sets(st.integers(0, d - 1), min_size=1, max_size=d))
+        else:
+            cols = ()
+        for j in cols:
+            dense[i, j] = draw(_VALUES)
+    return SparseRowMatrix.from_dense(dense)
+
+
+def _csr_grad(oracle, x, i, agg):
+    """grad_i f read off the CSR arrays with a fancy index, with the loss's
+    array-form conjugate: the path the row table replaces."""
+    mat = oracle.a if isinstance(oracle, KaczmarzQuadratic) else oracle.data
+    lo, hi = mat.indptr[i], mat.indptr[i + 1]
+    part, vals = agg[mat.indices[lo:hi]], mat.data[lo:hi]
+    if isinstance(oracle, KaczmarzQuadratic):
+        return float(np.dot(vals, part)) - float(oracle.b[i])
+    sep = float(oracle.loss.conj_deriv(x[i:i + 1], oracle.labels[i:i + 1])[0])
+    row_dot = float(np.dot(vals, oracle._reg_conj_grad(part)))
+    return sep / oracle.n - row_dot / oracle.n
+
+
+def _check_table(oracle, mat):
+    rows = oracle.row_table()
+    assert len(rows) == mat.m and oracle.row_table() is rows
+    for i, (cols, vals) in enumerate(rows):
+        lo, hi = mat.indptr[i], mat.indptr[i + 1]
+        ids = mat.indices[lo:hi]
+        contiguous = ids.size == 0 or ids[-1] - ids[0] == ids.size - 1
+        assert isinstance(cols, slice) == contiguous
+        assert np.array_equal(np.arange(mat.d)[cols], ids)
+        assert np.array_equal(vals, mat.data[lo:hi])
+        if ids.size:
+            assert np.shares_memory(vals, mat.data)
+            if not contiguous:
+                assert np.shares_memory(cols, mat.indices)
+
+
+@pytest.mark.parametrize("variant", ["kaczmarz", "ridge", "smoothed_lasso", "l1l2_penalty"])
+@settings(deadline=None, max_examples=60)
+@given(data=st.data())
+def test_row_table_gradient_and_scatter_match_the_csr_path(variant, data):
+    mat = data.draw(_matrices(allow_empty=variant != "kaczmarz"))
+    rhs = np.array(data.draw(st.lists(_POINT, min_size=mat.m, max_size=mat.m)))
+    if variant == "kaczmarz":
+        oracle = KaczmarzQuadratic(mat, rhs)
+        assert oracle.agg_div == 1.0
+    else:
+        oracle = ErmDual(mat, rhs, 0.3, 0.05, variant=variant)
+        assert oracle.agg_div == float(mat.m)
+    _check_table(oracle, mat)
+    x = np.array(data.draw(st.lists(_POINT, min_size=mat.m, max_size=mat.m)))
+    agg = np.array(data.draw(st.lists(_POINT, min_size=mat.d, max_size=mat.d)))
+    for i, (cols, vals) in enumerate(oracle.row_table()):
+        want = _csr_grad(oracle, x, i, agg)
+        got = oracle.coord_grad_local(i, float(x[i]), agg[cols], vals)
+        assert _same(got, want)
+        assert _same(oracle.coord_grad(x, i, agg), want)
+
+        delta = data.draw(_POINT)
+        scattered, updated = agg.copy(), agg.copy()
+        scattered[cols] += (delta / oracle.agg_div) * vals  # the loop's scatter
+        oracle.update_aggregate(updated, i, delta)
+        assert _same(scattered, updated)
+
+
+# --- loop level: the solvers against the public protocol ---
+
+
+def _mixed_rows(m, d, seed, allow_empty=True):
+    """Empty rows (when allowed), contiguous runs and scattered rows, with
+    norms spread over two orders of magnitude."""
+    rng = np.random.default_rng(seed)
+    dense = np.zeros((m, d))
+    for i in range(m):
+        kind = i % 3 if allow_empty else 1 + i % 2
+        if kind == 1:
+            lo = int(rng.integers(0, d - 5))
+            dense[i, lo:lo + 5] = rng.standard_normal(5)
+        elif kind == 2:
+            dense[i, rng.choice(d, size=6, replace=False)] = rng.standard_normal(6)
+        dense[i] *= 10.0 if i % 4 == 0 else 1.0
+    return SparseRowMatrix.from_dense(dense), rng.standard_normal(m)
+
+
+def _problem(name):
+    if name == "kaczmarz":
+        a, b, _ = gen_linear_system(20, 8, 0.25, seed=4)
+        scattered, rhs = _mixed_rows(20, 30, seed=5, allow_empty=False)
+        return {"kaczmarz": build_kaczmarz(a, b, beta=0.5),
+                "kaczmarz_scattered": build_kaczmarz(scattered, rhs)}
+    data, labels = _mixed_rows(24, 30, seed=6)
+    build = {"ridge": lambda: build_ridge_dual(data, labels, 0.1),
+             "lasso": lambda: build_lasso_dual(data, labels, 0.1, 0.01, beta=0.3),
+             "penalty": lambda: build_penalty_dual(data, labels, 0.1, beta=0.4)}
+    return {name: build[name]()}
+
+
+def _setup(solver, prof):
+    """(p, schedule) exactly as each solver builds them."""
+    if solver is rcdm:
+        return rcdm_probabilities(prof), None
+    if solver is nu_acdm_ns:
+        p = nu_probabilities(prof)
+        return p, solvers._Growing(prof, p, s_alpha(prof, prof.alpha) ** 2)
+    if solver is nu_acdm:
+        p = nu_probabilities(prof)
+        p = p / p.sum()
+        rate = float(np.max(prof.l ** (1.0 - prof.beta) / (p * p)))
+    else:
+        p = acdm_probabilities(prof)
+        rate = max(prof.n * s_alpha(prof, 1.0 - prof.beta),
+                   float(np.max(prof.l ** (1.0 - prof.beta) / (p * p))))
+        p = p / p.sum()
+    return p, solvers._StronglyConvex(prof, p, rate)
+
+
+def _reference_loop(oracle, prof, x0, cfg, p, schedule):
+    """The loop's (u, v, c) steps with whole x = u + c v and its aggregate
+    formed every step, the gradient from the public coord_grad and the caches
+    moved by update_aggregate.  Returns (y, recorded values)."""
+    accel = schedule is not None
+    u, uagg = x0.copy(), oracle.aggregate(x0)
+    v, vagg = np.zeros(oracle.n), oracle.aggregate(np.zeros(oracle.n))
+    c, r = 1.0, (schedule.r if accel else 0.0)
+    inv_l = 1.0 / prof.l
+
+    def point():
+        return (u + c * v, uagg + c * vagg) if accel else (u, uagg)
+
+    draws = WeightedSampler(p, cfg.seed).sample_block(cfg.iters)
+    values = [oracle.value(*point())]
+    for k, i in enumerate(draws.tolist()):
+        if accel:
+            rho, eta = schedule.step(k)
+            c *= rho
+            if c < solvers.FOLD_BELOW:
+                v *= c
+                vagg *= c
+                c = 1.0
+        x, agg = point()
+        g = oracle.coord_grad(x, i, agg)
+        dy = -g * inv_l[i]
+        if accel:
+            dz = schedule.z_delta(i, g, eta)
+            du = (dz - r * dy) / (1.0 - r)
+            dv = (dy - dz) / (c * (1.0 - r))
+            u[i] += du
+            v[i] += dv
+            oracle.update_aggregate(uagg, i, du)
+            oracle.update_aggregate(vagg, i, dv)
+        else:
+            u[i] += dy
+            oracle.update_aggregate(uagg, i, dy)
+        if (k + 1) % cfg.trace_stride == 0 or k + 1 == cfg.iters:
+            values.append(oracle.value(*point()))
+    return point()[0], np.array(values)
+
+
+_CASES = [(solver, name)
+          for name in ("kaczmarz", "ridge", "lasso", "penalty")
+          for solver in (nu_acdm, acdm_baseline, nu_acdm_ns, rcdm)
+          # the strongly convex schedules need sigma > 0, which penalty lacks
+          if not (name == "penalty" and solver in (nu_acdm, acdm_baseline))]
+
+
+@pytest.mark.parametrize("solver, name", _CASES,
+                         ids=[f"{s.__name__}-{n}" for s, n in _CASES])
+def test_loop_is_bitwise_the_public_protocol(solver, name):
+    for oracle, prof in _problem(name).values():
+        n = oracle.n
+        x0 = np.linspace(-0.7, 0.4, n)
+        cfg = SolverConfig(iters=25 * n, seed=13, trace_stride=n)
+        out, trace = solver(oracle, prof, x0, cfg)
+        p, schedule = _setup(solver, prof)
+        want_y, want_values = _reference_loop(oracle, prof, x0, cfg, p, schedule)
+        assert np.array_equal(out, want_y)
+        assert np.array_equal(trace.values, want_values)
+
+
+def test_an_aggregate_without_a_row_table_is_refused():
+    """An oracle that keeps an aggregate must say which entries a step
+    moves; without a table the loop would leave the aggregate stale."""
+
+    class NoTable(KaczmarzQuadratic):
+        def row_table(self):
+            return None
+
+    a, b, _ = gen_linear_system(12, 4, 0.25, seed=2)
+    _, prof = build_kaczmarz(a, b)
+    with pytest.raises(TypeError, match="NoTable keeps an aggregate but no row table"):
+        rcdm(NoTable(a, b), prof, np.zeros(12), SolverConfig(iters=5))
+
+
+# --- memory: the table exists only for oracles that are solved ---
+
+
+def test_row_table_is_built_once_on_the_first_solve(monkeypatch):
+    built = []
+    real = problems._row_table
+
+    def counting(matrix):
+        built.append(matrix)
+        return real(matrix)
+
+    monkeypatch.setattr(problems, "_row_table", counting)
+    a, b, _ = gen_linear_system(30, 10, 0.2, seed=1)
+    kaczmarz(a, b, np.zeros(10), SolverConfig(iters=300, seed=1))
+    assert built == []
+
+    data, labels = _mixed_rows(24, 30, seed=2)
+    for oracle, prof in (build_kaczmarz(a, b), build_ridge_dual(data, labels, 0.1)):
+        assert built == [] and oracle._rows is None
+        cfg = SolverConfig(iters=5 * oracle.n, seed=3)
+        nu_acdm(oracle, prof, np.zeros(oracle.n), cfg)
+        assert len(built) == 1
+        table = oracle.row_table()
+        rcdm(oracle, prof, np.zeros(oracle.n), cfg)
+        assert len(built) == 1 and oracle.row_table() is table
+        built.clear()
+
+    # the matrix never holds a table, nor any per-row objects
+    for mat in (a, data):
+        assert not any(isinstance(v, (list, tuple)) for v in vars(mat).values())
