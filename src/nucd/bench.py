@@ -109,10 +109,14 @@ def _run_cell(cell: dict):
 
 
 def _execute(cells, jobs: int):
-    if jobs <= 1:
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    # a pool forks all its workers at the first submit
+    workers = min(jobs, len(cells))
+    if workers <= 1:
         results = [_run_cell(c) for c in cells]
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_cell, cells))
     return sorted(results, key=lambda item: item[0])
 

@@ -42,6 +42,13 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _positive_int(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _csv_floats(text):
     return tuple(float(v) for v in text.split(","))
 
@@ -95,7 +102,7 @@ def build_parser() -> _Parser:
     bench_p.add_argument("--seeds", type=int, default=10,
                          help="number of seeds (0..K-1)")
     bench_p.add_argument("--out", default=None, help="output directory")
-    bench_p.add_argument("--jobs", type=int, default=1)
+    bench_p.add_argument("--jobs", type=_positive_int, default=1)
     # experiment parameters default to None, meaning ExperimentSpec's
     # default; cmd_bench rejects those the experiment does not read
     bench_p.add_argument("--m", type=int, default=None,
@@ -130,7 +137,7 @@ def build_parser() -> _Parser:
     speedup.set_defaults(func=cmd_speedup)
 
     check = sub.add_parser("check", help="run the acceptance suite")
-    check.add_argument("--jobs", type=int, default=1)
+    check.add_argument("--jobs", type=_positive_int, default=1)
     check.set_defaults(func=cmd_check)
 
     return parser

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .matrix import SparseRowMatrix
+
 
 @dataclass(frozen=True)
 class SmoothnessProfile:
@@ -96,28 +98,23 @@ class CoordOracle:
     ``coord_grad_local``.  Oracles whose gradients depend on the iterate only
     through a vector aggregate that is *linear* in the point (a matrix
     product, a weighted feature sum) additionally implement the aggregate
-    protocol below.  Coordinate i then owns one row of a table:
-    ``row_table()[i]`` is ``(cols, vals)``, the aggregate entries the
-    coordinate reads and writes and the row's values there.  A coordinate
-    step gathers the aggregate on ``cols`` once, takes the gradient from that
-    part and ``vals``, and adds ``(delta / agg_div) * vals`` to the aggregate
-    on ``cols``; so the solvers pay O(nnz of one row) per coordinate step
-    instead of a full recomputation.
+    protocol below by naming their ``row_matrix`` A (None otherwise) and
+    ``agg_div``: the aggregate is A^T x / agg_div, and coordinate i owns row
+    i, whose column ids are the aggregate entries the coordinate reads and
+    writes.  A coordinate step gathers the aggregate on those columns once,
+    takes the gradient from that part and the row's values, and adds
+    ``(delta / agg_div) * values`` there; so the solvers pay O(nnz of one
+    row) per coordinate step instead of a full recomputation.
     """
 
     n: int = 0
+    row_matrix: SparseRowMatrix | None = None
     # x_i += delta moves the aggregate on row i's columns by
     # (delta / agg_div) * vals
     agg_div: float = 1.0
 
     def value(self, x: np.ndarray, aggregate: np.ndarray | None = None) -> float:
         raise NotImplementedError
-
-    def row_table(self) -> list | None:
-        """Entry i is (cols, vals): the aggregate entries coordinate i reads
-        and writes (an index array, or a slice when they form one run) and
-        the row's values there.  None when the oracle keeps no aggregate."""
-        return None
 
     def coord_grad_local(
         self, i: int, x_i: float, agg_part: np.ndarray | None, vals: np.ndarray | None
@@ -132,10 +129,9 @@ class CoordOracle:
         """grad_i f(x); the aggregate is built from x when not given."""
         if aggregate is None:
             aggregate = self.aggregate(x)
-        rows = self.row_table()
-        if rows is None:
+        if self.row_matrix is None:
             return self.coord_grad_local(i, float(x[i]), None, None)
-        cols, vals = rows[i]
+        cols, vals = self.row_matrix.row(i)
         return self.coord_grad_local(i, float(x[i]), aggregate[cols], vals)
 
     def full_grad(self, x: np.ndarray, aggregate: np.ndarray | None = None) -> np.ndarray:
@@ -145,13 +141,17 @@ class CoordOracle:
     # --- incremental aggregate protocol (optional) ---
 
     def aggregate(self, x: np.ndarray) -> np.ndarray | None:
-        """Cache vector for query point x, or None if the oracle needs none."""
-        return None
+        """Cache vector A^T x / agg_div for query point x, A the row matrix;
+        None if the oracle keeps none."""
+        if self.row_matrix is None:
+            return None
+        return self.row_matrix.rmatvec(x) / self.agg_div
 
     def update_aggregate(self, agg: np.ndarray, i: int, delta: float) -> None:
         """Apply the effect of x_i += delta to a cache built by aggregate():
         agg[cols] += (delta / agg_div) * vals for (cols, vals) = row i."""
-        raise NotImplementedError
+        cols, vals = self.row_matrix.row(i)
+        agg[cols] += (delta / self.agg_div) * vals
 
 
 class TrackedPoint:

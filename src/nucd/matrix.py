@@ -2,11 +2,9 @@
 
 CSR-style arrays with cheap per-row views: the coordinate solvers touch one
 row per iteration, so row access must be a pair of array views rather than
-a scipy object allocation.  The matrix holds no per-row objects: an oracle
-built on it keeps its own table of those views (problems._row_table), made
-on its first solve, so a step fetches its row once without slicing, and a
-matrix that is only projected on (solvers.kaczmarz) or parsed never pays
-for one.  Full products (A @ x, A.T @ y) are needed only at setup and trace
+a scipy object allocation.  No table of per-row views is kept anywhere:
+the solvers' loop slices each sampled row out of indptr, indices and data
+itself.  Full products (A @ x, A.T @ y) are needed only at setup and trace
 time; they go through a scipy CSR array that shares the same three arrays.
 """
 

@@ -76,27 +76,6 @@ def build_separable_quadratic(l, target=None, beta: float = 0.0):
     return oracle, profile
 
 
-# --- row-backed oracles ---
-
-
-def _row_table(matrix: SparseRowMatrix) -> list:
-    """Entry i is (cols, vals) for row i of matrix, views into its CSR
-    arrays.  cols is a slice when the row's columns form one contiguous run
-    (an empty row too), so numpy gathers and scatters through basic indexing;
-    otherwise it is the row's stretch of the column ids."""
-    indices, data = matrix.indices, matrix.data
-    ptr = matrix.indptr.tolist()
-    rows = []
-    for lo, hi in zip(ptr, ptr[1:]):
-        cols = indices[lo:hi]
-        if hi == lo:
-            cols = slice(0, 0)
-        elif cols[-1] - cols[0] == hi - lo - 1:  # ascending ids, so one run
-            cols = slice(int(cols[0]), int(cols[-1]) + 1)
-        rows.append((cols, data[lo:hi]))
-    return rows
-
-
 # --- linear systems over row space ---
 
 
@@ -116,23 +95,10 @@ class KaczmarzQuadratic(CoordOracle):
             raise ValueError("b must be finite")
         if np.any(a_matrix.row_norms_sq <= 0.0):
             raise ValueError("zero rows are not allowed")
-        self.a = a_matrix
+        self.a = self.row_matrix = a_matrix
         self.b = b
         self._b = b.tolist()  # read one entry per step, as Python floats
         self.n = a_matrix.m  # coordinates are rows of A
-        self._rows = None  # row table, built on first use
-
-    def aggregate(self, y):
-        return self.a.rmatvec(y)
-
-    def update_aggregate(self, agg, i, delta):
-        lo, hi = self.a.indptr[i], self.a.indptr[i + 1]
-        agg[self.a.indices[lo:hi]] += delta * self.a.data[lo:hi]
-
-    def row_table(self):
-        if self._rows is None:
-            self._rows = _row_table(self.a)
-        return self._rows
 
     def value(self, y, aggregate=None):
         w = self.aggregate(y) if aggregate is None else aggregate
@@ -142,8 +108,9 @@ class KaczmarzQuadratic(CoordOracle):
         return float(np.dot(vals, agg_part)) - self._b[i]
 
     # bound in the class itself: perfbench/spans.py wraps each oracle
-    # class's own coord_grad
+    # class's own coord_grad and update_aggregate
     coord_grad = CoordOracle.coord_grad
+    update_aggregate = CoordOracle.update_aggregate
 
     def full_grad(self, y, aggregate=None):
         w = self.aggregate(y) if aggregate is None else aggregate
@@ -152,6 +119,31 @@ class KaczmarzQuadratic(CoordOracle):
     def recover_primal(self, y=None, aggregate=None):
         """The row-space solution x = A^T y the run is actually building."""
         return self.aggregate(y) if aggregate is None else np.asarray(aggregate)
+
+
+class KaczmarzResidual(KaczmarzQuadratic):
+    """The quadratic as solvers.kaczmarz steps it, from a primal start x0.
+
+    The aggregate is x = x0 + A^T y, the primal iterate itself, so the
+    gradient <a_i, x> - b_i reads b unchanged: this is f for the right-hand
+    side b - A x0, shifted by a constant.  The value is the squared residual
+    ||A x - b||^2, the quantity a Kaczmarz trace records, not f.  The
+    aggregate is affine in y, not linear, so only the loop without a
+    schedule (one stored point) may step this oracle.
+    """
+
+    def __init__(self, a_matrix: SparseRowMatrix, b, x0: np.ndarray):
+        super().__init__(a_matrix, b)
+        self.x0 = x0
+
+    def aggregate(self, y):
+        # a run starts at y = 0, where A^T y need not be formed
+        return self.x0 + self.a.rmatvec(y) if y.any() else self.x0.copy()
+
+    def value(self, y, aggregate=None):
+        x = self.aggregate(y) if aggregate is None else aggregate
+        r = self.a.matvec(x) - self.b
+        return float(np.dot(r, r))
 
 
 def build_kaczmarz(a_matrix: SparseRowMatrix, b, beta: float = 0.0):
@@ -293,7 +285,7 @@ class ErmDual(CoordOracle):
                 raise ValueError("smoothed_lasso needs lam2 > 0")
         else:
             lam2 = None
-        self.data = data
+        self.data = self.row_matrix = data
         self.labels = labels
         self._labels = labels.tolist()  # read one entry per step
         self.lam = float(lam)
@@ -303,21 +295,6 @@ class ErmDual(CoordOracle):
         self.d = data.d
         self.agg_div = float(data.m)
         self.loss = PENALTY_LOSS if variant == "l1l2_penalty" else SQUARED_LOSS
-        self._rows = None  # row table, built on first use
-
-    # aggregate v = (1/n) sum_i y_i a_i
-
-    def aggregate(self, y):
-        return self.data.rmatvec(y) / self.n
-
-    def update_aggregate(self, agg, i, delta):
-        lo, hi = self.data.indptr[i], self.data.indptr[i + 1]
-        agg[self.data.indices[lo:hi]] += (delta / self.n) * self.data.data[lo:hi]
-
-    def row_table(self):
-        if self._rows is None:
-            self._rows = _row_table(self.data)
-        return self._rows
 
     def _reg_conj_value(self, v):
         """r*(-v); |.| makes the sign flip immaterial for these r."""
@@ -345,8 +322,9 @@ class ErmDual(CoordOracle):
         return sep - row_dot / self.n
 
     # bound in the class itself: perfbench/spans.py wraps each oracle
-    # class's own coord_grad
+    # class's own coord_grad and update_aggregate
     coord_grad = CoordOracle.coord_grad
+    update_aggregate = CoordOracle.update_aggregate
 
     def full_grad(self, y, aggregate=None):
         v = self.aggregate(y) if aggregate is None else aggregate

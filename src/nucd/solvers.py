@@ -8,11 +8,12 @@ coordinate step.  The accelerated methods add a step-size schedule to it,
 constant (tau, eta) in the strongly convex case or growing otherwise; the
 schedule couples the step with a second sequence z.  The loop keeps both
 sequences implicitly, as two stored vectors and one scalar, so the coupling
-costs O(1).  On an oracle with a row table a step fetches the sampled row
-once, gathers the aggregate on its columns once and scatters into the two
-stored caches directly, so it costs O(nnz of one row); whole iterates are
-formed only at trace records, checked steps and return.  Without a schedule
-the loop is plain randomized coordinate descent on a single sequence.
+costs O(1).  On an oracle with a row matrix a step slices the sampled row
+out of its CSR arrays once, gathers the aggregate on its columns once and
+scatters into the two stored caches directly, so it costs O(nnz of one
+row); whole iterates are formed only at trace records, checked steps and
+return.  Without a schedule the loop is plain randomized coordinate descent
+on a single sequence, which on the dual of a linear system is Kaczmarz.
 
 Iteration cost is honest: no solver ever forms a full gradient except
 full_gd, which exists as a reference baseline.
@@ -21,7 +22,7 @@ full_gd, which exists as a reference baseline.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -323,7 +324,8 @@ def _coordinate_loop(oracle, profile, x0, cfg, p, algo, schedule=None):
     a schedule the run is accelerated: x_{k+1} = tau_k z_k + (1 - tau_k) y_k
     before the draw, and the schedule moves z after it.  Without one, x and
     y are the same point and the run is plain randomized coordinate
-    descent.  Returns (y_final, trace); the trace records f(y_k).
+    descent.  Returns (y_final, its aggregate, trace); the trace records
+    oracle.value at y_k.
 
     The accelerated iterates are implicit (Lee & Sidford 2013, section 5):
     two stored vectors u, v with their caches and a scalar c give
@@ -331,13 +333,13 @@ def _coordinate_loop(oracle, profile, x0, cfg, p, algo, schedule=None):
     recombination x = tau z + (1 - tau) y maps (y, z) onto the same form
     with c scaled by the schedule's rho_k, after which x = u + c v.
 
-    A step fetches (cols, vals) = oracle.row_table()[i] once, gathers
-    part = u.agg[cols] + c v.agg[cols] once and takes the gradient from x_i,
-    part and vals.  It then writes u_i and v_i and scatters
+    A step slices row i's (cols, vals) out of oracle.row_matrix once,
+    gathers part = u.agg[cols] + c v.agg[cols] once and takes the gradient
+    from x_i, part and vals.  It then writes u_i and v_i and scatters
     (du / agg_div) vals and (dv / agg_div) vals into the two caches on cols,
-    so it costs O(nnz of one row).  An oracle without a table is asked for
-    the gradient from x_i alone.  Whole points are formed at trace records,
-    at checked steps and at return.
+    so it costs O(nnz of one row).  An oracle without a row matrix is asked
+    for the gradient from x_i alone.  Whole points are formed at trace
+    records, at checked steps and at return.
     """
     checking = cfg.check_level != "off"
     check_all = cfg.check_level == "full"
@@ -350,12 +352,20 @@ def _coordinate_loop(oracle, profile, x0, cfg, p, algo, schedule=None):
     v = TrackedPoint(oracle, np.zeros(oracle.n)) if accel else None
     ux, uagg = u.x, u.agg
     vx, vagg = (v.x, v.agg) if accel else (None, None)
+    # memoryviews get and set one entry as a Python scalar faster than numpy
+    u_at = memoryview(ux)
+    v_at = memoryview(vx) if accel else None
     c = 1.0
     r = schedule.r if accel else 0.0
     one_minus_r = 1.0 - r
-    rows = oracle.row_table()
-    if rows is None and uagg is not None:
-        raise TypeError(f"{type(oracle).__name__} keeps an aggregate but no row table")
+    mat = oracle.row_matrix
+    if mat is None and uagg is not None:
+        raise TypeError(f"{type(oracle).__name__} keeps an aggregate but no row matrix")
+    if mat is not None:
+        ptr, indices, data, d = memoryview(mat.indptr), mat.indices, mat.data, mat.d
+        # column ids ascend strictly in [0, d), so a row of d entries is
+        # columns 0..d-1: gather and scatter it by basic indexing
+        full = slice(0, d)
     div = oracle.agg_div
     grad_local = oracle.coord_grad_local
 
@@ -379,78 +389,83 @@ def _coordinate_loop(oracle, profile, x0, cfg, p, algo, schedule=None):
     stopped = rec.record(0, *value_at(c))
     k = 0
     while k < iters and not stopped:
-        at_record = (k + 1) % stride == 0 or (k + 1) == iters
-        check_now = check_all or (checking and at_record)
-        if accel:
-            if check_now:
-                z_prev = point(r * c)[0]
-            rho, eta = schedule.step(k)
-            c *= rho
-            if c < FOLD_BELOW:
-                # y and z are unchanged: u + c v = u + 1 (c v)
-                vx *= c
-                if vagg is not None:
-                    vagg *= c
-                c = 1.0
-        i = next_index()
-        u_i = ux.item(i)
-        if accel:
-            v_i = vx.item(i)
-            x_i = u_i + c * v_i
-        else:
-            x_i = u_i
-        if rows is None:
-            g = grad_local(i, x_i, None, None)
-        else:
-            cols, vals = rows[i]
-            part = uagg[cols] + c * vagg[cols] if accel else uagg[cols]
-            g = grad_local(i, x_i, part, vals)
-        if not math.isfinite(g):
-            raise InvariantViolation(f"{algo}: non-finite gradient at iteration {k}")
-
-        if check_now:
-            f_x, x_pt, _ = value_at(c)
-        dy = -g * inv_l[i]
-        if accel:
-            # y_i += dy and z_i += dz, in the (u, v) basis
-            dz = schedule.z_delta(i, g, eta)
-            du = (dz - r * dy) / one_minus_r
-            dv = (dy - dz) / (c * one_minus_r)
-            ux[i] = u_i + du
-            vx[i] = v_i + dv
-            if rows is not None:
-                uagg[cols] += (du / div) * vals
-                vagg[cols] += (dv / div) * vals
-        else:
-            ux[i] = u_i + dy
-            if rows is not None:
-                uagg[cols] += (dy / div) * vals
-
-        if check_now:
-            viol = _descent_violation(f_x, value_at(c)[0], g, l[i])
-            worst_descent = max(worst_descent, viol)
-            if viol > DESCENT_SLACK:
-                raise InvariantViolation(
-                    f"{algo}: coordinate descent guarantee violated by {viol:.3e} "
-                    f"at iteration {k}"
-                )
+        # one segment of steps up to the next trace record
+        end = min(k + stride, iters)
+        for k in range(k, end):
+            check_now = check_all or (checking and k + 1 == end)
             if accel:
-                schedule.check_step(algo, k, eta)
-                res = mirror_step_residual(
-                    profile, z_prev, point(r * c)[0], x_pt, i, g, p[i], eta,
-                    schedule.sigma,
-                )
-                worst_mirror = max(worst_mirror, res)
-                if res > MIRROR_RESIDUAL_TOL:
+                if check_now:
+                    z_prev = point(r * c)[0]
+                rho, eta = schedule.step(k)
+                c *= rho
+                if c < FOLD_BELOW:
+                    # y and z are unchanged: u + c v = u + 1 (c v)
+                    vx *= c
+                    if vagg is not None:
+                        vagg *= c
+                    c = 1.0
+            i = next_index()
+            u_i = u_at[i]
+            if accel:
+                v_i = v_at[i]
+                x_i = u_i + c * v_i
+            else:
+                x_i = u_i
+            if mat is None:
+                g = grad_local(i, x_i, None, None)
+            else:
+                lo, hi = ptr[i], ptr[i + 1]
+                cols = full if hi - lo == d else indices[lo:hi]
+                vals = data[lo:hi]
+                # gathered once: the scatters below add to these same parts
+                u_part = uagg[cols]
+                v_part = vagg[cols] if accel else None
+                part = u_part + c * v_part if accel else u_part
+                g = grad_local(i, x_i, part, vals)
+            if not math.isfinite(g):
+                raise InvariantViolation(f"{algo}: non-finite gradient at iteration {k}")
+
+            if check_now:
+                f_x, x_pt, _ = value_at(c)
+            dy = -g * inv_l[i]
+            if accel:
+                # y_i += dy and z_i += dz, in the (u, v) basis
+                dz = schedule.z_delta(i, g, eta)
+                du = (dz - r * dy) / one_minus_r
+                dv = (dy - dz) / (c * one_minus_r)
+                u_at[i] = u_i + du
+                v_at[i] = v_i + dv
+                if mat is not None:
+                    uagg[cols] = u_part + (du / div) * vals
+                    vagg[cols] = v_part + (dv / div) * vals
+            else:
+                u_at[i] = u_i + dy
+                if mat is not None:
+                    uagg[cols] = u_part + (dy / div) * vals
+
+            if check_now:
+                viol = _descent_violation(f_x, value_at(c)[0], g, l[i])
+                worst_descent = max(worst_descent, viol)
+                if viol > DESCENT_SLACK:
                     raise InvariantViolation(
-                        f"{algo}: z-step residual {res:.3e} at iteration {k}"
+                        f"{algo}: coordinate descent guarantee violated by "
+                        f"{viol:.3e} at iteration {k}"
                     )
+                if accel:
+                    schedule.check_step(algo, k, eta)
+                    res = mirror_step_residual(
+                        profile, z_prev, point(r * c)[0], x_pt, i, g, p[i], eta,
+                        schedule.sigma,
+                    )
+                    worst_mirror = max(worst_mirror, res)
+                    if res > MIRROR_RESIDUAL_TOL:
+                        raise InvariantViolation(
+                            f"{algo}: z-step residual {res:.3e} at iteration {k}"
+                        )
+        k = end
+        stopped = rec.record(k, *value_at(c))
 
-        k += 1
-        if at_record:
-            stopped = rec.record(k, *value_at(c))
-
-    return point(c)[0].copy(), rec.finish(
+    return *point(c), rec.finish(
         cfg.seed,
         worst_descent if checking else math.nan,
         worst_mirror if checking else math.nan,
@@ -489,7 +504,8 @@ def generalized_accel(
             f"rate_constant {rate_constant} below the valid minimum {m_valid}"
         )
     schedule = _StronglyConvex(profile, p, rate_constant)
-    return _coordinate_loop(oracle, profile, x0, cfg, p, "accel", schedule)
+    y, _, trace = _coordinate_loop(oracle, profile, x0, cfg, p, "accel", schedule)
+    return y, trace
 
 
 def nu_acdm(
@@ -565,7 +581,8 @@ def nu_acdm_ns(
     """
     p = nu_probabilities(profile)
     schedule = _Growing(profile, p, s_alpha(profile, profile.alpha) ** 2)
-    return _coordinate_loop(oracle, profile, x0, cfg, p, "nu-acdm-ns", schedule)
+    y, _, trace = _coordinate_loop(oracle, profile, x0, cfg, p, "nu-acdm-ns", schedule)
+    return y, trace
 
 
 # --- unaccelerated baselines ---
@@ -580,7 +597,9 @@ def rcdm(
     """Plain randomized coordinate descent: draw i proportional to
     L_i^(1-beta), step x <- x - (1/L_i) grad_i f(x) e_i.  Descends in
     every iteration."""
-    return _coordinate_loop(oracle, profile, x0, cfg, rcdm_probabilities(profile), "rcdm")
+    y, _, trace = _coordinate_loop(
+        oracle, profile, x0, cfg, rcdm_probabilities(profile), "rcdm")
+    return y, trace
 
 
 def full_gd(
@@ -631,36 +650,28 @@ def kaczmarz(
     """Randomized row projection for A x = b.
 
     Draws row i proportional to ||a_i||^2 and projects the iterate onto
-    its hyperplane: x <- x + (b_i - <a_i, x>)/||a_i||^2 * a_i.  The trace
-    value is the squared residual ||A x - b||^2; epochs count m rows.
+    its hyperplane: x <- x + (b_i - <a_i, x>)/||a_i||^2 * a_i.  That step is
+    rcdm's on the dual f(y) = 0.5 ||x0 + A^T y||^2 - <b, y> with
+    x = x0 + A^T y (Strohmer & Vershynin 2009), so the run is the shared
+    loop with no schedule.  The trace value is the squared residual
+    ||A x - b||^2, not the f being descended, so cfg.check_level is not
+    read; epochs count m rows.  dist_fn and on_record see (x, None, value).
     """
-    b = np.asarray(b, dtype=float)
-    x = np.array(x0, dtype=float)
-    m = a_matrix.m
-    if b.shape != (m,) or x.shape != (a_matrix.d,):
-        raise ValueError("b must have one entry per row and x0 one per column")
+    from .problems import KaczmarzResidual  # problems imports this module
+
+    x0 = np.array(x0, dtype=float)
+    if x0.shape != (a_matrix.d,):
+        raise ValueError("x0 must have one entry per column")
+    oracle = KaczmarzResidual(a_matrix, b, x0)  # checks b and the rows
+    dual_cfg = replace(cfg, check_level="off", dist_fn=None, on_record=None)
+    if cfg.dist_fn is not None:
+        dual_cfg.dist_fn = lambda y, x, value: cfg.dist_fn(x, None, value)
+    if cfg.on_record is not None:
+        dual_cfg.on_record = lambda k, y, x, value: cfg.on_record(k, x, None, value)
+    # p is the raw norms: normalising them could move a draw by rounding
     norms_sq = a_matrix.row_norms_sq
-    if np.any(norms_sq <= 0.0):
-        raise ValueError("kaczmarz requires every row to be nonzero")
-    next_index = _index_stream(WeightedSampler(norms_sq, cfg.seed)).__next__
-    rec = _Recorder("kaczmarz", cfg, units_per_epoch=m)
-    indptr, indices, data = a_matrix.indptr, a_matrix.indices, a_matrix.data
-
-    def residual_sq():
-        r = a_matrix.matvec(x) - b
-        return float(np.dot(r, r))
-
-    stopped = rec.record(0, residual_sq(), x, None)
-    k = 0
-    while k < cfg.iters and not stopped:
-        i = next_index()
-        lo, hi = indptr[i], indptr[i + 1]
-        cols = indices[lo:hi]
-        vals = data[lo:hi]
-        r = b[i] - np.dot(vals, x[cols])
-        x[cols] += (r / norms_sq[i]) * vals
-        k += 1
-        if k % cfg.trace_stride == 0 or k == cfg.iters:
-            stopped = rec.record(k, residual_sq(), x, None)
-
-    return x.copy(), rec.finish(cfg.seed)
+    _, x, trace = _coordinate_loop(
+        oracle, SmoothnessProfile(norms_sq), np.zeros(a_matrix.m), dual_cfg,
+        norms_sq, "kaczmarz",
+    )
+    return x, trace

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from nucd import bench
 from nucd.bench import (
     ExperimentSpec,
     beta_sweep,
@@ -173,3 +174,34 @@ def test_experiment_spec_validation_and_dispatch():
 def test_race_rejects_empty_seeds():
     with pytest.raises(ValueError):
         run_kaczmarz_race(10, 5, 0.5, seeds=[], eps=1e-6)
+
+
+def test_pool_is_sized_to_the_cells(monkeypatch):
+    """A pool forks every worker at its first submit, so it gets no more
+    workers than there are cells; a fake stands in for it here."""
+    sizes = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, cells):
+            return map(fn, cells)
+
+    monkeypatch.setattr(bench, "ProcessPoolExecutor", FakePool)
+    pooled = run_kaczmarz_race(20, 8, 0.5, seeds=[0], eps=1e-6, jobs=64)
+    assert sizes == [3]  # nu-acdm, acdm and kaczmarz
+    serial = run_kaczmarz_race(20, 8, 0.5, seeds=[0], eps=1e-6, jobs=1)
+    assert sizes == [3]
+    for key, trace in serial.traces.items():
+        assert np.array_equal(pooled.traces[key].values, trace.values)
+    for jobs in (0, -1):
+        with pytest.raises(ValueError, match="jobs must be at least 1"):
+            run_kaczmarz_race(20, 8, 0.5, seeds=[0], eps=1e-6, jobs=jobs)
+    assert sizes == [3]

@@ -20,6 +20,15 @@ def test_help_exits_zero(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+@pytest.mark.parametrize("argv", [["bench", "--experiment", "kaczmarz-race"], ["check"]],
+                         ids=["bench", "check"])
+def test_jobs_below_one_is_a_usage_error(capsys, argv, jobs):
+    code, _out, err = run(capsys, *argv, "--jobs", jobs)
+    assert code == 1
+    assert "--jobs: must be at least 1" in err
+
+
 def test_usage_errors_exit_one(capsys):
     assert run(capsys, "frobnicate")[0] == 1
     assert run(capsys, "solve", "--problem", "kaczmarz", "--algo", "nosuch")[0] == 1

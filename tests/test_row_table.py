@@ -1,10 +1,11 @@
-"""Differential tests for the row-table fast path of the coordinate loop.
+"""Differential tests for the CSR-row fast path of the coordinate loop.
 
-The loop fetches (cols, vals) = oracle.row_table()[i] once per step, takes
-the gradient from the gathered aggregate and vals, and scatters
-(delta / agg_div) * vals into the caches itself.  Every trajectory must stay
-bitwise what the public coord_grad / update_aggregate protocol gives, so
-these tests compare with array_equal and sign bits, never a tolerance.
+The loop slices row i's (cols, vals) out of oracle.row_matrix once per step,
+with cols = slice(0, d) for a row of all d columns, takes the gradient from
+the gathered aggregate and vals, and scatters (delta / agg_div) * vals into
+the caches itself.  Every trajectory must stay bitwise what the public
+coord_grad / update_aggregate protocol gives, so these tests compare with
+array_equal and sign bits, never a tolerance.
 """
 
 import struct
@@ -33,7 +34,6 @@ from nucd.solvers import (
     SolverConfig,
     acdm_baseline,
     acdm_probabilities,
-    kaczmarz,
     nu_acdm,
     nu_acdm_ns,
     nu_probabilities,
@@ -79,7 +79,7 @@ def test_penalty_loss_uses_the_scalar_form_and_squared_loss_its_own():
     assert problems.SQUARED_LOSS.conj_deriv_scalar is problems.SQUARED_LOSS.conj_deriv
 
 
-# --- oracle level: the table, its gradient and its scatter ---
+# --- oracle level: the row fetch, its gradient and its scatter ---
 
 
 _VALUES = st.floats(-10.0, 10.0).filter(lambda v: abs(v) > 1e-3)
@@ -89,14 +89,17 @@ _POINT = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, -3.0]),
 
 @st.composite
 def _matrices(draw, allow_empty):
-    """Rows that are empty, one contiguous run, or scattered columns."""
+    """Rows that are empty, one contiguous run, all d columns, or scattered
+    columns."""
     m = draw(st.integers(1, 7))
     d = draw(st.integers(1, 12))
-    kinds = ["run", "scattered"] + (["empty"] if allow_empty else [])
+    kinds = ["run", "full", "scattered"] + (["empty"] if allow_empty else [])
     dense = np.zeros((m, d))
     for i in range(m):
         kind = draw(st.sampled_from(kinds))
-        if kind == "run":
+        if kind == "full":
+            cols = range(d)
+        elif kind == "run":
             lo = draw(st.integers(0, d - 1))
             cols = range(lo, draw(st.integers(lo + 1, d)))
         elif kind == "scattered":
@@ -110,7 +113,7 @@ def _matrices(draw, allow_empty):
 
 def _csr_grad(oracle, x, i, agg):
     """grad_i f read off the CSR arrays with a fancy index, with the loss's
-    array-form conjugate: the path the row table replaces."""
+    array-form conjugate: the reference for the loop's row fetch."""
     mat = oracle.a if isinstance(oracle, KaczmarzQuadratic) else oracle.data
     lo, hi = mat.indptr[i], mat.indptr[i + 1]
     part, vals = agg[mat.indices[lo:hi]], mat.data[lo:hi]
@@ -121,20 +124,15 @@ def _csr_grad(oracle, x, i, agg):
     return sep / oracle.n - row_dot / oracle.n
 
 
-def _check_table(oracle, mat):
-    rows = oracle.row_table()
-    assert len(rows) == mat.m and oracle.row_table() is rows
-    for i, (cols, vals) in enumerate(rows):
-        lo, hi = mat.indptr[i], mat.indptr[i + 1]
-        ids = mat.indices[lo:hi]
-        contiguous = ids.size == 0 or ids[-1] - ids[0] == ids.size - 1
-        assert isinstance(cols, slice) == contiguous
-        assert np.array_equal(np.arange(mat.d)[cols], ids)
-        assert np.array_equal(vals, mat.data[lo:hi])
-        if ids.size:
-            assert np.shares_memory(vals, mat.data)
-            if not contiguous:
-                assert np.shares_memory(cols, mat.indices)
+def _loop_row(mat, i):
+    """(cols, vals) of row i as _coordinate_loop slices them."""
+    lo, hi = mat.indptr.item(i), mat.indptr.item(i + 1)
+    cols = slice(0, mat.d) if hi - lo == mat.d else mat.indices[lo:hi]
+    vals = mat.data[lo:hi]
+    # a full row is the slice because its ids ascend strictly in [0, d)
+    assert np.array_equal(np.arange(mat.d)[cols], mat.indices[lo:hi])
+    assert vals.size == 0 or np.shares_memory(vals, mat.data)
+    return cols, vals
 
 
 @pytest.mark.parametrize("variant", ["kaczmarz", "ridge", "smoothed_lasso", "l1l2_penalty"])
@@ -149,10 +147,11 @@ def test_row_table_gradient_and_scatter_match_the_csr_path(variant, data):
     else:
         oracle = ErmDual(mat, rhs, 0.3, 0.05, variant=variant)
         assert oracle.agg_div == float(mat.m)
-    _check_table(oracle, mat)
+    assert oracle.row_matrix is mat
     x = np.array(data.draw(st.lists(_POINT, min_size=mat.m, max_size=mat.m)))
     agg = np.array(data.draw(st.lists(_POINT, min_size=mat.d, max_size=mat.d)))
-    for i, (cols, vals) in enumerate(oracle.row_table()):
+    for i in range(mat.m):
+        cols, vals = _loop_row(mat, i)
         want = _csr_grad(oracle, x, i, agg)
         got = oracle.coord_grad_local(i, float(x[i]), agg[cols], vals)
         assert _same(got, want)
@@ -169,17 +168,22 @@ def test_row_table_gradient_and_scatter_match_the_csr_path(variant, data):
 
 
 def _mixed_rows(m, d, seed, allow_empty=True):
-    """Empty rows (when allowed), contiguous runs and scattered rows, with
-    norms spread over two orders of magnitude."""
+    """Empty rows (when allowed), contiguous runs, scattered rows, rows of
+    all d columns and rows of all but one, with norms spread over two orders
+    of magnitude."""
     rng = np.random.default_rng(seed)
     dense = np.zeros((m, d))
     for i in range(m):
-        kind = i % 3 if allow_empty else 1 + i % 2
+        kind = i % 5 if allow_empty else 1 + i % 4
         if kind == 1:
             lo = int(rng.integers(0, d - 5))
             dense[i, lo:lo + 5] = rng.standard_normal(5)
         elif kind == 2:
             dense[i, rng.choice(d, size=6, replace=False)] = rng.standard_normal(6)
+        elif kind >= 3:
+            dense[i] = rng.standard_normal(d)
+            if kind == 4:
+                dense[i, rng.integers(d)] = 0.0
         dense[i] *= 10.0 if i % 4 == 0 else 1.0
     return SparseRowMatrix.from_dense(dense), rng.standard_normal(m)
 
@@ -280,46 +284,18 @@ def test_loop_is_bitwise_the_public_protocol(solver, name):
 
 
 def test_an_aggregate_without_a_row_table_is_refused():
-    """An oracle that keeps an aggregate must say which entries a step
-    moves; without a table the loop would leave the aggregate stale."""
+    """An oracle that keeps an aggregate must name the matrix whose rows a
+    step moves it by; without one the loop would leave the aggregate stale."""
 
-    class NoTable(KaczmarzQuadratic):
-        def row_table(self):
-            return None
+    class NoRows(KaczmarzQuadratic):
+        def __init__(self, a_matrix, b):
+            super().__init__(a_matrix, b)
+            self.row_matrix = None
+
+        def aggregate(self, y):
+            return self.a.rmatvec(y)
 
     a, b, _ = gen_linear_system(12, 4, 0.25, seed=2)
     _, prof = build_kaczmarz(a, b)
-    with pytest.raises(TypeError, match="NoTable keeps an aggregate but no row table"):
-        rcdm(NoTable(a, b), prof, np.zeros(12), SolverConfig(iters=5))
-
-
-# --- memory: the table exists only for oracles that are solved ---
-
-
-def test_row_table_is_built_once_on_the_first_solve(monkeypatch):
-    built = []
-    real = problems._row_table
-
-    def counting(matrix):
-        built.append(matrix)
-        return real(matrix)
-
-    monkeypatch.setattr(problems, "_row_table", counting)
-    a, b, _ = gen_linear_system(30, 10, 0.2, seed=1)
-    kaczmarz(a, b, np.zeros(10), SolverConfig(iters=300, seed=1))
-    assert built == []
-
-    data, labels = _mixed_rows(24, 30, seed=2)
-    for oracle, prof in (build_kaczmarz(a, b), build_ridge_dual(data, labels, 0.1)):
-        assert built == [] and oracle._rows is None
-        cfg = SolverConfig(iters=5 * oracle.n, seed=3)
-        nu_acdm(oracle, prof, np.zeros(oracle.n), cfg)
-        assert len(built) == 1
-        table = oracle.row_table()
-        rcdm(oracle, prof, np.zeros(oracle.n), cfg)
-        assert len(built) == 1 and oracle.row_table() is table
-        built.clear()
-
-    # the matrix never holds a table, nor any per-row objects
-    for mat in (a, data):
-        assert not any(isinstance(v, (list, tuple)) for v in vars(mat).values())
+    with pytest.raises(TypeError, match="NoRows keeps an aggregate but no row matrix"):
+        rcdm(NoRows(a, b), prof, np.zeros(12), SolverConfig(iters=5))

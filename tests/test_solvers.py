@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from nucd import solvers
 from nucd.geometry import s_alpha
+from nucd.matrix import SparseRowMatrix
 from nucd.problems import (
     build_kaczmarz,
     build_lasso_dual,
@@ -202,9 +203,25 @@ def test_rcdm_matches_hand_transcript():
     assert trace.algo == "rcdm"
 
 
-def test_kaczmarz_matches_hand_transcript():
-    a, b, _x_star = gen_linear_system(6, 3, 0.5, seed=2)
-    x0 = np.zeros(3)
+def _scattered_system():
+    """A 9x12 system whose rows hold 2 to 5 scattered columns."""
+    rng = np.random.default_rng(8)
+    dense = np.zeros((9, 12))
+    for i in range(9):
+        cols = rng.choice(12, size=2 + i % 4, replace=False)
+        dense[i, cols] = rng.standard_normal(cols.size) * (4.0 if i % 3 == 0 else 1.0)
+    a = SparseRowMatrix.from_dense(dense)
+    assert any(np.any(np.diff(a.row(i)[0]) > 1) for i in range(a.m))
+    return a, rng.standard_normal(9)
+
+
+@pytest.mark.parametrize("case", ["dense", "scattered", "nonzero-x0"])
+def test_kaczmarz_matches_hand_transcript(case):
+    if case == "scattered":
+        a, b = _scattered_system()
+    else:
+        a, b, _x_star = gen_linear_system(6, 3, 0.5, seed=2)
+    x0 = np.linspace(-1.0, 2.0, a.d) if case == "nonzero-x0" else np.zeros(a.d)
     iters, seed = 40, 4
     out, trace = kaczmarz(a, b, x0, SolverConfig(iters=iters, seed=seed))
 
@@ -218,6 +235,61 @@ def test_kaczmarz_matches_hand_transcript():
     assert np.allclose(out, x, rtol=1e-12, atol=1e-12)
     r = dense @ out - b
     assert abs(trace.final_value() - r @ r) < 1e-12
+
+
+def test_kaczmarz_hooks_see_the_primal_point():
+    a, b, _ = gen_linear_system(20, 6, 0.5, seed=3)
+    x0 = np.linspace(-1.0, 2.0, 6)
+    dists, records = [], []
+
+    def dist_fn(x, agg, value):
+        dists.append((x.copy(), agg, value))
+        return float(np.dot(x, x))
+
+    cfg = SolverConfig(
+        iters=100, seed=5, trace_stride=20, dist_fn=dist_fn,
+        on_record=lambda k, x, agg, value: records.append((k, x.copy(), agg, value)),
+    )
+    out, trace = kaczmarz(a, b, x0, cfg)
+    assert [k for k, *_ in records] == trace.iters.tolist() == [0, 20, 40, 60, 80, 100]
+    assert np.array_equal(records[0][1], x0) and np.array_equal(records[-1][1], out)
+    for (x, agg, value), (_k, x_rec, agg_rec, value_rec), dist in zip(
+            dists, records, trace.dists):
+        assert agg is None and agg_rec is None
+        assert np.array_equal(x, x_rec) and value == value_rec
+        r = a.matvec(x) - b
+        assert value == float(np.dot(r, r))
+        assert dist == float(np.dot(x, x))
+
+
+def test_kaczmarz_draws_the_row_norm_stream(monkeypatch):
+    """The rows come from WeightedSampler(row_norms_sq, seed), across the
+    loop's 4096-index blocks; the replayed projections give the run's point."""
+    drawn = []
+
+    class Spy(WeightedSampler):
+        def __init__(self, weights, seed):
+            super().__init__(weights, seed)
+            drawn.append(np.array(weights))
+
+        def sample_block(self, size):
+            block = super().sample_block(size)
+            drawn.append(block)
+            return block
+
+    monkeypatch.setattr(solvers, "WeightedSampler", Spy)
+    a, b = _scattered_system()
+    iters, seed = 5000, 17
+    out, _ = kaczmarz(a, b, np.zeros(a.d), SolverConfig(iters=iters, seed=seed,
+                                                       trace_stride=1000))
+    weights, *blocks = drawn
+    assert np.array_equal(weights, a.row_norms_sq)
+    idx = np.concatenate(blocks)[:iters]
+    assert np.array_equal(idx, WeightedSampler(a.row_norms_sq, seed).sample_block(iters))
+    dense, x = a.to_dense(), np.zeros(a.d)
+    for i in idx.tolist():
+        x += (b[i] - dense[i] @ x) / a.row_norms_sq[i] * dense[i]
+    assert np.allclose(out, x, rtol=1e-12, atol=1e-12)
 
 
 def test_kaczmarz_single_projection_lands_on_hyperplane():
