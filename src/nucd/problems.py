@@ -105,7 +105,7 @@ class KaczmarzQuadratic(CoordOracle):
         return 0.5 * float(np.dot(w, w)) - float(np.dot(self.b, y))
 
     def coord_grad_local(self, i, y_i, agg_part, vals):
-        return float(np.dot(vals, agg_part)) - self._b[i]
+        return float(vals.dot(agg_part)) - self._b[i]
 
     # bound in the class itself: perfbench/spans.py wraps each oracle
     # class's own coord_grad and update_aggregate
@@ -289,6 +289,7 @@ class ErmDual(CoordOracle):
         self.labels = labels
         self._labels = labels.tolist()  # read one entry per step
         self.lam = float(lam)
+        self._neg_lam = -self.lam
         self.lam2 = None if lam2 is None else float(lam2)
         self.variant = variant
         self.n = data.m
@@ -315,11 +316,25 @@ class ErmDual(CoordOracle):
         sep = float(np.sum(self.loss.conj(y, self.labels))) / self.n
         return sep + self._reg_conj_value(v)
 
+    def _row_conj_grad(self, part):
+        """_reg_conj_grad on a row's part of v in fewer ufuncs: -v / lam
+        is v / -lam bit for bit, and the Lasso form clip(v) - v agrees
+        with -soft_threshold(v) except in the sign of zero entries."""
+        if self.lam2 is None:
+            return part / self._neg_lam
+        lam = self.lam
+        return (np.minimum(np.maximum(part, -lam), lam) - part) / self.lam2
+
     def coord_grad_local(self, i, y_i, agg_part, vals):
         # r* acts elementwise, so the row's own entries of v suffice
         sep = self.loss.conj_deriv_scalar(y_i, self._labels[i]) / self.n
-        row_dot = float(np.dot(vals, self._reg_conj_grad(agg_part)))
-        return sep - row_dot / self.n
+        g = sep - float(vals.dot(self._row_conj_grad(agg_part))) / self.n
+        if g == 0.0 and self.lam2 is not None:
+            # a signed zero entry can reach g only through a zero row dot
+            # and a zero sep, so only a zero g is recomputed exactly
+            row_dot = float(np.dot(vals, self._reg_conj_grad(agg_part)))
+            g = sep - row_dot / self.n
+        return g
 
     # bound in the class itself: perfbench/spans.py wraps each oracle
     # class's own coord_grad and update_aggregate

@@ -11,9 +11,12 @@ sequences implicitly, as two stored vectors and one scalar, so the coupling
 costs O(1).  On an oracle with a row matrix a step slices the sampled row
 out of its CSR arrays once, gathers the aggregate on its columns once and
 scatters into the two stored caches directly, so it costs O(nnz of one
-row); whole iterates are formed only at trace records, checked steps and
-return.  Without a schedule the loop is plain randomized coordinate descent
-on a single sequence, which on the dual of a linear system is Kaczmarz.
+row).  The caches are the two rows of one (2, d) array, so a row of all d
+columns updates both with one broadcast add (and the single cache of plain
+descent in place); whole iterates are formed only at trace records,
+checked steps and return.  Without a schedule the loop is plain randomized
+coordinate descent on a single sequence, which on the dual of a linear
+system is Kaczmarz.
 
 Iteration cost is honest: no solver ever forms a full gradient except
 full_gd, which exists as a reference baseline.
@@ -147,11 +150,14 @@ class _Recorder:
         )
 
 
-def _index_stream(sampler: WeightedSampler):
-    """The sampler's index stream as Python ints, drawn 4096 at a time
-    (cheaper per index)."""
-    while True:
-        yield from sampler.sample_block(4096).tolist()
+def _index_stream(sampler: WeightedSampler, count: int):
+    """The first `count` indices of the sampler's stream as Python ints,
+    drawn up to 4096 at a time (cheaper per index); the blocks continue
+    one stream, so their sizes do not change the indices."""
+    while count > 0:
+        size = min(4096, count)
+        count -= size
+        yield from sampler.sample_block(size).tolist()
 
 
 # --- step-size schedules ---
@@ -292,12 +298,15 @@ class _Growing:
     r = 0.0
 
     def __init__(self, profile: SmoothnessProfile, p: np.ndarray, s_alpha_sq: float):
+        ns_schedule(0, s_alpha_sq)  # validates s_alpha_sq
         self.s_sq = s_alpha_sq
+        self.two_s_sq = 2.0 * s_alpha_sq
         self.inv_plb = (1.0 / (p * profile.l ** profile.beta)).tolist()
 
     def step(self, k: int):
-        eta, tau = ns_schedule(k, self.s_sq)
-        return 1.0 - tau, eta
+        # ns_schedule(k, s_sq) inline, the same operations
+        k2 = k + 2.0
+        return 1.0 - 2.0 / k2, k2 / self.two_s_sq
 
     def z_delta(self, i: int, g: float, eta: float) -> float:
         return -eta * self.inv_plb[i] * g
@@ -337,9 +346,12 @@ def _coordinate_loop(oracle, profile, x0, cfg, p, algo, schedule=None):
     gathers part = u.agg[cols] + c v.agg[cols] once and takes the gradient
     from x_i, part and vals.  It then writes u_i and v_i and scatters
     (du / agg_div) vals and (dv / agg_div) vals into the two caches on cols,
-    so it costs O(nnz of one row).  An oracle without a row matrix is asked
-    for the gradient from x_i alone.  Whole points are formed at trace
-    records, at checked steps and at return.
+    so it costs O(nnz of one row).  The two caches are the rows of one
+    (2, d) array: a row of all d columns needs no gather and updates both
+    with one broadcast add, and without a schedule it is added to u's cache
+    in place.  An oracle without a row matrix is asked for the gradient
+    from x_i alone.  Whole points are formed at trace records, at checked
+    steps and at return.
     """
     checking = cfg.check_level != "off"
     check_all = cfg.check_level == "full"
@@ -352,6 +364,13 @@ def _coordinate_loop(oracle, profile, x0, cfg, p, algo, schedule=None):
     v = TrackedPoint(oracle, np.zeros(oracle.n)) if accel else None
     ux, uagg = u.x, u.agg
     vx, vagg = (v.x, v.agg) if accel else (None, None)
+    if accel and uagg is not None:
+        # both caches in one C-contiguous array; a full row adds
+        # w * vals to it, w = (du, dv) / agg_div set through a memoryview
+        aggs = np.stack((uagg, vagg))
+        uagg, vagg = aggs
+        w = np.empty(2)
+        w_at, w_col = memoryview(w), w[:, None]
     # memoryviews get and set one entry as a Python scalar faster than numpy
     u_at = memoryview(ux)
     v_at = memoryview(vx) if accel else None
@@ -363,9 +382,6 @@ def _coordinate_loop(oracle, profile, x0, cfg, p, algo, schedule=None):
         raise TypeError(f"{type(oracle).__name__} keeps an aggregate but no row matrix")
     if mat is not None:
         ptr, indices, data, d = memoryview(mat.indptr), mat.indices, mat.data, mat.d
-        # column ids ascend strictly in [0, d), so a row of d entries is
-        # columns 0..d-1: gather and scatter it by basic indexing
-        full = slice(0, d)
     div = oracle.agg_div
     grad_local = oracle.coord_grad_local
 
@@ -379,7 +395,7 @@ def _coordinate_loop(oracle, profile, x0, cfg, p, algo, schedule=None):
         x, agg = point(coef)
         return oracle.value(x, agg), x, agg
 
-    next_index = _index_stream(WeightedSampler(p, cfg.seed)).__next__
+    next_index = _index_stream(WeightedSampler(p, cfg.seed), iters).__next__
     rec = _Recorder(algo, cfg, units_per_epoch=oracle.n)
     worst_descent = -math.inf
     worst_mirror = 0.0 if accel else math.nan
@@ -412,14 +428,21 @@ def _coordinate_loop(oracle, profile, x0, cfg, p, algo, schedule=None):
             else:
                 x_i = u_i
             if mat is None:
+                whole = False
                 g = grad_local(i, x_i, None, None)
             else:
                 lo, hi = ptr[i], ptr[i + 1]
-                cols = full if hi - lo == d else indices[lo:hi]
                 vals = data[lo:hi]
-                # gathered once: the scatters below add to these same parts
-                u_part = uagg[cols]
-                v_part = vagg[cols] if accel else None
+                # column ids ascend strictly in [0, d), so a row of d entries
+                # is columns 0..d-1: its parts are the whole caches
+                whole = hi - lo == d
+                if whole:
+                    u_part, v_part = uagg, vagg
+                else:
+                    # gathered once: the scatters below add to these parts
+                    cols = indices[lo:hi]
+                    u_part = uagg[cols]
+                    v_part = vagg[cols] if accel else None
                 part = u_part + c * v_part if accel else u_part
                 g = grad_local(i, x_i, part, vals)
             if not math.isfinite(g):
@@ -435,12 +458,18 @@ def _coordinate_loop(oracle, profile, x0, cfg, p, algo, schedule=None):
                 dv = (dy - dz) / (c * one_minus_r)
                 u_at[i] = u_i + du
                 v_at[i] = v_i + dv
-                if mat is not None:
+                if whole:
+                    w_at[0] = du / div
+                    w_at[1] = dv / div
+                    aggs += w_col * vals
+                elif mat is not None:
                     uagg[cols] = u_part + (du / div) * vals
                     vagg[cols] = v_part + (dv / div) * vals
             else:
                 u_at[i] = u_i + dy
-                if mat is not None:
+                if whole:
+                    uagg += (dy / div) * vals
+                elif mat is not None:
                     uagg[cols] = u_part + (dy / div) * vals
 
             if check_now:

@@ -33,6 +33,7 @@ from nucd.sampling import WeightedSampler
 from nucd.solvers import (
     SolverConfig,
     acdm_baseline,
+    kaczmarz,
     acdm_probabilities,
     nu_acdm,
     nu_acdm_ns,
@@ -162,6 +163,56 @@ def test_row_table_gradient_and_scatter_match_the_csr_path(variant, data):
         scattered[cols] += (delta / oracle.agg_div) * vals  # the loop's scatter
         oracle.update_aggregate(updated, i, delta)
         assert _same(scattered, updated)
+
+
+# --- the ERM row gradients against the whole-vector conjugate gradient ---
+
+
+_LAM = 0.3
+_EDGE_PARTS = [0.0, -0.0, _LAM, -_LAM, 1e300, -1e300, 1e-300, -1e-300] + [
+    float(np.nextafter(edge, toward)) for edge in (_LAM, -_LAM)
+    for toward in (0.0, np.inf, -np.inf)]
+_PARTS = st.one_of(st.sampled_from(_EDGE_PARTS), st.floats(-1e6, 1e6))
+_ROW_VALS = st.one_of(st.sampled_from([1.0, -1.0, -2.5, 1e-3, -1e3]), _VALUES)
+_SCALARS = st.one_of(st.sampled_from([0.0, -0.0, 1.5, -2.0]), st.floats(-4.0, 4.0))
+
+
+@pytest.mark.parametrize("variant", ["ridge", "smoothed_lasso", "l1l2_penalty"])
+@settings(deadline=None, max_examples=300)
+@given(data=st.data())
+def test_erm_row_gradient_is_the_whole_vector_form_bit_for_bit(variant, data):
+    """coord_grad_local's row form of grad r* gives g bit for bit as the
+    whole-vector _reg_conj_grad, sign of zero included; the Lasso row form
+    differs from it only in the sign of zero entries."""
+    size = data.draw(st.integers(0, 6))
+    part = np.array(data.draw(st.lists(_PARTS, min_size=size, max_size=size)))
+    vals = np.array(data.draw(st.lists(_ROW_VALS, min_size=size, max_size=size)))
+    label, y_i = data.draw(_SCALARS), data.draw(_SCALARS)
+    oracle = ErmDual(SparseRowMatrix.from_dense(np.eye(3)), np.array([label, 1.0, 2.0]),
+                     _LAM, 0.05, variant=variant)
+    sep = float(oracle.loss.conj_deriv(np.array([y_i]), np.array([label]))[0])
+    want = sep / oracle.n - float(np.dot(vals, oracle._reg_conj_grad(part))) / oracle.n
+    assert _same(oracle.coord_grad_local(0, y_i, part, vals), want)
+
+    row, whole = oracle._row_conj_grad(part), oracle._reg_conj_grad(part)
+    assert np.array_equal(row, whole)
+    if variant == "smoothed_lasso":
+        nonzero = whole != 0.0
+        assert _same(row[nonzero], whole[nonzero])
+    else:
+        assert _same(row, whole)
+
+
+def test_lasso_zero_gradient_keeps_the_whole_vector_sign():
+    """On a one-entry row the row dot is the lone product, so a zero entry's
+    sign reaches it: with label and y_i both -0.0 the row form alone would
+    give g = -0.0 where the whole-vector form gives 0.0."""
+    oracle = ErmDual(SparseRowMatrix.from_dense(np.eye(2)), np.array([-0.0, 1.0]),
+                     _LAM, 0.05, variant="smoothed_lasso")
+    part, vals = np.array([0.1]), np.array([2.0])
+    assert _bits(np.dot(vals, oracle._reg_conj_grad(part))) == _bits(-0.0)
+    assert _bits(vals.dot(oracle._row_conj_grad(part))) == _bits(0.0)
+    assert _bits(oracle.coord_grad_local(0, -0.0, part, vals)) == _bits(0.0)
 
 
 # --- loop level: the solvers against the public protocol ---
@@ -299,3 +350,52 @@ def test_an_aggregate_without_a_row_table_is_refused():
     _, prof = build_kaczmarz(a, b)
     with pytest.raises(TypeError, match="NoRows keeps an aggregate but no row matrix"):
         rcdm(NoRows(a, b), prof, np.zeros(12), SolverConfig(iters=5))
+
+
+def _inputs(rows):
+    """A consistent system (A, b) and an ERM dataset (X, labels) whose rows
+    are all d columns wide, or a few scattered columns each."""
+    rng = np.random.default_rng(8)
+    dense = rng.standard_normal((24, 10))
+    if rows == "scattered":
+        dense[rng.random(dense.shape) < 0.6] = 0.0
+        dense[np.arange(24), rng.integers(10, size=24)] = 3.0  # no empty rows
+    a = SparseRowMatrix.from_dense(dense)
+    widths = np.diff(a.indptr)
+    assert (widths == a.d).all() if rows == "full" else (widths < a.d).all()
+    return a, a.matvec(rng.standard_normal(10)), rng.standard_normal(24)
+
+
+_SOLVERS = {
+    "nu_acdm": nu_acdm, "acdm_baseline": acdm_baseline, "nu_acdm_ns": nu_acdm_ns,
+    "rcdm": rcdm,
+    "generalized_accel": lambda o, prof, x0, cfg: solvers.generalized_accel(
+        o, prof, x0, cfg, rcdm_probabilities(prof)),
+}
+
+
+@pytest.mark.parametrize("rows", ["full", "scattered"])
+@pytest.mark.parametrize("solver", [*_SOLVERS, "kaczmarz"])
+def test_runs_neither_write_their_inputs_nor_alias_them(solver, rows):
+    """The scatters write the loop's own caches in place: a run leaves x0,
+    b, the labels and the row matrix's arrays as they were, returns a point
+    of its own, and a second run gives the same point."""
+    a, b, labels = _inputs(rows)
+    if solver == "kaczmarz":
+        cases = [(a, b, lambda x0, cfg: kaczmarz(a, b, x0, cfg)[0])]
+    else:
+        run = _SOLVERS[solver]
+        cases = [(oracle.row_matrix, rhs, lambda x0, cfg, o=oracle, prof=prof:
+                  run(o, prof, x0, cfg)[0])
+                 for (oracle, prof), rhs in ((build_kaczmarz(a, b), b),
+                                             (build_ridge_dual(a, labels, 0.1), labels))]
+    for mat, rhs, solve in cases:
+        x0 = np.linspace(-0.5, 0.5, a.d if solver == "kaczmarz" else a.m)
+        before = [arr.copy() for arr in (x0, rhs, mat.indptr, mat.indices, mat.data)]
+        cfg = SolverConfig(iters=6 * a.m, seed=2, trace_stride=a.m)
+        out = solve(x0, cfg)
+        for arr, kept in zip((x0, rhs, mat.indptr, mat.indices, mat.data), before):
+            assert _same(arr, kept)
+        assert not np.shares_memory(out, x0)
+        assert not np.shares_memory(out, mat.data)
+        assert _same(solve(x0, cfg), out)

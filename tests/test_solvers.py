@@ -63,6 +63,15 @@ def test_ns_schedule_recurrence(k, s_sq):
     assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
 
 
+@settings(deadline=None, max_examples=200)
+@given(st.integers(min_value=0, max_value=10**9), st.floats(min_value=1e-6, max_value=1e9))
+def test_growing_step_is_ns_schedule_bit_for_bit(k, s_sq):
+    _, prof = build_separable_quadratic(np.array([1.0, 4.0]))
+    eta, tau = ns_schedule(k, s_sq)
+    rho_k, eta_k = solvers._Growing(prof, nu_probabilities(prof), s_sq).step(k)
+    assert (rho_k, eta_k) == (1.0 - tau, eta)
+
+
 def test_schedule_rejects_degenerate_inputs():
     with pytest.raises(ValueError):
         accel_schedule(0.0, 1.0)
@@ -290,6 +299,29 @@ def test_kaczmarz_draws_the_row_norm_stream(monkeypatch):
     for i in idx.tolist():
         x += (b[i] - dense[i] @ x) / a.row_norms_sq[i] * dense[i]
     assert np.allclose(out, x, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("iters, sizes", [(0, []), (600, [600]),
+                                          (10_000, [4096, 4096, 1808])])
+def test_index_draws_are_sized_to_the_run(monkeypatch, iters, sizes):
+    """The loop draws exactly the indices the run takes, in blocks of at
+    most 4096 that continue one stream: the indices of whole 4096-blocks."""
+    blocks = []
+
+    class Spy(WeightedSampler):
+        def sample_block(self, size):
+            block = super().sample_block(size)
+            blocks.append(block)
+            return block
+
+    monkeypatch.setattr(solvers, "WeightedSampler", Spy)
+    oracle, prof = build_separable_quadratic(np.linspace(1.0, 9.0, 30))
+    cfg = SolverConfig(iters=iters, seed=4, trace_stride=300)
+    rcdm(oracle, prof, np.ones(30), cfg)
+    assert [block.size for block in blocks] == sizes
+    whole = WeightedSampler(rcdm_probabilities(prof), 4)
+    want = np.concatenate([whole.sample_block(4096) for _ in range(3)])[:iters]
+    assert np.array_equal(np.concatenate([np.zeros(0, np.int64)] + blocks), want)
 
 
 def test_kaczmarz_single_projection_lands_on_hyperplane():

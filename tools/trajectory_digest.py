@@ -1,0 +1,148 @@
+"""Print one SHA-1 per (problem, solver, check level) trajectory.
+
+Each line is `problem solver check_level sha1`, the digest taken over the
+returned point, trace.iters, trace.values, trace.dists and the trace's two
+invariant margins.  The problems are the Kaczmarz quadratic, ridge, Lasso
+and penalty duals on rows of all d columns ("dense"), rows of a few
+scattered columns ("scattered") and a mix of empty rows, contiguous runs,
+scattered, full and all-but-one rows ("mixed"); the solvers are nu_acdm,
+acdm_baseline, generalized_accel, nu_acdm_ns and rcdm, plus kaczmarz on the
+three linear systems.
+
+A change meant to leave every trajectory bitwise unchanged is checked by
+digesting the parent's source with this same script and diffing:
+
+    mkdir -p /tmp/parent && git archive HEAD~1 src | tar -x -C /tmp/parent
+    python tools/trajectory_digest.py --src /tmp/parent/src > parent.txt
+    python tools/trajectory_digest.py > change.txt
+    diff parent.txt change.txt
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import pathlib
+import sys
+
+import numpy as np
+
+CHECK_LEVELS = ("off", "cheap", "full")
+ROW_KINDS = ("dense", "scattered", "mixed")
+
+
+def _rows(kind, m, d, rng):
+    """An m x d dense array whose rows are all of one kind, or mixed."""
+    dense = np.zeros((m, d))
+    for i in range(m):
+        row_kind = kind if kind != "mixed" else ("empty", "run", "scattered",
+                                                 "dense", "all_but_one")[i % 5]
+        if row_kind == "run":
+            lo = int(rng.integers(0, d - 5))
+            dense[i, lo:lo + 5] = rng.standard_normal(5)
+        elif row_kind == "scattered":
+            dense[i, rng.choice(d, size=4, replace=False)] = rng.standard_normal(4)
+        elif row_kind in ("dense", "all_but_one"):
+            dense[i] = rng.standard_normal(d)
+            if row_kind == "all_but_one":
+                dense[i, rng.integers(d)] = 0.0
+        # norms spread over two orders of magnitude
+        dense[i] *= 10.0 if i % 4 == 0 else 1.0
+    return dense
+
+
+def problems():
+    """{name: (oracle, profile)} and {name: (A, b)} for the kaczmarz solver."""
+    from nucd.matrix import SparseRowMatrix
+    from nucd.problems import (build_kaczmarz, build_lasso_dual,
+                               build_penalty_dual, build_ridge_dual)
+
+    oracles, systems = {}, {}
+    for seed, kind in enumerate(ROW_KINDS):
+        rng = np.random.default_rng(seed)
+        m, d = 40, (12 if kind == "dense" else 30)
+        # Kaczmarz rows may not be empty: an empty row gets one entry
+        a_dense = _rows(kind, m, d, rng)
+        a_dense[~a_dense.any(axis=1), 0] = 1.0
+        a = SparseRowMatrix.from_dense(a_dense)
+        b = a.matvec(rng.standard_normal(d))
+        systems[kind] = (a, b)
+        oracles[f"kaczmarz-{kind}"] = build_kaczmarz(a, b, beta=0.5)
+        data = SparseRowMatrix.from_dense(_rows(kind, m, d, rng))
+        labels = rng.standard_normal(m)
+        labels[::9] = -0.0
+        oracles[f"ridge-{kind}"] = build_ridge_dual(data, labels, 0.1)
+        oracles[f"lasso-{kind}"] = build_lasso_dual(data, labels, 0.1, 0.01, beta=0.3)
+        oracles[f"penalty-{kind}"] = build_penalty_dual(data, labels, 0.1, beta=0.4)
+    return oracles, systems
+
+
+def _digest(point, trace) -> str:
+    h = hashlib.sha1()
+    for arr, dtype in ((point, np.float64), (trace.iters, np.int64),
+                       (trace.values, np.float64), (trace.dists, np.float64),
+                       ([trace.max_descent_violation, trace.max_mirror_residual],
+                        np.float64)):
+        h.update(np.ascontiguousarray(arr, dtype=dtype).tobytes())
+    return h.hexdigest()
+
+
+def cells(epochs: int):
+    """Yield (problem, solver, check_level, sha1) for every cell."""
+    from nucd import solvers
+
+    def norm_sq(x, agg, value):
+        return float(np.dot(x, x))
+
+    def start(n):
+        x0 = np.linspace(-0.7, 0.4, n)
+        x0[::7] = -0.0
+        return x0
+
+    oracles, systems = problems()
+    for name, (oracle, prof) in oracles.items():
+        runs = {"nu_acdm": solvers.nu_acdm, "acdm_baseline": solvers.acdm_baseline,
+                "generalized_accel": lambda o, p, x, c: solvers.generalized_accel(
+                    o, p, x, c, solvers.rcdm_probabilities(p)),
+                "nu_acdm_ns": solvers.nu_acdm_ns, "rcdm": solvers.rcdm}
+        if prof.sigma_beta <= 0.0:
+            # the strongly convex schedules need sigma > 0
+            runs = {k: runs[k] for k in ("nu_acdm_ns", "rcdm")}
+        n = oracle.n
+        for solver, run in runs.items():
+            for level in CHECK_LEVELS:
+                cfg = solvers.SolverConfig(iters=epochs * n, seed=3,
+                                           trace_stride=n // 2, check_level=level,
+                                           dist_fn=norm_sq)
+                yield (name, solver, level, _digest(*run(oracle, prof, start(n), cfg)))
+    for kind, (a, b) in systems.items():
+        for level in CHECK_LEVELS:
+            cfg = solvers.SolverConfig(iters=epochs * a.m, seed=3,
+                                       trace_stride=a.m // 2, check_level=level,
+                                       dist_fn=norm_sq)
+            out = solvers.kaczmarz(a, b, start(a.d), cfg)
+            yield (f"linsys-{kind}", "kaczmarz", level, _digest(*out))
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--epochs", type=int, default=20,
+                        help="coordinate steps per cell, in units of n (default 20)")
+    parser.add_argument("--src", default=str(pathlib.Path(__file__).resolve().parents[1] / "src"),
+                        help="directory holding the nucd package to digest")
+    args = parser.parse_args(argv)
+    if args.epochs < 1:
+        parser.error("--epochs must be at least 1")
+    sys.path.insert(0, args.src)
+    import nucd
+
+    if not pathlib.Path(nucd.__file__).resolve().is_relative_to(
+            pathlib.Path(args.src).resolve()):
+        parser.error(f"nucd imports from {nucd.__file__}, not from {args.src}")
+    for cell in cells(args.epochs):
+        print(*cell)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
