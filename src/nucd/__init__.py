@@ -63,7 +63,6 @@ from .data_io import (
     write_trace,
 )
 from .bench import (
-    ExperimentSpec,
     RaceResult,
     beta_sweep,
     run_erm_race,
@@ -81,7 +80,6 @@ __all__ = [
     "CoordOracle",
     "Dataset",
     "ErmDual",
-    "ExperimentSpec",
     "InvariantViolation",
     "KaczmarzQuadratic",
     "ParseError",

@@ -1,10 +1,12 @@
 """Experiment drivers: head-to-head solver races on generated instances.
 
 Epochs (passes over the data: n coordinate steps, m row picks for row
-projection) are the x-axis everywhere; wall-clock is recorded per cell and
-reported as a per-algorithm median next to the epoch counts.  Each (algorithm, seed) cell is an independent run, so cells may be
-executed in parallel; results are merged by sorted key and a race is
-bit-reproducible from its parameters.
+projection, one full gradient step) are the x-axis everywhere; run_cell is
+the one place that turns an (algorithm, epochs, seed) cell into a solver
+call.  Wall-clock is recorded per cell and reported as a per-algorithm
+median next to the epoch counts.  Each (algorithm, seed) cell is an
+independent run, so cells may be executed in parallel; results are merged
+by sorted key and a race is bit-reproducible from its parameters.
 """
 
 from __future__ import annotations
@@ -12,13 +14,14 @@ from __future__ import annotations
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from . import problems, solvers
-from .data_io import Dataset, gen_linear_system, gen_skewed_dataset, two_level_norms
+from .data_io import Dataset, gen_linear_system
 from .geometry import SmoothnessProfile, lbeta_norm_sq, s_alpha, speedup_factor
-from .solvers import ConvergenceTrace, SolverConfig
+from .solvers import SolverConfig
 
 KACZMARZ_RACE_ALGOS = ("nu-acdm", "acdm", "kaczmarz")
 
@@ -55,17 +58,21 @@ class GapTo:
 
 
 class PrimalGapRecorder:
-    """Collects P(w(y_k)) - P* at every trace record of a dual run."""
+    """Collects P(w(y_k)) - P* (gaps) and the duality gap P(w(y_k)) + D(y_k)
+    (duality_gaps) at every trace record of a dual ERM run."""
 
     def __init__(self, problem, p_star):
         self.problem = problem
         self.p_star = float(p_star)
         self.gaps = []
+        self.duality_gaps = []
 
     def __call__(self, k, x, agg, value):
         v = self.problem.aggregate(x) if agg is None else agg
         w = problems.primal_from_dual(self.problem, x, aggregate=v)
-        self.gaps.append(problems.primal_objective(self.problem, w) - self.p_star)
+        p = problems.primal_objective(self.problem, w)
+        self.gaps.append(p - self.p_star)
+        self.duality_gaps.append(p + problems.smoothing_term(self.problem, w) + value)
 
 
 # --- cell execution ---
@@ -82,29 +89,40 @@ COORD_SOLVERS = {
 }
 
 
-def coord_solver(algo: str):
-    """The sampled coordinate solver named algo."""
-    return getattr(solvers, COORD_SOLVERS[algo])
+def run_cell(cell: dict):
+    """Run one (algorithm, seed) cell from x0 for cell["epochs"] epochs with
+    one trace record per epoch, and return (key, trace, extras).
 
-
-def _run_cell(cell: dict):
-    cfg = SolverConfig(**cell["cfg"])
-    recorder = None
-    if cell.get("primal_star") is not None:
-        recorder = PrimalGapRecorder(cell["oracle"], cell["primal_star"])
-        cfg.on_record = recorder
-    start = time.perf_counter()
+    An epoch is m row projections for "kaczmarz" (the cell holds matrix and
+    b), one full step for "gd" (oracle, l_global) and n coordinate steps for
+    a sampled coordinate solver (oracle, profile).  Optional entries: dist_fn,
+    eps (the early-stop target) and primal_star, which makes extras carry the
+    primal gap of a dual ERM run at every record."""
     algo = cell["algo"]
     if algo == "kaczmarz":
-        _, trace = solvers.kaczmarz(cell["matrix"], cell["b"], cell["x0"], cfg)
+        units = cell["matrix"].m
+        run = partial(solvers.kaczmarz, cell["matrix"], cell["b"])
     elif algo == "gd":
-        _, trace = solvers.full_gd(cell["oracle"], cell["l_global"], cell["x0"], cfg)
+        units = 1
+        run = partial(solvers.full_gd, cell["oracle"], cell["l_global"])
     else:
-        _, trace = coord_solver(algo)(cell["oracle"], cell["profile"], cell["x0"], cfg)
-    elapsed = time.perf_counter() - start
-    extras = {"wall_seconds": elapsed}
-    if recorder is not None:
-        extras["primal_gaps"] = np.asarray(recorder.gaps)
+        units = cell["oracle"].n
+        run = partial(getattr(solvers, COORD_SOLVERS[algo]), cell["oracle"],
+                      cell["profile"])
+    cfg = SolverConfig(
+        iters=cell["epochs"] * units,
+        seed=cell["seed"],
+        trace_stride=units,
+        dist_fn=cell.get("dist_fn"),
+        stop_when_dist_below=cell.get("eps"),
+    )
+    if cell.get("primal_star") is not None:
+        cfg.on_record = PrimalGapRecorder(cell["oracle"], cell["primal_star"])
+    start = time.perf_counter()
+    _, trace = run(cell["x0"], cfg)
+    extras = {"wall_seconds": time.perf_counter() - start}
+    if cfg.on_record is not None:
+        extras["primal_gaps"] = np.asarray(cfg.on_record.gaps)
     return cell["key"], trace, extras
 
 
@@ -114,10 +132,10 @@ def _execute(cells, jobs: int):
     # a pool forks all its workers at the first submit
     workers = min(jobs, len(cells))
     if workers <= 1:
-        results = [_run_cell(c) for c in cells]
+        results = [run_cell(c) for c in cells]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_cell, cells))
+            results = list(pool.map(run_cell, cells))
     return sorted(results, key=lambda item: item[0])
 
 
@@ -178,10 +196,10 @@ def _collect(description, eps, speedup, results) -> RaceResult:
 
 
 def run_kaczmarz_race(
-    m: int,
-    n: int,
-    r: float,
-    seeds,
+    m: int = 300,
+    n: int = 100,
+    r: float = 0.1,
+    seeds=range(10),
     eps: float = 1e-8,
     max_epochs: int = 4000,
     instance_seed: int = 0,
@@ -195,29 +213,17 @@ def run_kaczmarz_race(
         raise ValueError("need at least one seed")
     a, b, x_star = gen_linear_system(m, n, r, seed=instance_seed)
     oracle, profile = problems.build_kaczmarz(a, b)
-    x0_dual = np.zeros(m)
-    x0_primal = np.zeros(n)
-    denom = float(np.dot(x_star, x_star))  # x0 = 0 on the primal side
-    dist = RelErrToSolution(x_star, denom)
-
-    cells = []
-    for seed in seeds:
-        cfg = dict(
-            iters=max_epochs * m,
-            seed=seed,
-            trace_stride=m,
-            dist_fn=dist,
-            stop_when_dist_below=eps,
-        )
-        for algo in ("nu-acdm", "acdm"):
-            cells.append(
-                dict(key=(algo, seed), algo=algo, oracle=oracle,
-                     profile=profile, x0=x0_dual, cfg=cfg)
-            )
-        cells.append(
-            dict(key=("kaczmarz", seed), algo="kaczmarz", matrix=a, b=b,
-                 x0=x0_primal, cfg=cfg)
-        )
+    # ||x0 - x*||^2 with x0 = 0 on the primal side
+    dist = RelErrToSolution(x_star, float(np.dot(x_star, x_star)))
+    run = dict(epochs=max_epochs, dist_fn=dist, eps=eps)
+    dual = dict(run, oracle=oracle, profile=profile, x0=np.zeros(m))
+    primal = dict(run, matrix=a, b=b, x0=np.zeros(n))
+    cells = [
+        dict(primal if algo == "kaczmarz" else dual, key=(algo, seed), algo=algo,
+             seed=seed)
+        for seed in seeds
+        for algo in KACZMARZ_RACE_ALGOS
+    ]
 
     results = _execute(cells, jobs)
     return _collect(
@@ -255,8 +261,8 @@ def build_erm(dataset: Dataset, variant: str, lam: float, lam2, beta: float):
 
 def run_erm_race(
     dataset: Dataset,
-    variant: str,
-    lam: float,
+    variant: str = "ridge",
+    lam: float = 0.1,
     lam2: float | None = None,
     algos=("nu-acdm", "acdm", "rcdm"),
     betas: dict | None = None,
@@ -269,18 +275,19 @@ def run_erm_race(
     runs also record the primal gap P(w(y_k)) - P*.  betas maps algorithm
     name to the exponent it runs at (default 0)."""
     seeds = list(seeds)
-    if not seeds or not algos:
-        raise ValueError("need at least one seed and one algorithm")
+    if not seeds:
+        raise ValueError("need at least one seed")
+    if not algos:
+        raise ValueError("need at least one algorithm")
     betas = dict(betas or {})
     oracle, _ = build_erm(dataset, variant, lam, lam2, 0.0)
     ref = problems.reference_minimum(oracle)
-    dist = GapTo(ref.value)
-    n = oracle.n
-    x0 = np.zeros(n)
-
-    primal_star = None
+    run = dict(epochs=epochs, dist_fn=GapTo(ref.value), eps=eps, oracle=oracle,
+               x0=np.zeros(oracle.n))
     if variant == "ridge":
-        primal_star, _w = problems.ridge_primal_reference(oracle)
+        run["primal_star"], _w = problems.ridge_primal_reference(oracle)
+    if "gd" in algos:
+        run["l_global"] = problems.global_smoothness(oracle)
 
     profile_cache = {}
     cells = []
@@ -288,23 +295,8 @@ def run_erm_race(
         beta = float(betas.get(algo, 0.0))
         if beta not in profile_cache:
             _, profile_cache[beta] = build_erm(dataset, variant, lam, lam2, beta)
-        profile = profile_cache[beta]
-        for seed in seeds:
-            is_gd = algo == "gd"
-            cfg = dict(
-                iters=epochs if is_gd else epochs * n,
-                seed=seed,
-                trace_stride=1 if is_gd else n,
-                dist_fn=dist,
-                stop_when_dist_below=eps,
-            )
-            cell = dict(
-                key=(algo, seed), algo=algo, oracle=oracle, profile=profile,
-                x0=x0, cfg=cfg, primal_star=primal_star,
-            )
-            if is_gd:
-                cell["l_global"] = problems.global_smoothness(oracle)
-            cells.append(cell)
+        cells += [dict(run, key=(algo, seed), algo=algo, seed=seed,
+                       profile=profile_cache[beta]) for seed in seeds]
 
     results = _execute(cells, jobs)
     result = _collect(
@@ -333,10 +325,10 @@ class BetaSweepEntry:
 
 def beta_sweep(
     dataset: Dataset,
-    lam: float,
+    lam: float = 0.1,
     beta_list=(0.0, 0.2, 0.4, 0.6, 0.8, 1.0),
     seeds=range(200),
-    epochs: int = 20,
+    epochs: int = 40,
     enforce: bool = True,
     jobs: int = 1,
 ):
@@ -347,13 +339,17 @@ def beta_sweep(
 
     Returns one entry per beta; with enforce=True a violated bound raises.
     """
-    seeds = list(seeds)
+    seeds, beta_list = list(seeds), list(beta_list)
+    if not seeds:
+        raise ValueError("need at least one seed")
+    if not beta_list:
+        raise ValueError("need at least one beta")
     oracle, _ = problems.build_penalty_dual(dataset.features, dataset.labels, lam)
     ref = problems.reference_minimum(oracle)
-    dist = GapTo(ref.value)
-    n = oracle.n
-    x0 = np.zeros(n)
-    t_total = epochs * n
+    x0 = np.zeros(oracle.n)
+    run = dict(algo="nu-acdm-ns", epochs=epochs, dist_fn=GapTo(ref.value),
+               oracle=oracle, x0=x0)
+    t_total = epochs * oracle.n
 
     entries = []
     for beta in beta_list:
@@ -365,14 +361,8 @@ def beta_sweep(
             2.0 * lbeta_norm_sq(x0 - ref.minimizer, profile) * s_sq
             / (t_total + 1.0) ** 2
         )
-        cells = [
-            dict(
-                key=("nu-acdm-ns", seed), algo="nu-acdm-ns", oracle=oracle,
-                profile=profile, x0=x0,
-                cfg=dict(iters=t_total, seed=seed, trace_stride=n, dist_fn=dist),
-            )
-            for seed in seeds
-        ]
+        cells = [dict(run, key=("nu-acdm-ns", seed), seed=seed, profile=profile)
+                 for seed in seeds]
         results = _execute(cells, jobs)
         finals = np.asarray([trace.final_dist() for _k, trace, _e in results])
         length = min(len(trace.dists) for _k, trace, _e in results)
@@ -394,68 +384,7 @@ def beta_sweep(
     return entries
 
 
-# --- experiment spec / summaries ---
-
-
-@dataclass
-class ExperimentSpec:
-    """Declarative description of one bench invocation."""
-
-    experiment: str  # kaczmarz-race | erm-race | beta-sweep
-    seeds: tuple = tuple(range(10))
-    jobs: int = 1
-    m: int = 300
-    n: int = 100
-    d: int = 20
-    r: float = 0.1
-    variant: str = "ridge"
-    lam: float = 0.1
-    lam2: float | None = None
-    algos: tuple = ("nu-acdm", "acdm", "rcdm")
-    betas: tuple = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
-    epochs: int | None = None  # None: the experiment's own default
-    eps: float | None = None  # None: the experiment's own default
-    instance_seed: int = 0
-
-    def __post_init__(self):
-        if not self.seeds:
-            raise ValueError("need at least one seed")
-        if self.experiment == "erm-race" and not self.algos:
-            raise ValueError("need at least one algorithm")
-        if self.experiment == "beta-sweep" and self.eps is not None:
-            raise ValueError("beta-sweep runs a fixed horizon; eps does not apply")
-
-
-def default_dataset(spec: ExperimentSpec) -> Dataset:
-    norms = two_level_norms(spec.n, spec.r)
-    return gen_skewed_dataset(spec.n, spec.d, norms, seed=spec.instance_seed)
-
-
-def run_experiment(spec: ExperimentSpec, dataset: Dataset | None = None):
-    if spec.experiment == "kaczmarz-race":
-        limits = {}
-        if spec.eps is not None:
-            limits["eps"] = spec.eps
-        if spec.epochs is not None:
-            limits["max_epochs"] = spec.epochs
-        return run_kaczmarz_race(
-            spec.m, spec.n, spec.r, spec.seeds,
-            instance_seed=spec.instance_seed, jobs=spec.jobs, **limits,
-        )
-    if dataset is None:
-        dataset = default_dataset(spec)
-    epochs = 40 if spec.epochs is None else spec.epochs
-    if spec.experiment == "erm-race":
-        return run_erm_race(
-            dataset, spec.variant, spec.lam, spec.lam2, algos=spec.algos,
-            seeds=spec.seeds, epochs=epochs, eps=spec.eps, jobs=spec.jobs,
-        )
-    if spec.experiment == "beta-sweep":
-        return beta_sweep(
-            dataset, spec.lam, beta_list=spec.betas, seeds=spec.seeds,
-            epochs=epochs, enforce=False, jobs=spec.jobs,
-        )
-    raise ValueError(f"unknown experiment {spec.experiment!r}")
+# --- summaries ---
 
 
 def summary_lines(result: RaceResult) -> list[str]:

@@ -326,22 +326,6 @@ def check_gradients_and_conjugates() -> CheckResult:
     return _result("gradients-and-conjugates", started, ok, detail)
 
 
-class _GapSeries:
-    """Trace hook collecting duality gaps and primal gaps of a dual run."""
-
-    def __init__(self, problem, p_star):
-        self.problem = problem
-        self.p_star = p_star
-        self.duality_gaps = []
-        self.primal_gaps = []
-
-    def __call__(self, k, y, agg, value):
-        w = problems.primal_from_dual(self.problem, y, aggregate=agg)
-        p = problems.primal_objective(self.problem, w)
-        self.duality_gaps.append(p + problems.smoothing_term(self.problem, w) + value)
-        self.primal_gaps.append(p - self.p_star)
-
-
 def check_ridge_duality() -> CheckResult:
     """Along a converged ridge run: P(w(y)) + D(y) >= -1e-10 at every
     record, <= 1e-8 at termination, and the recovered primal lands within
@@ -351,7 +335,7 @@ def check_ridge_duality() -> CheckResult:
     oracle, profile = build_ridge_dual(ds.features, ds.labels, lam=0.1)
     ref = problems.reference_minimum(oracle)
     p_star, _w = problems.ridge_primal_reference(oracle)
-    series = _GapSeries(oracle, p_star)
+    series = bench.PrimalGapRecorder(oracle, p_star)
     scale = max(1.0, abs(ref.value))
     cfg = SolverConfig(
         iters=3000 * oracle.n,
@@ -363,7 +347,7 @@ def check_ridge_duality() -> CheckResult:
     )
     _y, trace = nu_acdm(oracle, profile, np.zeros(oracle.n), cfg)
     gaps = np.asarray(series.duality_gaps)
-    primal = np.asarray(series.primal_gaps)
+    primal = np.asarray(series.gaps)
     p_scale = max(1.0, abs(p_star))
     ok = (
         float(gaps.min()) >= -1e-10

@@ -28,7 +28,6 @@ from .data_io import (
     write_solution,
     write_trace,
 )
-from .solvers import SolverConfig
 
 RNG_NAME = "numpy-pcg64"
 
@@ -103,8 +102,8 @@ def build_parser() -> _Parser:
                          help="number of seeds (0..K-1)")
     bench_p.add_argument("--out", default=None, help="output directory")
     bench_p.add_argument("--jobs", type=_positive_int, default=1)
-    # experiment parameters default to None, meaning ExperimentSpec's
-    # default; cmd_bench rejects those the experiment does not read
+    # experiment parameters default to None, meaning the driver's default;
+    # cmd_bench rejects those the experiment does not read
     bench_p.add_argument("--m", type=int, default=None,
                          help="rows of the system (kaczmarz-race; default 300)")
     bench_p.add_argument("--n", type=int, default=None,
@@ -170,11 +169,19 @@ def cmd_gen(args) -> int:
     return 0
 
 
-_SOLVE_FLAGS = {"beta": "--beta", "lam": "--lambda", "lam2": "--lambda2"}
+def _flag(dest: str) -> str:
+    """The option string of a parameter's destination."""
+    return {"lam": "--lambda", "lam2": "--lambda2"}.get(dest, "--" + dest)
+
+
+def _skewed_dataset(n=100, d=20, r=0.1, seed=0) -> Dataset:
+    """The generated ERM dataset of solve and bench: n examples with d
+    features, a fraction r of them at the high norm level."""
+    return gen_skewed_dataset(n, d, two_level_norms(n, r), seed=seed)
 
 
 def _solve_reads(problem: str, algo: str) -> set:
-    """The flags of _SOLVE_FLAGS that a (problem, algo) run reads."""
+    """The optional parameters a (problem, algo) run reads."""
     reads = set()
     if problem != "kaczmarz":
         reads.add("lam")
@@ -189,84 +196,76 @@ def cmd_solve(args) -> int:
     if args.algo == "kaczmarz" and args.problem != "kaczmarz":
         raise _UsageError("--algo kaczmarz applies only to --problem kaczmarz")
     reads = _solve_reads(args.problem, args.algo)
-    ignored = [flag for k, flag in _SOLVE_FLAGS.items()
+    ignored = [_flag(k) for k in ("beta", "lam", "lam2")
                if getattr(args, k) is not None and k not in reads]
     if ignored:
         raise _UsageError(f"solve --problem {args.problem} --algo {args.algo} "
                           f"does not read {', '.join(ignored)}")
     beta = 0.0 if args.beta is None else args.beta
+    cell = dict(key=(args.algo, args.seed), algo=args.algo, epochs=args.epochs,
+                seed=args.seed)
     if args.problem == "kaczmarz":
         if args.data is not None:
             ds = parse_libsvm(args.data)
             a, b, x_star = ds.features, ds.labels, None
         else:
             a, b, x_star = gen_linear_system(300, 100, 0.1, seed=0)
-        dist = None
         if x_star is not None:
-            dist = bench.RelErrToSolution(x_star, float(np.dot(x_star, x_star)))
+            cell["dist_fn"] = bench.RelErrToSolution(x_star, float(np.dot(x_star, x_star)))
         if args.algo == "kaczmarz":
-            cfg = SolverConfig(iters=args.epochs * a.m, seed=args.seed,
-                               trace_stride=a.m, dist_fn=dist)
-            _x, trace = solvers.kaczmarz(a, b, np.zeros(a.d), cfg)
+            cell.update(matrix=a, b=b, x0=np.zeros(a.d))
         else:
             oracle, profile = problems.build_kaczmarz(a, b, beta=beta)
-            trace = _run_coord(args, oracle, profile, dist)
     else:
-        if args.data is not None:
-            ds = parse_libsvm(args.data)
-        else:
-            ds = gen_skewed_dataset(100, 20, two_level_norms(100, 0.1), seed=0)
+        ds = _skewed_dataset() if args.data is None else parse_libsvm(args.data)
         lam = 0.1 if args.lam is None else args.lam
         oracle, profile = bench.build_erm(ds, args.problem, lam, args.lam2, beta)
-        trace = _run_coord(args, oracle, profile, None)
+    if args.algo == "gd":
+        cell["l_global"] = problems.global_smoothness(oracle)
+    if args.algo != "kaczmarz":
+        cell.update(oracle=oracle, profile=profile, x0=np.zeros(oracle.n))
+    _key, trace, _extras = bench.run_cell(cell)
 
     out = sys.stdout if args.trace_out == "-" else args.trace_out
     write_trace([trace], out)
     return 0
 
 
-def _run_coord(args, oracle, profile, dist):
-    x0 = np.zeros(oracle.n)
-    if args.algo == "gd":
-        cfg = SolverConfig(iters=args.epochs, seed=args.seed,
-                           trace_stride=1, dist_fn=dist)
-        _x, trace = solvers.full_gd(
-            oracle, problems.global_smoothness(oracle), x0, cfg)
-        return trace
-    cfg = SolverConfig(iters=args.epochs * oracle.n, seed=args.seed,
-                       trace_stride=oracle.n, dist_fn=dist)
-    _x, trace = bench.coord_solver(args.algo)(oracle, profile, x0, cfg)
-    return trace
-
-
-# ExperimentSpec fields each experiment reads, by bench flag destination
-_BENCH_PARAMS = {
-    "kaczmarz-race": ("m", "n", "r", "epochs", "eps"),
-    "erm-race": ("n", "d", "r", "variant", "lam", "lam2", "algos", "epochs", "eps"),
-    "beta-sweep": ("n", "d", "r", "lam", "betas", "epochs"),
+# the parameter flags each experiment reads, by destination, with the driver
+# keyword each sets; None marks n, d and r of the ERM experiments, which size
+# the generated dataset
+_BENCH_FLAGS = {
+    "kaczmarz-race": {"m": "m", "n": "n", "r": "r", "epochs": "max_epochs",
+                      "eps": "eps"},
+    "erm-race": {"n": None, "d": None, "r": None, "variant": "variant",
+                 "lam": "lam", "lam2": "lam2", "algos": "algos",
+                 "epochs": "epochs", "eps": "eps"},
+    "beta-sweep": {"n": None, "d": None, "r": None, "lam": "lam",
+                   "betas": "beta_list", "epochs": "epochs"},
 }
-_BENCH_FLAGS = {"m": "--m", "n": "--n", "d": "--d", "r": "--r",
-                "variant": "--variant", "lam": "--lambda", "lam2": "--lambda2",
-                "algos": "--algos", "betas": "--betas", "epochs": "--epochs",
-                "eps": "--eps"}
 
 
 def cmd_bench(args) -> int:
-    given = {k: getattr(args, k) for k in _BENCH_FLAGS if getattr(args, k) is not None}
-    reads = set(_BENCH_PARAMS[args.experiment])
-    if given.get("variant", bench.ExperimentSpec.variant) != "lasso":
-        reads.discard("lam2")  # only the lasso variant has a second weight
-    ignored = [_BENCH_FLAGS[k] for k in given if k not in reads]
+    reads = dict(_BENCH_FLAGS[args.experiment])
+    given = {k: v for k, v in vars(args).items() if v is not None
+             and any(k in flags for flags in _BENCH_FLAGS.values())}
+    if given.get("variant") != "lasso":
+        reads.pop("lam2", None)  # only the lasso variant has a second weight
+    ignored = [_flag(k) for k in given if k not in reads]
     if ignored:
         raise _UsageError(f"{args.experiment} does not read {', '.join(ignored)}")
-    spec = bench.ExperimentSpec(
-        experiment=args.experiment,
-        seeds=tuple(range(args.seeds)),
-        jobs=args.jobs,
-        instance_seed=args.instance_seed,
-        **given,
-    )
-    result = bench.run_experiment(spec)
+    # only the flags given reach the driver: every default is the driver's
+    params = {reads[k]: v for k, v in given.items() if reads[k] is not None}
+    params.update(seeds=range(args.seeds), jobs=args.jobs)
+    if args.experiment == "kaczmarz-race":
+        result = bench.run_kaczmarz_race(instance_seed=args.instance_seed, **params)
+    else:
+        shape = {k: v for k, v in given.items() if reads[k] is None}
+        dataset = _skewed_dataset(seed=args.instance_seed, **shape)
+        if args.experiment == "erm-race":
+            result = bench.run_erm_race(dataset, **params)
+        else:
+            result = bench.beta_sweep(dataset, enforce=False, **params)
 
     if args.experiment == "beta-sweep":
         lines = ["beta,bound,mean_final_gap,ok"]

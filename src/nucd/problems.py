@@ -306,35 +306,23 @@ class ErmDual(CoordOracle):
 
     def _reg_conj_grad(self, v):
         """gradient of r* evaluated at -v, elementwise (a d-vector or any
-        part of one)."""
-        if self.variant == "smoothed_lasso":
-            return soft_threshold(-v, self.lam) / self.lam2
-        return -v / self.lam
+        part of one): -v / lam, and for the Lasso -soft_threshold(v, lam) /
+        lam2, formed as (clip(v, -lam, lam) - v) / lam2, whose zero
+        entries are +0.0."""
+        if self.lam2 is None:
+            return v / self._neg_lam
+        lam = self.lam
+        return (np.minimum(np.maximum(v, -lam), lam) - v) / self.lam2
 
     def value(self, y, aggregate=None):
         v = self.aggregate(y) if aggregate is None else aggregate
         sep = float(np.sum(self.loss.conj(y, self.labels))) / self.n
         return sep + self._reg_conj_value(v)
 
-    def _row_conj_grad(self, part):
-        """_reg_conj_grad on a row's part of v in fewer ufuncs: -v / lam
-        is v / -lam bit for bit, and the Lasso form clip(v) - v agrees
-        with -soft_threshold(v) except in the sign of zero entries."""
-        if self.lam2 is None:
-            return part / self._neg_lam
-        lam = self.lam
-        return (np.minimum(np.maximum(part, -lam), lam) - part) / self.lam2
-
     def coord_grad_local(self, i, y_i, agg_part, vals):
         # r* acts elementwise, so the row's own entries of v suffice
         sep = self.loss.conj_deriv_scalar(y_i, self._labels[i]) / self.n
-        g = sep - float(vals.dot(self._row_conj_grad(agg_part))) / self.n
-        if g == 0.0 and self.lam2 is not None:
-            # a signed zero entry can reach g only through a zero row dot
-            # and a zero sep, so only a zero g is recomputed exactly
-            row_dot = float(np.dot(vals, self._reg_conj_grad(agg_part)))
-            g = sep - row_dot / self.n
-        return g
+        return sep - float(vals.dot(self._reg_conj_grad(agg_part))) / self.n
 
     # bound in the class itself: perfbench/spans.py wraps each oracle
     # class's own coord_grad and update_aggregate

@@ -3,16 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from nucd import bench
+from nucd import bench, problems
 from nucd.bench import (
-    ExperimentSpec,
     beta_sweep,
     run_erm_race,
-    run_experiment,
     run_kaczmarz_race,
     speedup_table,
     summary_lines,
 )
+from nucd.cli import main
 from nucd.data_io import gen_skewed_dataset, two_level_norms
 from nucd.geometry import SmoothnessProfile, speedup_factor
 from nucd.solvers import nu_probabilities
@@ -149,26 +148,63 @@ def test_beta_one_samples_uniformly_even_when_skewed():
     assert abs(count - 400) <= 4.0 * sigma
 
 
-def test_experiment_spec_validation_and_dispatch():
+def test_driver_validation_and_dispatch(capsys):
+    """The drivers reject empty runs; nucd bench rejects an unknown
+    experiment and hands its flags to the driver it names."""
     with pytest.raises(ValueError):
-        ExperimentSpec(experiment="kaczmarz-race", seeds=[])
+        run_kaczmarz_race(seeds=[])
     with pytest.raises(ValueError):
-        ExperimentSpec(experiment="erm-race", seeds=[0], algos=())
-    with pytest.raises(ValueError):
-        run_experiment(ExperimentSpec(experiment="unknown", seeds=[0]))
-    spec = ExperimentSpec(
-        experiment="kaczmarz-race", seeds=[0, 1], m=20, n=8, r=0.5, eps=1e-6
-    )
-    res = run_experiment(spec)
-    lines = summary_lines(res)
+        run_erm_race(_dataset(), seeds=[0], algos=())
+    for experiment in ("kaczmarz-race", "erm-race", "beta-sweep"):
+        assert main(["bench", "--experiment", experiment, "--seeds", "0"]) == 1
+    assert main(["bench", "--experiment", "unknown"]) == 1
+    assert "need at least one seed" in capsys.readouterr().err
+
+    code = main(["bench", "--experiment", "kaczmarz-race", "--seeds", "2", "--m", "20",
+                 "--n", "8", "--r", "0.5", "--eps", "1e-6"])
+    assert code == 0
+    lines = capsys.readouterr().out.splitlines()
+    res = run_kaczmarz_race(20, 8, 0.5, seeds=[0, 1], eps=1e-6)
     assert lines[0] == "algo,eps,median_epochs,speedup_theory,median_wall_s"
     assert len(lines) == 1 + len(res.algos)
-    for line in lines[1:]:
+    for line, want in zip(lines[1:], summary_lines(res)[1:]):
         algo, eps, med, sp, wall = line.split(",")
         assert algo in res.algos
         assert float(eps) == 1e-6
+        assert float(med) == res.median_epochs_to(algo)
         assert float(sp) == res.speedup
         assert float(wall) > 0.0
+        assert line.rsplit(",", 1)[0] == want.rsplit(",", 1)[0]
+
+
+def test_beta_sweep_rejects_empty_seeds_and_betas():
+    data = _dataset(n=10, d=4)
+    with pytest.raises(ValueError, match="seed"):
+        beta_sweep(data, seeds=[], epochs=2)
+    with pytest.raises(ValueError, match="beta"):
+        beta_sweep(data, beta_list=(), seeds=[0], epochs=2)
+
+
+def test_erm_race_computes_the_global_constant_once(monkeypatch):
+    """Every gd cell steps by the same global smoothness constant, which
+    costs a dense d x d Gram and an eigendecomposition: one call a race."""
+    calls = []
+    real = problems.global_smoothness
+
+    def spy(problem):
+        calls.append(problem)
+        return real(problem)
+
+    monkeypatch.setattr(problems, "global_smoothness", spy)
+    res = run_erm_race(_dataset(n=12, d=5), "ridge", lam=0.2, algos=("gd", "nu-acdm"),
+                       seeds=range(10), epochs=3)
+    assert len(calls) == 1
+    assert len(res.traces) == 20
+    first = res.traces[("gd", 0)].values
+    assert all(np.array_equal(res.traces[("gd", s)].values, first) for s in range(10))
+    run_erm_race(_dataset(n=12, d=5), "ridge", lam=0.2, algos=("nu-acdm",), seeds=[0],
+                 epochs=3)
+    assert len(calls) == 1  # a race without gd needs no global constant
 
 
 def test_race_rejects_empty_seeds():

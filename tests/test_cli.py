@@ -1,10 +1,13 @@
+import inspect
 import json
 
 import numpy as np
 import pytest
 
+from nucd import bench
 from nucd.cli import main
-from nucd.data_io import parse_libsvm, read_solution, read_trace
+from nucd.data_io import (gen_skewed_dataset, parse_libsvm, read_solution, read_trace,
+                          two_level_norms)
 
 
 def run(capsys, *argv):
@@ -220,6 +223,49 @@ def test_bench_rejects_flags_the_experiment_ignores(tmp_path, capsys, experiment
     assert code == 1
     assert flag in err
     assert not out_dir.exists()
+
+
+class _Called(Exception):
+    pass
+
+
+@pytest.mark.parametrize(
+    "experiment, driver, want",
+    [
+        ("kaczmarz-race", "run_kaczmarz_race",
+         dict(m=300, n=100, r=0.1, max_epochs=4000, eps=1e-8, instance_seed=0)),
+        ("erm-race", "run_erm_race",
+         dict(variant="ridge", lam=0.1, lam2=None, algos=("nu-acdm", "acdm", "rcdm"),
+              epochs=40, eps=None)),
+        ("beta-sweep", "beta_sweep",
+         dict(lam=0.1, beta_list=(0.0, 0.2, 0.4, 0.6, 0.8, 1.0), epochs=40,
+              enforce=False)),
+    ],
+)
+def test_bench_defaults_are_the_drivers(monkeypatch, experiment, driver, want):
+    """Without parameter flags nucd bench runs each experiment at these
+    values; the CLI passes only the flags given, so they are the driver's."""
+    real = getattr(bench, driver)
+    calls = []
+
+    def spy(*args, **kwargs):
+        bound = inspect.signature(real).bind(*args, **kwargs)
+        bound.apply_defaults()
+        calls.append(bound.arguments)
+        raise _Called
+
+    monkeypatch.setattr(bench, driver, spy)
+    with pytest.raises(_Called):
+        main(["bench", "--experiment", experiment])
+    (got,) = calls
+    assert {k: got[k] for k in want} == want
+    assert list(got["seeds"]) == list(range(10)) and got["jobs"] == 1
+    if experiment != "kaczmarz-race":
+        # 100 examples with 20 features, a tenth of them heavy
+        ref = gen_skewed_dataset(100, 20, two_level_norms(100, 0.1), seed=0)
+        got_data = got["dataset"]
+        assert np.array_equal(got_data.features.to_dense(), ref.features.to_dense())
+        assert np.array_equal(got_data.labels, ref.labels)
 
 
 def test_bench_accepts_lambda2_for_lasso_erm_race(tmp_path, capsys):

@@ -28,6 +28,7 @@ from nucd.problems import (
     build_lasso_dual,
     build_penalty_dual,
     build_ridge_dual,
+    soft_threshold,
 )
 from nucd.sampling import WeightedSampler
 from nucd.solvers import (
@@ -181,9 +182,10 @@ _SCALARS = st.one_of(st.sampled_from([0.0, -0.0, 1.5, -2.0]), st.floats(-4.0, 4.
 @settings(deadline=None, max_examples=300)
 @given(data=st.data())
 def test_erm_row_gradient_is_the_whole_vector_form_bit_for_bit(variant, data):
-    """coord_grad_local's row form of grad r* gives g bit for bit as the
-    whole-vector _reg_conj_grad, sign of zero included; the Lasso row form
-    differs from it only in the sign of zero entries."""
+    """coord_grad_local on a row's part of v gives g bit for bit as the
+    whole-vector _reg_conj_grad, sign of zero included; that form is -v / lam
+    bit for bit, and the Lasso form differs from soft_threshold(-v) / lam2
+    only in the sign of zero entries."""
     size = data.draw(st.integers(0, 6))
     part = np.array(data.draw(st.lists(_PARTS, min_size=size, max_size=size)))
     vals = np.array(data.draw(st.lists(_ROW_VALS, min_size=size, max_size=size)))
@@ -194,25 +196,33 @@ def test_erm_row_gradient_is_the_whole_vector_form_bit_for_bit(variant, data):
     want = sep / oracle.n - float(np.dot(vals, oracle._reg_conj_grad(part))) / oracle.n
     assert _same(oracle.coord_grad_local(0, y_i, part, vals), want)
 
-    row, whole = oracle._row_conj_grad(part), oracle._reg_conj_grad(part)
-    assert np.array_equal(row, whole)
+    grad = oracle._reg_conj_grad(part)
     if variant == "smoothed_lasso":
-        nonzero = whole != 0.0
-        assert _same(row[nonzero], whole[nonzero])
+        textbook = soft_threshold(-part, _LAM) / 0.05
+        assert np.array_equal(grad, textbook)
+        nonzero = grad != 0.0
+        assert _same(grad[nonzero], textbook[nonzero])
+        assert not np.signbit(grad[~nonzero]).any()
     else:
-        assert _same(row, whole)
+        assert _same(grad, -part / _LAM)
 
 
 def test_lasso_zero_gradient_keeps_the_whole_vector_sign():
     """On a one-entry row the row dot is the lone product, so a zero entry's
-    sign reaches it: with label and y_i both -0.0 the row form alone would
-    give g = -0.0 where the whole-vector form gives 0.0."""
+    sign reaches g: the clip form's entries are +0.0 where soft_threshold's
+    are -0.0, and with label and y_i both -0.0 the gradient is the single
+    form's -0.0 + -(+0.0) = -0.0, bit for bit as on the whole vector."""
     oracle = ErmDual(SparseRowMatrix.from_dense(np.eye(2)), np.array([-0.0, 1.0]),
                      _LAM, 0.05, variant="smoothed_lasso")
     part, vals = np.array([0.1]), np.array([2.0])
-    assert _bits(np.dot(vals, oracle._reg_conj_grad(part))) == _bits(-0.0)
-    assert _bits(vals.dot(oracle._row_conj_grad(part))) == _bits(0.0)
-    assert _bits(oracle.coord_grad_local(0, -0.0, part, vals)) == _bits(0.0)
+    assert _bits(soft_threshold(-part, _LAM)[0]) == _bits(-0.0)
+    assert _bits(oracle._reg_conj_grad(part)[0]) == _bits(0.0)
+    whole = oracle._reg_conj_grad(np.array([0.1, 1.0]))
+    assert _bits(whole[0]) == _bits(0.0)
+    assert _bits(whole[1]) == _bits(-(1.0 - _LAM) / 0.05)
+    want = -0.0 / oracle.n - float(np.dot(vals, whole[:1])) / oracle.n
+    assert _bits(want) == _bits(-0.0)
+    assert _bits(oracle.coord_grad_local(0, -0.0, part, vals)) == _bits(want)
 
 
 # --- loop level: the solvers against the public protocol ---

@@ -1,13 +1,21 @@
-"""Print one SHA-1 per (problem, solver, check level) trajectory.
+"""Print one SHA-1 per (problem, solver, check level) trajectory, and one
+per trace of tiny experiment-driver runs.
 
-Each line is `problem solver check_level sha1`, the digest taken over the
-returned point, trace.iters, trace.values, trace.dists and the trace's two
-invariant margins.  The problems are the Kaczmarz quadratic, ridge, Lasso
-and penalty duals on rows of all d columns ("dense"), rows of a few
+A solver line is `problem solver check_level sha1`, the digest taken over
+the returned point, trace.iters, trace.values, trace.dists and the trace's
+two invariant margins.  The problems are the Kaczmarz quadratic, ridge,
+Lasso and penalty duals on rows of all d columns ("dense"), rows of a few
 scattered columns ("scattered") and a mix of empty rows, contiguous runs,
 scattered, full and all-but-one rows ("mixed"); the solvers are nu_acdm,
 acdm_baseline, generalized_accel, nu_acdm_ns and rcdm, plus kaczmarz on the
 three linear systems.
+
+A driver line is `experiment algo seed=S sha1` for each trace of a
+run_kaczmarz_race, a ridge run_erm_race (gd and nu-acdm; the digest covers
+the primal gaps too) and a lasso run_erm_race, taken over trace.iters,
+values, dists and units_per_epoch; and `beta-sweep nu-acdm-ns beta=B sha1`
+for each beta_sweep entry, over its bound, mean final gap, epochs and mean
+gap trace.
 
 A change meant to leave every trajectory bitwise unchanged is checked by
 digesting the parent's source with this same script and diffing:
@@ -77,14 +85,19 @@ def problems():
     return oracles, systems
 
 
-def _digest(point, trace) -> str:
+def _sha1(*parts) -> str:
+    """SHA-1 over the bytes of each (array, dtype) part, in order."""
     h = hashlib.sha1()
-    for arr, dtype in ((point, np.float64), (trace.iters, np.int64),
-                       (trace.values, np.float64), (trace.dists, np.float64),
-                       ([trace.max_descent_violation, trace.max_mirror_residual],
-                        np.float64)):
+    for arr, dtype in parts:
         h.update(np.ascontiguousarray(arr, dtype=dtype).tobytes())
     return h.hexdigest()
+
+
+def _digest(point, trace) -> str:
+    return _sha1((point, np.float64), (trace.iters, np.int64),
+                 (trace.values, np.float64), (trace.dists, np.float64),
+                 ([trace.max_descent_violation, trace.max_mirror_residual],
+                  np.float64))
 
 
 def cells(epochs: int):
@@ -124,10 +137,47 @@ def cells(epochs: int):
             yield (f"linsys-{kind}", "kaczmarz", level, _digest(*out))
 
 
+def driver_cells(epochs: int):
+    """Yield (experiment, algo, seed or beta, sha1) for every trace of tiny
+    runs of the three experiment drivers.  Every parameter that once had no
+    default (m, n, r, variant, lam) is passed, so --src can digest a
+    checkout from before the drivers had defaults."""
+    from nucd import bench
+    from nucd.data_io import gen_skewed_dataset, two_level_norms
+
+    def dataset(n, d, r, seed):
+        return gen_skewed_dataset(n, d, two_level_norms(n, r), seed=seed)
+
+    races = {
+        "kaczmarz-race": bench.run_kaczmarz_race(
+            30, 10, 0.5, seeds=[0, 1], eps=1e-6, max_epochs=epochs, instance_seed=4),
+        "erm-race-ridge": bench.run_erm_race(
+            dataset(24, 6, 0.25, 5), "ridge", 0.1, algos=("gd", "nu-acdm"),
+            seeds=[0, 1], epochs=epochs),
+        "erm-race-lasso": bench.run_erm_race(
+            dataset(20, 8, 0.3, 6), "lasso", 0.1, 0.01,
+            algos=("nu-acdm", "acdm", "rcdm"), betas={"rcdm": 0.5}, seeds=[2],
+            epochs=epochs, eps=1e-9),
+    }
+    for name, race in races.items():
+        for (algo, seed), trace in sorted(race.traces.items()):
+            gaps = race.primal_gaps.get((algo, seed), [])
+            yield (name, algo, f"seed={seed}",
+                   _sha1((trace.iters, np.int64), (trace.values, np.float64),
+                         (trace.dists, np.float64), ([trace.units_per_epoch], np.int64),
+                         (gaps, np.float64)))
+    entries = bench.beta_sweep(dataset(12, 4, 0.3, 7), 0.1, beta_list=(0.0, 0.5, 1.0),
+                               seeds=range(3), epochs=epochs, enforce=False)
+    for e in entries:
+        yield ("beta-sweep", "nu-acdm-ns", f"beta={e.beta:g}",
+               _sha1(([e.bound, e.mean_final_gap], np.float64),
+                     (e.epochs, np.float64), (e.mean_gap_trace, np.float64)))
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--epochs", type=int, default=20,
-                        help="coordinate steps per cell, in units of n (default 20)")
+                        help="steps per cell, in epochs (default 20)")
     parser.add_argument("--src", default=str(pathlib.Path(__file__).resolve().parents[1] / "src"),
                         help="directory holding the nucd package to digest")
     args = parser.parse_args(argv)
@@ -140,6 +190,8 @@ def main(argv=None) -> int:
             pathlib.Path(args.src).resolve()):
         parser.error(f"nucd imports from {nucd.__file__}, not from {args.src}")
     for cell in cells(args.epochs):
+        print(*cell)
+    for cell in driver_cells(args.epochs):
         print(*cell)
     return 0
 
