@@ -105,6 +105,10 @@ class CoordOracle:
     takes the gradient from that part and the row's values, and adds
     ``(delta / agg_div) * values`` there; so the solvers pay O(nnz of one
     row) per coordinate step instead of a full recomputation.
+
+    An oracle whose gradient is affine in the aggregate, grad_i f =
+    <a_i, aggregate> - rhs_i with agg_div 1, names that rhs as
+    ``row_rhs``; the solvers' loop may then take several steps at once.
     """
 
     n: int = 0
@@ -112,6 +116,7 @@ class CoordOracle:
     # x_i += delta moves the aggregate on row i's columns by
     # (delta / agg_div) * vals
     agg_div: float = 1.0
+    row_rhs: np.ndarray | None = None
 
     def value(self, x: np.ndarray, aggregate: np.ndarray | None = None) -> float:
         raise NotImplementedError

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -23,11 +24,6 @@ from . import solvers
 
 class ConvergenceError(RuntimeError):
     """An iterative reference computation missed its stationarity target."""
-
-
-def soft_threshold(v, t):
-    """sign(v) * max(|v| - t, 0), elementwise."""
-    return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
 
 
 def smallest_positive_eigenvalue(gram: np.ndarray, rel_tol: float = 1e-10) -> float:
@@ -96,9 +92,13 @@ class KaczmarzQuadratic(CoordOracle):
         if np.any(a_matrix.row_norms_sq <= 0.0):
             raise ValueError("zero rows are not allowed")
         self.a = self.row_matrix = a_matrix
-        self.b = b
-        self._b = b.tolist()  # read one entry per step, as Python floats
+        self.b = self.row_rhs = b
         self.n = a_matrix.m  # coordinates are rows of A
+
+    @cached_property
+    def _b(self):
+        # read one entry per step, as Python floats
+        return self.b.tolist()
 
     def value(self, y, aggregate=None):
         w = self.aggregate(y) if aggregate is None else aggregate
@@ -306,9 +306,9 @@ class ErmDual(CoordOracle):
 
     def _reg_conj_grad(self, v):
         """gradient of r* evaluated at -v, elementwise (a d-vector or any
-        part of one): -v / lam, and for the Lasso -soft_threshold(v, lam) /
-        lam2, formed as (clip(v, -lam, lam) - v) / lam2, whose zero
-        entries are +0.0."""
+        part of one): -v / lam, and for the Lasso the soft threshold of -v
+        at lam, sign(-v) max(|v| - lam, 0), over lam2, formed as
+        (clip(v, -lam, lam) - v) / lam2, whose zero entries are +0.0."""
         if self.lam2 is None:
             return v / self._neg_lam
         lam = self.lam

@@ -18,6 +18,16 @@ checked steps and return.  Without a schedule the loop is plain randomized
 coordinate descent on a single sequence, which on the dual of a linear
 system is Kaczmarz.
 
+On an oracle whose gradient is affine in the aggregate (a row_rhs: the
+Kaczmarz quadratic and kaczmarz's residual form), an unchecked run with a
+trace stride of at least _BLOCK_MIN steps (_CSR_SEGMENT_MIN on rows of
+scattered columns) takes block Gauss-Seidel steps: B indices from the same
+stream, the B x B Gram matrix of their rows and one triangular solve for
+all B gradients (see _Blocks).  That is exact in arithmetic, so records and
+stops are those of single steps, but it rounds differently: such a run
+agrees with a checked run (always single steps) to rounding, not bit for
+bit.  Either way a run is bit-reproducible from its parameters and seed.
+
 Iteration cost is honest: no solver ever forms a full gradient except
 full_gd, which exists as a reference baseline.
 """
@@ -26,9 +36,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Callable
 
 import numpy as np
+from scipy.linalg.blas import dtrsv as _dtrsv
 
 from .geometry import CoordOracle, SmoothnessProfile, TrackedPoint, s_alpha
 from .matrix import SparseRowMatrix
@@ -43,6 +55,16 @@ MIRROR_RESIDUAL_TOL = 1e-9
 # growing schedule (tau_0 = 1) and about every 100/tau steps by the
 # strongly convex one
 FOLD_BELOW = 2.0 ** -300
+# block steps (_Blocks): a block is at least _BLOCK_MIN steps, and
+# sqrt(_BLOCK_WORK / nnz per row) steps on rows of few columns.  A run takes
+# them on rows of all d columns when its trace stride is at least
+# _BLOCK_MIN, and on any other rows when it is at least _CSR_SEGMENT_MIN: a
+# block of those pays a sort and some dozen numpy calls whatever its
+# length.  The thresholds are where blocks began to beat single steps on
+# 300 x 100 dense and 50000 x 2500, 10 nnz per row systems.
+_BLOCK_MIN = 16
+_BLOCK_WORK = 2 ** 18
+_CSR_SEGMENT_MIN = 64
 
 _CHECK_LEVELS = ("off", "cheap", "full")
 
@@ -150,14 +172,32 @@ class _Recorder:
         )
 
 
+def _index_taker(sampler: WeightedSampler, count: int):
+    """take(size) returns the next `size` of the first `count` indices of
+    the sampler's stream as an array.  Indices are drawn up to 4096 at a
+    time (cheaper per index); the draws continue one stream, so their sizes
+    do not change the indices."""
+    buf = np.zeros(0, np.int64)
+
+    def take(size):
+        nonlocal buf, count
+        while buf.size < size:
+            draw = min(4096, count)
+            count -= draw
+            buf = np.concatenate((buf, sampler.sample_block(draw)))
+        out, buf = buf[:size], buf[size:]
+        return out
+
+    return take
+
+
 def _index_stream(sampler: WeightedSampler, count: int):
-    """The first `count` indices of the sampler's stream as Python ints,
-    drawn up to 4096 at a time (cheaper per index); the blocks continue
-    one stream, so their sizes do not change the indices."""
+    """The first `count` indices of the sampler's stream as Python ints."""
+    take = _index_taker(sampler, count)
     while count > 0:
         size = min(4096, count)
         count -= size
-        yield from sampler.sample_block(size).tolist()
+        yield from take(size).tolist()
 
 
 # --- step-size schedules ---
@@ -271,13 +311,18 @@ class _StronglyConvex:
         self.r = -(1.0 - self.tau)
         self.rho = (1.0 - self.tau) ** 2
         shrink = 1.0 / (1.0 + self.eta * self.sigma)
-        self.z_step = (shrink * self.eta / (p * profile.l ** profile.beta)).tolist()
+        # a step on coordinate i moves z_i by -z_scale(z_coef[i], eta) * g
+        self.z_coef = shrink * self.eta / (p * profile.l ** profile.beta)
 
     def step(self, k: int):
         return self.rho, self.eta
 
-    def z_delta(self, i: int, g: float, eta: float) -> float:
-        return -self.z_step[i] * g
+    def steps(self, k: int, count: int):
+        """(rho, eta) of steps k .. k + count - 1 as arrays."""
+        return np.full(count, self.rho), np.full(count, self.eta)
+
+    def z_scale(self, coef, eta):
+        return coef
 
     def check_start(self, algo: str):
         # a failure here means a corrupted profile
@@ -301,15 +346,19 @@ class _Growing:
         ns_schedule(0, s_alpha_sq)  # validates s_alpha_sq
         self.s_sq = s_alpha_sq
         self.two_s_sq = 2.0 * s_alpha_sq
-        self.inv_plb = (1.0 / (p * profile.l ** profile.beta)).tolist()
+        self.z_coef = 1.0 / (p * profile.l ** profile.beta)
 
-    def step(self, k: int):
-        # ns_schedule(k, s_sq) inline, the same operations
+    def step(self, k):
+        # ns_schedule(k, s_sq) inline, the same operations; k may be an
+        # array of step indices
         k2 = k + 2.0
         return 1.0 - 2.0 / k2, k2 / self.two_s_sq
 
-    def z_delta(self, i: int, g: float, eta: float) -> float:
-        return -eta * self.inv_plb[i] * g
+    def steps(self, k: int, count: int):
+        return self.step(np.arange(k, k + count))
+
+    def z_scale(self, coef, eta):
+        return eta * coef
 
     def check_start(self, algo: str):
         pass
@@ -324,6 +373,176 @@ class _Growing:
             raise InvariantViolation(
                 f"{algo}: step recurrence off at iteration {k}: {lhs} vs {rhs}"
             )
+
+
+class _FullRows:
+    """Rows idx of a matrix whose rows all have d columns, for _Blocks."""
+
+    def __init__(self, dense: np.ndarray, idx: np.ndarray):
+        self.rows = dense[idx]
+
+    def gram(self) -> np.ndarray:
+        return self.rows @ self.rows.T
+
+    def parts(self, aggs: np.ndarray) -> np.ndarray:
+        """(B, k): each row's product with each of the k caches."""
+        return self.rows @ aggs.T
+
+    def add(self, upd: np.ndarray, aggs: np.ndarray):
+        """aggs += upd @ rows, for a (k, B) upd."""
+        aggs += upd @ self.rows
+
+
+class _ScatteredRows:
+    """Rows idx of a SparseRowMatrix with no empty row, for _Blocks, as
+    flat entries (block row, column, value) read from its indptr, indices
+    and data.  The Gram matrix, the products with the caches and the
+    scatter into them cost O(entries and column collisions) plus one sort,
+    whatever d is."""
+
+    def __init__(self, mat: SparseRowMatrix, idx: np.ndarray):
+        lo = mat.indptr[idx]
+        lens = mat.indptr[idx + 1] - lo
+        self.starts = np.cumsum(lens) - lens
+        flat = np.arange(int(lens.sum())) + np.repeat(lo - self.starts, lens)
+        self.row = np.repeat(np.arange(idx.size), lens)
+        self.cols, self.vals = mat.indices[flat], mat.data[flat]
+
+    def gram(self) -> np.ndarray:
+        # G_st sums vals_e vals_f over entries e of row s and f of row t on
+        # one column.  Sorted by column, the entries form runs of equal
+        # columns, and each entry pairs with every entry of its run.
+        order = np.argsort(self.cols)
+        first = np.flatnonzero(np.diff(self.cols[order], prepend=-1))
+        run = np.diff(first, append=order.size)
+        reps = np.repeat(run, run)
+        left = np.repeat(np.arange(order.size), reps)
+        right = np.arange(left.size) + np.repeat(
+            np.repeat(first, run) - (np.cumsum(reps) - reps), reps)
+        left, right = order[left], order[right]
+        n = len(self.starts)
+        return np.bincount(self.row[left] * n + self.row[right],
+                           weights=self.vals[left] * self.vals[right],
+                           minlength=n * n).reshape(n, n)
+
+    def parts(self, aggs: np.ndarray) -> np.ndarray:
+        """(B, k): each row's product with each of the k caches."""
+        return np.add.reduceat(aggs[:, self.cols] * self.vals, self.starts, axis=1).T
+
+    def add(self, upd: np.ndarray, aggs: np.ndarray):
+        """aggs += upd @ rows, for a (k, B) upd, entry by entry in order."""
+        for agg, w in zip(aggs, upd):
+            np.add.at(agg, self.cols, w[self.row] * self.vals)
+
+
+def _takes_blocks(oracle, cfg: SolverConfig) -> bool:
+    """Whether _coordinate_loop steps this run with _Blocks."""
+    mat = oracle.row_matrix
+    if oracle.row_rhs is None or mat is None or cfg.check_level != "off":
+        return False
+    if mat.nnz == mat.m * mat.d:
+        return cfg.trace_stride >= _BLOCK_MIN
+    return cfg.trace_stride >= _CSR_SEGMENT_MIN
+
+
+class _Blocks:
+    """The steps of _coordinate_loop on an oracle with a row_rhs, taken
+    block_len at a time with one triangular solve per block.
+
+    The gradient is g = <a_i, part> - rhs_i, and within a block the caches
+    move only along the block's own rows.  So with rows I = (i_0, i_1, ...),
+    G = A_I A_I^T and res_t = a_t . (u.agg + c_t v.agg) - rhs_t read off the
+    caches at the block's start, step t's gradient is
+        g_t = res_t + sum_{s<t} G_ts (du_s + c_t dv_s).
+    Each step's du_s = kappa_s g_s and dv_s = cmu_s g_s / c_s, so
+        (I - strict_tril(G o M)) g = res,  M_ts = kappa_s + (c_t / c_s) cmu_s,
+    and without a schedule (du_s = -g_s / L_s, no v)
+        (I + strict_tril(G) diag(1/L_I)) g = res.
+    One forward substitution gives every g of the block; the coordinate
+    updates are then added in step order (repeated rows included) and each
+    cache moves by one product with the block's rows (_FullRows or
+    _ScatteredRows).  This is the per-step loop's arithmetic
+    regrouped, so it agrees with that loop to rounding, not bit for bit.
+
+    A block never crosses a trace record (run steps one segment) and ends
+    before a step whose c would fall below FOLD_BELOW; the next block folds
+    c first, as the per-step loop does.  1/L comes from the profile.
+    """
+
+    def __init__(self, oracle, profile, sampler, iters, schedule, ux, vx, aggs, algo):
+        mat = oracle.row_matrix
+        self.take = _index_taker(sampler, iters)
+        self.rhs, self.inv_l = oracle.row_rhs, 1.0 / profile.l
+        if mat.nnz == mat.m * mat.d:
+            # validated rows ascend strictly in [0, d): the data array is
+            # the dense matrix
+            self.rows_of = partial(_FullRows, mat.data.reshape(mat.m, mat.d))
+        else:
+            # the oracle rejects empty rows
+            self.rows_of = partial(_ScatteredRows, mat)
+        # the Gram product grows with block_len^2 * nnz per row, while the
+        # per-block overhead it amortizes does not; nnz >= m keeps the
+        # block at most sqrt(_BLOCK_WORK) steps
+        self.block_len = max(_BLOCK_MIN, math.isqrt(_BLOCK_WORK * mat.m // mat.nnz))
+        self.schedule, self.algo = schedule, algo
+        self.ux, self.vx, self.aggs = ux, vx, aggs
+        self.r = schedule.r if schedule is not None else 0.0
+
+    def run(self, k: int, end: int, c: float) -> float:
+        """Steps k .. end - 1 from implicit coefficient c; returns the new c."""
+        schedule, aggs, r = self.schedule, self.aggs, self.r
+        one_minus_r = 1.0 - r
+        while k < end:
+            size = min(self.block_len, end - k)
+            if schedule is not None:
+                rho, eta = schedule.steps(k, size)
+                # c at each step, multiplied in step order
+                cs = np.cumprod(np.concatenate(([c], rho)))[1:]
+                if cs[0] < FOLD_BELOW:
+                    self.vx *= cs[0]
+                    aggs[1] *= cs[0]
+                    rho[0] = 1.0
+                    cs = np.cumprod(np.concatenate(([1.0], rho)))[1:]
+                # c never rises: the block ends before the next fold
+                size = int(np.count_nonzero(cs >= FOLD_BELOW))
+                cs, eta = cs[:size], eta[:size]
+            idx = self.take(size)
+            rows = self.rows_of(idx)
+            gram = rows.gram()
+            parts = rows.parts(aggs)
+            il = self.inv_l[idx]
+            if schedule is not None:
+                zc = schedule.z_scale(schedule.z_coef[idx], eta)
+                kappa = (r * il - zc) / one_minus_r
+                cmu = (zc - il) / one_minus_r
+                res = parts[:, 0] + cs * parts[:, 1] - self.rhs[idx]
+                tri = gram * -(kappa + cs[:, None] / cs * cmu)
+            else:
+                res = parts[:, 0] - self.rhs[idx]
+                tri = gram * il
+            # solves with tri's strict lower triangle and a unit diagonal;
+            # tri.T is Fortran-ordered, so BLAS reads it without a copy
+            g = _dtrsv(tri.T, res, overwrite_x=1, trans=1, diag=1)
+            finite = np.isfinite(g)
+            if not finite.all():
+                raise InvariantViolation(
+                    f"{self.algo}: non-finite gradient at iteration "
+                    f"{k + int(finite.argmin())}"
+                )
+            dy = -g * il
+            if schedule is not None:
+                dz = -zc * g
+                du = (dz - r * dy) / one_minus_r
+                dv = (dy - dz) / (cs * one_minus_r)
+                np.add.at(self.ux, idx, du)
+                np.add.at(self.vx, idx, dv)
+                rows.add(np.stack((du, dv)), aggs)
+                c = float(cs[-1])
+            else:
+                np.add.at(self.ux, idx, dy)
+                rows.add(dy[None, :], aggs)
+            k += size
+        return c
 
 
 def _coordinate_loop(oracle, profile, x0, cfg, p, algo, schedule=None):
@@ -352,12 +571,16 @@ def _coordinate_loop(oracle, profile, x0, cfg, p, algo, schedule=None):
     in place.  An oracle without a row matrix is asked for the gradient
     from x_i alone.  Whole points are formed at trace records, at checked
     steps and at return.
+
+    When _takes_blocks(oracle, cfg), each segment between trace records is
+    stepped by _Blocks instead, B steps per triangular solve; the per-step
+    loop's Python-float lists (1/L, b, the schedule's coefficients) are
+    then never built.
     """
     checking = cfg.check_level != "off"
     check_all = cfg.check_level == "full"
     stride, iters = cfg.trace_stride, cfg.iters
     l = profile.l
-    inv_l = (1.0 / l).tolist()
 
     u = TrackedPoint(oracle, x0)
     accel = schedule is not None
@@ -395,7 +618,19 @@ def _coordinate_loop(oracle, profile, x0, cfg, p, algo, schedule=None):
         x, agg = point(coef)
         return oracle.value(x, agg), x, agg
 
-    next_index = _index_stream(WeightedSampler(p, cfg.seed), iters).__next__
+    sampler = WeightedSampler(p, cfg.seed)
+    blocks = None
+    if _takes_blocks(oracle, cfg):
+        # u's cache alone, or both caches, as the rows of one array
+        blocks = _Blocks(oracle, profile, sampler, iters, schedule, ux, vx,
+                         aggs if accel else uagg[None, :], algo)
+    else:
+        next_index = _index_stream(sampler, iters).__next__
+        # read one entry per step, as Python floats
+        if iters:
+            inv_l = (1.0 / l).tolist()
+            z_at = schedule.z_coef.tolist() if accel else None
+
     rec = _Recorder(algo, cfg, units_per_epoch=oracle.n)
     worst_descent = -math.inf
     worst_mirror = 0.0 if accel else math.nan
@@ -407,90 +642,93 @@ def _coordinate_loop(oracle, profile, x0, cfg, p, algo, schedule=None):
     while k < iters and not stopped:
         # one segment of steps up to the next trace record
         end = min(k + stride, iters)
-        for k in range(k, end):
-            check_now = check_all or (checking and k + 1 == end)
-            if accel:
-                if check_now:
-                    z_prev = point(r * c)[0]
-                rho, eta = schedule.step(k)
-                c *= rho
-                if c < FOLD_BELOW:
-                    # y and z are unchanged: u + c v = u + 1 (c v)
-                    vx *= c
-                    if vagg is not None:
-                        vagg *= c
-                    c = 1.0
-            i = next_index()
-            u_i = u_at[i]
-            if accel:
-                v_i = v_at[i]
-                x_i = u_i + c * v_i
-            else:
-                x_i = u_i
-            if mat is None:
-                whole = False
-                g = grad_local(i, x_i, None, None)
-            else:
-                lo, hi = ptr[i], ptr[i + 1]
-                vals = data[lo:hi]
-                # column ids ascend strictly in [0, d), so a row of d entries
-                # is columns 0..d-1: its parts are the whole caches
-                whole = hi - lo == d
-                if whole:
-                    u_part, v_part = uagg, vagg
-                else:
-                    # gathered once: the scatters below add to these parts
-                    cols = indices[lo:hi]
-                    u_part = uagg[cols]
-                    v_part = vagg[cols] if accel else None
-                part = u_part + c * v_part if accel else u_part
-                g = grad_local(i, x_i, part, vals)
-            if not math.isfinite(g):
-                raise InvariantViolation(f"{algo}: non-finite gradient at iteration {k}")
-
-            if check_now:
-                f_x, x_pt, _ = value_at(c)
-            dy = -g * inv_l[i]
-            if accel:
-                # y_i += dy and z_i += dz, in the (u, v) basis
-                dz = schedule.z_delta(i, g, eta)
-                du = (dz - r * dy) / one_minus_r
-                dv = (dy - dz) / (c * one_minus_r)
-                u_at[i] = u_i + du
-                v_at[i] = v_i + dv
-                if whole:
-                    w_at[0] = du / div
-                    w_at[1] = dv / div
-                    aggs += w_col * vals
-                elif mat is not None:
-                    uagg[cols] = u_part + (du / div) * vals
-                    vagg[cols] = v_part + (dv / div) * vals
-            else:
-                u_at[i] = u_i + dy
-                if whole:
-                    uagg += (dy / div) * vals
-                elif mat is not None:
-                    uagg[cols] = u_part + (dy / div) * vals
-
-            if check_now:
-                viol = _descent_violation(f_x, value_at(c)[0], g, l[i])
-                worst_descent = max(worst_descent, viol)
-                if viol > DESCENT_SLACK:
-                    raise InvariantViolation(
-                        f"{algo}: coordinate descent guarantee violated by "
-                        f"{viol:.3e} at iteration {k}"
-                    )
+        if blocks is not None:
+            c = blocks.run(k, end, c)
+        else:
+            for k in range(k, end):
+                check_now = check_all or (checking and k + 1 == end)
                 if accel:
-                    schedule.check_step(algo, k, eta)
-                    res = mirror_step_residual(
-                        profile, z_prev, point(r * c)[0], x_pt, i, g, p[i], eta,
-                        schedule.sigma,
-                    )
-                    worst_mirror = max(worst_mirror, res)
-                    if res > MIRROR_RESIDUAL_TOL:
+                    if check_now:
+                        z_prev = point(r * c)[0]
+                    rho, eta = schedule.step(k)
+                    c *= rho
+                    if c < FOLD_BELOW:
+                        # y and z are unchanged: u + c v = u + 1 (c v)
+                        vx *= c
+                        if vagg is not None:
+                            vagg *= c
+                        c = 1.0
+                i = next_index()
+                u_i = u_at[i]
+                if accel:
+                    v_i = v_at[i]
+                    x_i = u_i + c * v_i
+                else:
+                    x_i = u_i
+                if mat is None:
+                    whole = False
+                    g = grad_local(i, x_i, None, None)
+                else:
+                    lo, hi = ptr[i], ptr[i + 1]
+                    vals = data[lo:hi]
+                    # column ids ascend strictly in [0, d), so a row of d entries
+                    # is columns 0..d-1: its parts are the whole caches
+                    whole = hi - lo == d
+                    if whole:
+                        u_part, v_part = uagg, vagg
+                    else:
+                        # gathered once: the scatters below add to these parts
+                        cols = indices[lo:hi]
+                        u_part = uagg[cols]
+                        v_part = vagg[cols] if accel else None
+                    part = u_part + c * v_part if accel else u_part
+                    g = grad_local(i, x_i, part, vals)
+                if not math.isfinite(g):
+                    raise InvariantViolation(f"{algo}: non-finite gradient at iteration {k}")
+
+                if check_now:
+                    f_x, x_pt, _ = value_at(c)
+                dy = -g * inv_l[i]
+                if accel:
+                    # y_i += dy and z_i += dz, in the (u, v) basis
+                    dz = -schedule.z_scale(z_at[i], eta) * g
+                    du = (dz - r * dy) / one_minus_r
+                    dv = (dy - dz) / (c * one_minus_r)
+                    u_at[i] = u_i + du
+                    v_at[i] = v_i + dv
+                    if whole:
+                        w_at[0] = du / div
+                        w_at[1] = dv / div
+                        aggs += w_col * vals
+                    elif mat is not None:
+                        uagg[cols] = u_part + (du / div) * vals
+                        vagg[cols] = v_part + (dv / div) * vals
+                else:
+                    u_at[i] = u_i + dy
+                    if whole:
+                        uagg += (dy / div) * vals
+                    elif mat is not None:
+                        uagg[cols] = u_part + (dy / div) * vals
+
+                if check_now:
+                    viol = _descent_violation(f_x, value_at(c)[0], g, l[i])
+                    worst_descent = max(worst_descent, viol)
+                    if viol > DESCENT_SLACK:
                         raise InvariantViolation(
-                            f"{algo}: z-step residual {res:.3e} at iteration {k}"
+                            f"{algo}: coordinate descent guarantee violated by "
+                            f"{viol:.3e} at iteration {k}"
                         )
+                    if accel:
+                        schedule.check_step(algo, k, eta)
+                        res = mirror_step_residual(
+                            profile, z_prev, point(r * c)[0], x_pt, i, g, p[i], eta,
+                            schedule.sigma,
+                        )
+                        worst_mirror = max(worst_mirror, res)
+                        if res > MIRROR_RESIDUAL_TOL:
+                            raise InvariantViolation(
+                                f"{algo}: z-step residual {res:.3e} at iteration {k}"
+                            )
         k = end
         stopped = rec.record(k, *value_at(c))
 
@@ -682,9 +920,10 @@ def kaczmarz(
     its hyperplane: x <- x + (b_i - <a_i, x>)/||a_i||^2 * a_i.  That step is
     rcdm's on the dual f(y) = 0.5 ||x0 + A^T y||^2 - <b, y> with
     x = x0 + A^T y (Strohmer & Vershynin 2009), so the run is the shared
-    loop with no schedule.  The trace value is the squared residual
-    ||A x - b||^2, not the f being descended, so cfg.check_level is not
-    read; epochs count m rows.  dist_fn and on_record see (x, None, value).
+    loop with no schedule, in block steps when its trace stride allows.
+    The trace value is the squared residual ||A x - b||^2, not the f being
+    descended, so cfg.check_level is not read; epochs count m rows.
+    dist_fn and on_record see (x, None, value).
     """
     from .problems import KaczmarzResidual  # problems imports this module
 

@@ -26,9 +26,10 @@ from nucd.problems import (
     ridge_primal_reference,
     smallest_positive_eigenvalue,
     smoothing_term,
-    soft_threshold,
 )
 from nucd.solvers import SolverConfig, nu_acdm
+
+from reference import soft_threshold
 
 
 def _skewed(n=12, d=5, r=0.25, seed=17):

@@ -1,6 +1,6 @@
 """tools/trajectory_digest.py, the parent/change identity check: two runs
-print the same digest for every (problem, solver, check level) cell and
-for every trace of the experiment drivers."""
+print the same full and iterations digests for every (problem, solver,
+check level) cell and for every trace of the bench experiments."""
 
 import pathlib
 import subprocess
@@ -21,13 +21,20 @@ def test_two_runs_print_identical_digests():
     assert len({tuple(cell[:3]) for cell in cells}) == len(cells)
     solver_cells = [cell for cell in cells if cell[2] in ("off", "cheap", "full")]
     # 12 problems: 9 strongly convex with 5 solvers, 3 penalty duals with 2,
-    # plus kaczmarz on 3 systems; each at 3 check levels
-    assert len(solver_cells) == (9 * 5 + 3 * 2 + 3) * 3
+    # plus kaczmarz on 3 systems; each at 3 check levels; then kaczmarz at a
+    # stride of 64 on 2 systems, unchecked
+    assert len(solver_cells) == (9 * 5 + 3 * 2 + 3) * 3 + 2
+    assert ("linsys-scattered-stride64", "kaczmarz", "off") in {
+        tuple(cell[:3]) for cell in solver_cells}
     # then the drivers: 3 algos x 2 seeds, 2 x 2, 3 x 1 and 3 betas
     drivers = [tuple(cell[:3]) for cell in cells[len(solver_cells):]]
     assert [d[0] for d in drivers] == (["kaczmarz-race"] * 6 + ["erm-race-ridge"] * 4
                                        + ["erm-race-lasso"] * 3 + ["beta-sweep"] * 3)
     assert ("erm-race-ridge", "gd", "seed=1") in drivers
     assert ("beta-sweep", "nu-acdm-ns", "beta=0.5") in drivers
-    for *_cell, digest in cells:
-        assert len(digest) == 40 and int(digest, 16) >= 0
+    for *_cell, digest, iters_digest in cells:
+        for sha1 in (digest, iters_digest):
+            assert len(sha1) == 40 and int(sha1, 16) >= 0
+    # the iterations digest covers the record schedule alone, which many
+    # cells share
+    assert len({cell[4] for cell in solver_cells}) < len({cell[3] for cell in solver_cells})

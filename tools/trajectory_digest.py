@@ -1,21 +1,27 @@
-"""Print one SHA-1 per (problem, solver, check level) trajectory, and one
-per trace of tiny experiment-driver runs.
+"""Print two SHA-1s per (problem, solver, check level) trajectory, and two
+per trace of tiny bench experiment runs: a full digest and a digest of
+the record iterations alone.
 
-A solver line is `problem solver check_level sha1`, the digest taken over
-the returned point, trace.iters, trace.values, trace.dists and the trace's
-two invariant margins.  The problems are the Kaczmarz quadratic, ridge,
-Lasso and penalty duals on rows of all d columns ("dense"), rows of a few
-scattered columns ("scattered") and a mix of empty rows, contiguous runs,
-scattered, full and all-but-one rows ("mixed"); the solvers are nu_acdm,
-acdm_baseline, generalized_accel, nu_acdm_ns and rcdm, plus kaczmarz on the
-three linear systems.
+A solver line is `problem solver check_level sha1 iters_sha1`, the full
+digest taken over the returned point, trace.iters, trace.values,
+trace.dists and the trace's two invariant margins, the second over
+trace.iters alone.  A change that moves only rounding changes full digests
+and no iters digest: every record and every early stop stays where it was.
+The problems are the Kaczmarz quadratic, ridge, Lasso and penalty duals on
+rows of all d columns ("dense"), rows of a few scattered columns
+("scattered") and a mix of empty rows, contiguous runs, scattered, full and
+all-but-one rows ("mixed"); the solvers are nu_acdm, acdm_baseline,
+generalized_accel, nu_acdm_ns and rcdm, plus kaczmarz on the three linear
+systems, and once more, unchecked and with a trace stride of 64 steps, on
+the scattered and mixed ones.
 
-A driver line is `experiment algo seed=S sha1` for each trace of a
-run_kaczmarz_race, a ridge run_erm_race (gd and nu-acdm; the digest covers
-the primal gaps too) and a lasso run_erm_race, taken over trace.iters,
-values, dists and units_per_epoch; and `beta-sweep nu-acdm-ns beta=B sha1`
-for each beta_sweep entry, over its bound, mean final gap, epochs and mean
-gap trace.
+An experiment line is `experiment algo seed=S sha1 iters_sha1` for each
+trace of a run_kaczmarz_race, a ridge run_erm_race (gd and nu-acdm; the digest
+covers the primal gaps too) and a lasso run_erm_race, the full digest taken
+over trace.iters, values, dists and units_per_epoch; and
+`beta-sweep nu-acdm-ns beta=B sha1 epochs_sha1` for each beta_sweep entry,
+over its bound, mean final gap, epochs and mean gap trace, then over its
+epochs alone.
 
 A change meant to leave every trajectory bitwise unchanged is checked by
 digesting the parent's source with this same script and diffing:
@@ -93,15 +99,17 @@ def _sha1(*parts) -> str:
     return h.hexdigest()
 
 
-def _digest(point, trace) -> str:
-    return _sha1((point, np.float64), (trace.iters, np.int64),
-                 (trace.values, np.float64), (trace.dists, np.float64),
-                 ([trace.max_descent_violation, trace.max_mirror_residual],
-                  np.float64))
+def _digest(point, trace) -> tuple[str, str]:
+    return (_sha1((point, np.float64), (trace.iters, np.int64),
+                  (trace.values, np.float64), (trace.dists, np.float64),
+                  ([trace.max_descent_violation, trace.max_mirror_residual],
+                   np.float64)),
+            _sha1((trace.iters, np.int64)))
 
 
 def cells(epochs: int):
-    """Yield (problem, solver, check_level, sha1) for every cell."""
+    """Yield (problem, solver, check_level, sha1, iters_sha1) for every
+    cell."""
     from nucd import solvers
 
     def norm_sq(x, agg, value):
@@ -127,21 +135,28 @@ def cells(epochs: int):
                 cfg = solvers.SolverConfig(iters=epochs * n, seed=3,
                                            trace_stride=n // 2, check_level=level,
                                            dist_fn=norm_sq)
-                yield (name, solver, level, _digest(*run(oracle, prof, start(n), cfg)))
+                yield (name, solver, level, *_digest(*run(oracle, prof, start(n), cfg)))
     for kind, (a, b) in systems.items():
         for level in CHECK_LEVELS:
             cfg = solvers.SolverConfig(iters=epochs * a.m, seed=3,
                                        trace_stride=a.m // 2, check_level=level,
                                        dist_fn=norm_sq)
             out = solvers.kaczmarz(a, b, start(a.d), cfg)
-            yield (f"linsys-{kind}", "kaczmarz", level, _digest(*out))
+            yield (f"linsys-{kind}", "kaczmarz", level, *_digest(*out))
+    for kind in ("scattered", "mixed"):
+        # a stride of 64 steps, at which rows of a few columns take blocks
+        a, b = systems[kind]
+        cfg = solvers.SolverConfig(iters=epochs * a.m, seed=3, trace_stride=64,
+                                   dist_fn=norm_sq)
+        out = solvers.kaczmarz(a, b, start(a.d), cfg)
+        yield (f"linsys-{kind}-stride64", "kaczmarz", "off", *_digest(*out))
 
 
 def driver_cells(epochs: int):
-    """Yield (experiment, algo, seed or beta, sha1) for every trace of tiny
-    runs of the three experiment drivers.  Every parameter that once had no
-    default (m, n, r, variant, lam) is passed, so --src can digest a
-    checkout from before the drivers had defaults."""
+    """Yield (experiment, algo, seed or beta, sha1, iters_sha1) for every
+    trace of tiny runs of the three bench experiments.  Every parameter
+    that once had no default (m, n, r, variant, lam) is passed, so --src can
+    digest a checkout from before those functions had defaults."""
     from nucd import bench
     from nucd.data_io import gen_skewed_dataset, two_level_norms
 
@@ -165,13 +180,15 @@ def driver_cells(epochs: int):
             yield (name, algo, f"seed={seed}",
                    _sha1((trace.iters, np.int64), (trace.values, np.float64),
                          (trace.dists, np.float64), ([trace.units_per_epoch], np.int64),
-                         (gaps, np.float64)))
+                         (gaps, np.float64)),
+                   _sha1((trace.iters, np.int64)))
     entries = bench.beta_sweep(dataset(12, 4, 0.3, 7), 0.1, beta_list=(0.0, 0.5, 1.0),
                                seeds=range(3), epochs=epochs, enforce=False)
     for e in entries:
         yield ("beta-sweep", "nu-acdm-ns", f"beta={e.beta:g}",
                _sha1(([e.bound, e.mean_final_gap], np.float64),
-                     (e.epochs, np.float64), (e.mean_gap_trace, np.float64)))
+                     (e.epochs, np.float64), (e.mean_gap_trace, np.float64)),
+               _sha1((e.epochs, np.float64)))
 
 
 def main(argv=None) -> int:
