@@ -10,6 +10,7 @@ weights, weighted inner products) is derived from the profile here.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -91,6 +92,32 @@ def speedup_factor(profile: SmoothnessProfile) -> float:
     return float(np.sqrt(l.size * np.sum(l)) / np.sum(np.sqrt(l)))
 
 
+class BlockModel(NamedTuple):
+    """The gradients of B coordinate steps i_0, ..., i_{B-1} as an affine
+    function of the steps before them (CoordOracle.block_model).
+
+    If step s moves x_{i_s} by d_s, step t's gradient is
+        g_t = grad_t + sum_{s<t} (delta [i_s = i_t] + G_ts) d_s,
+    where G_ts sums a_{i_t,j} a_{i_s,j} weights_{t,j} over the columns j
+    the two rows share: the weight is that of the later step's entry.
+
+    grad    : (B,) each step's gradient at the block's start
+    delta   : the curvature of f in x_i alone, seen when a coordinate
+              repeats within the block
+    weights : one float for every entry (1.0 leaves the Gram matrix as it
+              is), or one per entry of rows.entries()
+    keeps   : None when the model holds everywhere; otherwise keeps(move)
+              says, entry by entry, whether the aggregate there, moved by
+              `move` from its value at the block's start, still lies where
+              the model holds
+    """
+
+    grad: np.ndarray
+    delta: float
+    weights: float | np.ndarray
+    keeps: Callable | None = None
+
+
 class CoordOracle:
     """First-order access to a convex function through single coordinates.
 
@@ -106,9 +133,17 @@ class CoordOracle:
     ``(delta / agg_div) * values`` there; so the solvers pay O(nnz of one
     row) per coordinate step instead of a full recomputation.
 
-    An oracle whose gradient is affine in the aggregate, grad_i f =
-    <a_i, aggregate> - rhs_i with agg_div 1, names that rhs as
-    ``row_rhs``; the solvers' loop may then take several steps at once.
+    An oracle with a row matrix whose gradient is affine in x_i and the
+    aggregate, at least piecewise, may implement ``block_model(rows)``;
+    the solvers' loop then takes several steps at once.  rows.idx are the
+    block's coordinates i_0, ..., i_{B-1} in step order, and rows reads
+    the point and the aggregate of each step t as they stand at the
+    block's start: rows.x() gives the (B,) x_{i_t}, rows.dots() the (B,)
+    products <a_{i_t}, aggregate>, rows.entries() the aggregate on every
+    entry of the block's rows and rows.sums(w) the (B,) sums of vals * w
+    over each row's entries, for w of entries()'s shape.  It returns the
+    BlockModel of those steps.  The attribute is None (the default) on an
+    oracle that takes single steps only.
     """
 
     n: int = 0
@@ -116,7 +151,7 @@ class CoordOracle:
     # x_i += delta moves the aggregate on row i's columns by
     # (delta / agg_div) * vals
     agg_div: float = 1.0
-    row_rhs: np.ndarray | None = None
+    block_model = None
 
     def value(self, x: np.ndarray, aggregate: np.ndarray | None = None) -> float:
         raise NotImplementedError

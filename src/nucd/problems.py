@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 import scipy.optimize
 
-from .geometry import CoordOracle, SmoothnessProfile
+from .geometry import BlockModel, CoordOracle, SmoothnessProfile
 from .matrix import SparseRowMatrix
 from . import solvers
 
@@ -92,7 +92,7 @@ class KaczmarzQuadratic(CoordOracle):
         if np.any(a_matrix.row_norms_sq <= 0.0):
             raise ValueError("zero rows are not allowed")
         self.a = self.row_matrix = a_matrix
-        self.b = self.row_rhs = b
+        self.b = b
         self.n = a_matrix.m  # coordinates are rows of A
 
     @cached_property
@@ -106,6 +106,11 @@ class KaczmarzQuadratic(CoordOracle):
 
     def coord_grad_local(self, i, y_i, agg_part, vals):
         return float(vals.dot(agg_part)) - self._b[i]
+
+    def block_model(self, rows):
+        """<a_i, w> - b_i: affine in w with unit Gram weight; y_i enters
+        only through w."""
+        return BlockModel(rows.dots() - self.b[rows.idx], 0.0, 1.0)
 
     # bound in the class itself: perfbench/spans.py wraps each oracle
     # class's own coord_grad and update_aggregate
@@ -153,10 +158,15 @@ def build_kaczmarz(a_matrix: SparseRowMatrix, b, beta: float = 0.0):
     for beta > 0."""
     oracle = KaczmarzQuadratic(a_matrix, b)
     l = a_matrix.row_norms_sq.copy()
-    # the copy keeps numpy on its general product: for x.T @ x on one
-    # buffer it calls BLAS syrk, whose rounding moves sigma0
-    dense = a_matrix.to_dense()
-    gram = dense.T @ dense.copy()
+    if a_matrix.m < a_matrix.d:
+        # A A^T has the nonzero eigenvalues of A^T A in m x m, whatever d is
+        csr = a_matrix._csr
+        gram = (csr @ csr.T).toarray()
+    else:
+        # the copy keeps numpy on its general product: for x.T @ x on one
+        # buffer it calls BLAS syrk, whose rounding moves sigma0
+        dense = a_matrix.to_dense()
+        gram = dense.T @ dense.copy()
     sigma0 = smallest_positive_eigenvalue(gram)
     # on short-and-wide or tiny systems the row-space modulus can exceed the
     # curvature of a single coordinate; the profile's validity cap wins then
@@ -296,6 +306,9 @@ class ErmDual(CoordOracle):
         self.d = data.d
         self.agg_div = float(data.m)
         self.loss = PENALTY_LOSS if variant == "l1l2_penalty" else SQUARED_LOSS
+        if variant == "l1l2_penalty":
+            # its conjugate loss is not affine in y_i
+            self.block_model = None
 
     def _reg_conj_value(self, v):
         """r*(-v); |.| makes the sign flip immaterial for these r."""
@@ -323,6 +336,34 @@ class ErmDual(CoordOracle):
         # r* acts elementwise, so the row's own entries of v suffice
         sep = self.loss.conj_deriv_scalar(y_i, self._labels[i]) / self.n
         return sep - float(vals.dot(self._reg_conj_grad(agg_part))) / self.n
+
+    def block_model(self, rows):
+        """The squared loss's conjugate derivative (y_i + l_i)/n has slope
+        1/n in y_i.  For ridge the gradient is affine in v with Gram weight
+        1/(lam n^2).  For the Lasso, r*'s gradient at -v is affine on each
+        of v_j < -lam, |v_j| <= lam and v_j > lam, with slope 1/lam2 outside
+        [-lam, lam] and 0 inside, so the model holds while every entry
+        stays on the side of +-lam it had at the block's start."""
+        n = self.n
+        sep = self.loss.conj_deriv(rows.x(), self.labels[rows.idx]) / n
+        if self.lam2 is None:
+            return BlockModel(sep - self._reg_conj_grad(rows.dots()) / n, 1.0 / n,
+                              1.0 / (self.lam * n * n))
+        lam = self.lam
+
+        def excess(w):
+            # -lam2 times r*'s gradient at -w
+            return w - np.minimum(np.maximum(w, -lam), lam)
+
+        v = rows.entries()
+        over = excess(v)
+        side = np.sign(over)
+
+        def keeps(move):
+            return np.sign(excess(v + move)) == side
+
+        return BlockModel(sep + rows.sums(over) / (self.lam2 * n), 1.0 / n,
+                          (side != 0.0) / (self.lam2 * n * n), keeps)
 
     # bound in the class itself: perfbench/spans.py wraps each oracle
     # class's own coord_grad and update_aggregate

@@ -18,15 +18,18 @@ checked steps and return.  Without a schedule the loop is plain randomized
 coordinate descent on a single sequence, which on the dual of a linear
 system is Kaczmarz.
 
-On an oracle whose gradient is affine in the aggregate (a row_rhs: the
-Kaczmarz quadratic and kaczmarz's residual form), an unchecked run with a
-trace stride of at least _BLOCK_MIN steps (_CSR_SEGMENT_MIN on rows of
-scattered columns) takes block Gauss-Seidel steps: B indices from the same
-stream, the B x B Gram matrix of their rows and one triangular solve for
-all B gradients (see _Blocks).  That is exact in arithmetic, so records and
-stops are those of single steps, but it rounds differently: such a run
-agrees with a checked run (always single steps) to rounding, not bit for
-bit.  Either way a run is bit-reproducible from its parameters and seed.
+On an oracle with a block_model (the Kaczmarz quadratic, kaczmarz's
+residual form and the ridge and smoothed-Lasso duals), an unchecked run
+with a trace stride of at least _BLOCK_MIN steps (_CSR_SEGMENT_MIN on rows
+of scattered columns) takes block Gauss-Seidel steps: B indices from the
+same stream, the B x B weighted Gram matrix of their rows and one
+triangular solve for all B gradients (see _Blocks).  The Lasso's model
+holds only while no entry crosses +-lam; a block that crosses applies the
+steps before the crossing and restarts there.  That is exact in
+arithmetic, so records and stops are those of single steps, but it rounds
+differently: such a run agrees with a checked run (always single steps) to
+rounding, not bit for bit.  Either way a run is bit-reproducible from its
+parameters and seed.
 
 Iteration cost is honest: no solver ever forms a full gradient except
 full_gd, which exists as a reference baseline.
@@ -46,7 +49,8 @@ from .geometry import CoordOracle, SmoothnessProfile, TrackedPoint, s_alpha
 from .matrix import SparseRowMatrix
 from .sampling import WeightedSampler
 
-# a per-step descent violation larger than this (relative) aborts the run
+# a per-step descent violation larger than this (relative) aborts the run;
+# an accelerated step allows it times the spread of its stored terms
 DESCENT_SLACK = 1e-12
 # absolute tolerance on the first-order residual of the z-step subproblem
 MIRROR_RESIDUAL_TOL = 1e-9
@@ -172,28 +176,32 @@ class _Recorder:
         )
 
 
-def _index_taker(sampler: WeightedSampler, count: int):
-    """take(size) returns the next `size` of the first `count` indices of
-    the sampler's stream as an array.  Indices are drawn up to 4096 at a
-    time (cheaper per index); the draws continue one stream, so their sizes
-    do not change the indices."""
-    buf = np.zeros(0, np.int64)
+class _Indices:
+    """The first `count` indices of the sampler's stream.  take(size)
+    returns the next `size` of them as an array, and put_back(idx) returns
+    taken indices to the front of the stream.  Indices are drawn up to 4096
+    at a time (cheaper per index); the draws continue one stream, so their
+    sizes do not change the indices."""
 
-    def take(size):
-        nonlocal buf, count
-        while buf.size < size:
-            draw = min(4096, count)
-            count -= draw
-            buf = np.concatenate((buf, sampler.sample_block(draw)))
-        out, buf = buf[:size], buf[size:]
+    def __init__(self, sampler: WeightedSampler, count: int):
+        self.sampler, self.count = sampler, count
+        self.buf = np.zeros(0, np.int64)
+
+    def take(self, size: int) -> np.ndarray:
+        while self.buf.size < size:
+            draw = min(4096, self.count)
+            self.count -= draw
+            self.buf = np.concatenate((self.buf, self.sampler.sample_block(draw)))
+        out, self.buf = self.buf[:size], self.buf[size:]
         return out
 
-    return take
+    def put_back(self, idx: np.ndarray):
+        self.buf = np.concatenate((idx, self.buf))
 
 
 def _index_stream(sampler: WeightedSampler, count: int):
     """The first `count` indices of the sampler's stream as Python ints."""
-    take = _index_taker(sampler, count)
+    take = _Indices(sampler, count).take
     while count > 0:
         size = min(4096, count)
         count -= size
@@ -292,6 +300,15 @@ def _descent_violation(f_x: float, f_y: float, g: float, l_i: float) -> float:
     return (f_y - (f_x - g * g / (2.0 * l_i))) / max(1.0, abs(f_x))
 
 
+def _term_spread(u: np.ndarray, v: np.ndarray, c: float, x: np.ndarray) -> float:
+    """max(|u| + c|v|) / max|x| for x = u + c v, at least 1: how many times
+    larger than x the terms are that x is formed from.  f(x) rounds at
+    their size, not at x's, so a step's descent slack is DESCENT_SLACK
+    times this."""
+    terms = float(np.max(np.abs(u) + c * np.abs(v)))
+    return max(1.0, terms / max(float(np.max(np.abs(x))), np.finfo(float).tiny))
+
+
 # --- the coordinate loop and its schedules ---
 
 
@@ -375,70 +392,175 @@ class _Growing:
             )
 
 
-class _FullRows:
-    """Rows idx of a matrix whose rows all have d columns, for _Blocks."""
+class _BlockRows:
+    """The view of a block that _Blocks hands to oracle.block_model: its
+    coordinates idx in step order and their rows, with the stored points
+    (ux, vx) and their caches aggs read at the step coefficients cs (None
+    without a schedule), so that step t sees x = ux + cs[t] vx and the
+    aggregate aggs[0] + cs[t] aggs[1]."""
 
-    def __init__(self, dense: np.ndarray, idx: np.ndarray):
+    def __init__(self, idx: np.ndarray, ux, vx, aggs, cs):
+        self.idx, self.ux, self.vx, self.aggs, self.cs = idx, ux, vx, aggs, cs
+
+    def x(self) -> np.ndarray:
+        """(B,): x_{i_t} at each step t."""
+        if self.cs is None:
+            return self.ux[self.idx]
+        return self.ux[self.idx] + self.cs * self.vx[self.idx]
+
+
+class _FullRows(_BlockRows):
+    """The rows of a matrix whose rows all have d columns."""
+
+    def __init__(self, dense: np.ndarray, idx: np.ndarray, *state):
+        super().__init__(idx, *state)
         self.rows = dense[idx]
 
-    def gram(self) -> np.ndarray:
-        return self.rows @ self.rows.T
+    def dots(self) -> np.ndarray:
+        parts = self.rows @ self.aggs.T
+        return parts[:, 0] if self.cs is None else parts[:, 0] + self.cs * parts[:, 1]
 
-    def parts(self, aggs: np.ndarray) -> np.ndarray:
-        """(B, k): each row's product with each of the k caches."""
-        return self.rows @ aggs.T
+    def entries(self) -> np.ndarray:
+        """(B, d): the aggregate of each step t on row t's entries."""
+        if self.cs is None:
+            return np.broadcast_to(self.aggs[0], self.rows.shape)
+        return self.aggs[0] + self.cs[:, None] * self.aggs[1]
 
-    def add(self, upd: np.ndarray, aggs: np.ndarray):
-        """aggs += upd @ rows, for a (k, B) upd."""
-        aggs += upd @ self.rows
+    def sums(self, w: np.ndarray) -> np.ndarray:
+        return np.einsum("ij,ij->i", self.rows, w)
+
+    def gram(self, weights) -> np.ndarray:
+        """A_I A_I^T, each product weighted by the weight of the left
+        factor's entry (below the diagonal, the later step's); weights is a
+        float or (B, d)."""
+        if not isinstance(weights, float):
+            return (self.rows * weights) @ self.rows.T
+        gram = self.rows @ self.rows.T
+        if weights != 1.0:
+            gram *= weights
+        return gram
+
+    def moves(self, steps: np.ndarray) -> np.ndarray:
+        """(B, d): the sum over s < t of steps[t, s] * a_s on row t's
+        entries."""
+        return np.tril(steps, -1) @ self.rows
+
+    def first_step(self, entries: np.ndarray) -> int:
+        """The first step with a True entry."""
+        return int(np.argmax(entries.any(axis=1)))
+
+    def add(self, upd: np.ndarray):
+        """aggs += upd @ rows[:size], for a (k, size) upd."""
+        rows = self.rows
+        if upd.shape[1] < len(rows):
+            rows = rows[:upd.shape[1]]
+        self.aggs += upd @ rows
 
 
-class _ScatteredRows:
-    """Rows idx of a SparseRowMatrix with no empty row, for _Blocks, as
-    flat entries (block row, column, value) read from its indptr, indices
-    and data.  The Gram matrix, the products with the caches and the
-    scatter into them cost O(entries and column collisions) plus one sort,
+class _ScatteredRows(_BlockRows):
+    """The rows of a SparseRowMatrix as flat entries (block row, column,
+    value) read from its indptr, indices and data.  The Gram matrix, the
+    products with the caches, the moves of the entries and the scatter
+    into the caches cost O(entries and column collisions) plus one sort,
     whatever d is."""
 
-    def __init__(self, mat: SparseRowMatrix, idx: np.ndarray):
+    def __init__(self, mat: SparseRowMatrix, idx: np.ndarray, *state):
+        super().__init__(idx, *state)
         lo = mat.indptr[idx]
         lens = mat.indptr[idx + 1] - lo
         self.starts = np.cumsum(lens) - lens
+        self.empty = None if lens.all() else lens == 0
         flat = np.arange(int(lens.sum())) + np.repeat(lo - self.starts, lens)
         self.row = np.repeat(np.arange(idx.size), lens)
         self.cols, self.vals = mat.indices[flat], mat.data[flat]
+        self.pairs = None
 
-    def gram(self) -> np.ndarray:
-        # G_st sums vals_e vals_f over entries e of row s and f of row t on
-        # one column.  Sorted by column, the entries form runs of equal
-        # columns, and each entry pairs with every entry of its run.
-        order = np.argsort(self.cols)
-        first = np.flatnonzero(np.diff(self.cols[order], prepend=-1))
-        run = np.diff(first, append=order.size)
-        reps = np.repeat(run, run)
-        left = np.repeat(np.arange(order.size), reps)
-        right = np.arange(left.size) + np.repeat(
-            np.repeat(first, run) - (np.cumsum(reps) - reps), reps)
-        left, right = order[left], order[right]
+    def _row_sums(self, x: np.ndarray) -> np.ndarray:
+        """The sums of x over each row's entries, along x's last axis."""
+        if self.empty is None:
+            return np.add.reduceat(x, self.starts, axis=-1)
+        # a trailing 0 gives empty rows at the end a valid start; reduceat
+        # gives an empty row the entry at its start, not 0
+        pad = np.zeros(x.shape[:-1] + (1,))
+        out = np.add.reduceat(np.concatenate((x, pad), axis=-1), self.starts, axis=-1)
+        out[..., self.empty] = 0.0
+        return out
+
+    def dots(self) -> np.ndarray:
+        parts = self._row_sums(self.aggs[:, self.cols] * self.vals)
+        return parts[0] if self.cs is None else parts[0] + self.cs * parts[1]
+
+    def entries(self) -> np.ndarray:
+        """The aggregate of each step t on row t's entries, flat."""
+        if self.cs is None:
+            return self.aggs[0, self.cols]
+        return self.aggs[0, self.cols] + self.cs[self.row] * self.aggs[1, self.cols]
+
+    def sums(self, w: np.ndarray) -> np.ndarray:
+        return self._row_sums(self.vals * w)
+
+    def _later_earlier(self):
+        """(later, earlier): every pair of entries of two rows on one
+        column, the later row's entry first, in ascending column order.
+        Sorted by (column, step), the entries form runs of equal columns,
+        and each entry pairs with the a entries before it in its run."""
+        if self.pairs is None:
+            size = self.cols.size
+            pos = np.arange(size)
+            order = np.argsort(self.cols * size + pos)
+            sorted_cols = self.cols[order]
+            new = np.empty(size, bool)
+            new[:1] = True
+            np.not_equal(sorted_cols[1:], sorted_cols[:-1], out=new[1:])
+            run_start = np.maximum.accumulate(np.where(new, pos, 0))
+            a = pos - run_start
+            later = np.repeat(pos, a)
+            earlier = np.repeat(run_start - np.cumsum(a) + a, a) + np.arange(later.size)
+            self.pairs = order[later], order[earlier]
+        return self.pairs
+
+    def gram(self, weights) -> np.ndarray:
+        """The strict lower triangle of A_I A_I^T (the rest is 0), each
+        product weighted by the weight of the later row's entry; weights
+        is a float or one per entry."""
+        later, earlier = self._later_earlier()
+        prod = self.vals[later] * self.vals[earlier]
+        scalar = isinstance(weights, float)
+        if not scalar:
+            prod *= weights[later]
         n = len(self.starts)
-        return np.bincount(self.row[left] * n + self.row[right],
-                           weights=self.vals[left] * self.vals[right],
-                           minlength=n * n).reshape(n, n)
+        # with no pairs, bincount returns integer zeros
+        gram = np.bincount(self.row[later] * n + self.row[earlier], weights=prod,
+                           minlength=n * n).reshape(n, n).astype(float, copy=False)
+        if scalar and weights != 1.0:
+            gram *= weights
+        return gram
 
-    def parts(self, aggs: np.ndarray) -> np.ndarray:
-        """(B, k): each row's product with each of the k caches."""
-        return np.add.reduceat(aggs[:, self.cols] * self.vals, self.starts, axis=1).T
+    def moves(self, steps: np.ndarray) -> np.ndarray:
+        """The sum over s < t of steps[t, s] * a_s on each entry of row
+        t, flat."""
+        later, earlier = self._later_earlier()
+        return np.bincount(later, minlength=self.cols.size, weights=self.vals[earlier]
+                           * steps[self.row[later], self.row[earlier]]).astype(float, copy=False)
 
-    def add(self, upd: np.ndarray, aggs: np.ndarray):
-        """aggs += upd @ rows, for a (k, B) upd, entry by entry in order."""
-        for agg, w in zip(aggs, upd):
-            np.add.at(agg, self.cols, w[self.row] * self.vals)
+    def first_step(self, entries: np.ndarray) -> int:
+        """The first step with a True entry; entries are in step order."""
+        return int(self.row[np.argmax(entries)])
+
+    def add(self, upd: np.ndarray):
+        """aggs += upd @ rows[:size], for a (k, size) upd, entry by entry
+        in order."""
+        size = upd.shape[1]
+        end = self.cols.size if size == len(self.starts) else self.starts[size]
+        cols, wrow, vals = self.cols[:end], self.row[:end], self.vals[:end]
+        for agg, w in zip(self.aggs, upd):
+            np.add.at(agg, cols, w[wrow] * vals)
 
 
 def _takes_blocks(oracle, cfg: SolverConfig) -> bool:
     """Whether _coordinate_loop steps this run with _Blocks."""
     mat = oracle.row_matrix
-    if oracle.row_rhs is None or mat is None or cfg.check_level != "off":
+    if oracle.block_model is None or mat is None or cfg.check_level != "off":
         return False
     if mat.nnz == mat.m * mat.d:
         return cfg.trace_stride >= _BLOCK_MIN
@@ -446,44 +568,57 @@ def _takes_blocks(oracle, cfg: SolverConfig) -> bool:
 
 
 class _Blocks:
-    """The steps of _coordinate_loop on an oracle with a row_rhs, taken
-    block_len at a time with one triangular solve per block.
+    """The steps of _coordinate_loop on an oracle with a block_model, taken
+    up to about block_len at a time with one triangular solve per block.
 
-    The gradient is g = <a_i, part> - rhs_i, and within a block the caches
-    move only along the block's own rows.  So with rows I = (i_0, i_1, ...),
-    G = A_I A_I^T and res_t = a_t . (u.agg + c_t v.agg) - rhs_t read off the
-    caches at the block's start, step t's gradient is
-        g_t = res_t + sum_{s<t} G_ts (du_s + c_t dv_s).
-    Each step's du_s = kappa_s g_s and dv_s = cmu_s g_s / c_s, so
-        (I - strict_tril(G o M)) g = res,  M_ts = kappa_s + (c_t / c_s) cmu_s,
-    and without a schedule (du_s = -g_s / L_s, no v)
-        (I + strict_tril(G) diag(1/L_I)) g = res.
-    One forward substitution gives every g of the block; the coordinate
-    updates are then added in step order (repeated rows included) and each
-    cache moves by one product with the block's rows (_FullRows or
-    _ScatteredRows).  This is the per-step loop's arithmetic
-    regrouped, so it agrees with that loop to rounding, not bit for bit.
+    Within a block the caches move only along the block's own rows, and
+    the oracle's BlockModel gives step t's gradient as its value grad_t
+    at the block's start plus A_ts times the move of x_{i_s} seen at step
+    t, for every earlier step s, with A = delta E + G: E_ts = [i_t = i_s]
+    and G the weighted Gram matrix of the block's rows.  In the (u, v)
+    basis step s moves u by du_s = kappa_s g_s and v by
+    dv_s = cmu_s g_s / c_s, and step t sees x = u + c_t v, so the move is
+    K_ts g_s with K_ts = kappa_s + (c_t / c_s) cmu_s, and
+        (I - strict_tril(A o K)) g = grad;
+    without a schedule (du_s = -g_s / L_s, no v) K_ts = -1/L_s.  One
+    forward substitution gives every g of the block; the coordinate
+    updates are then added in step order (repeated rows included) and
+    each cache moves by one product with the block's rows (_FullRows or
+    _ScatteredRows).  This is the per-step loop's arithmetic regrouped, so
+    it agrees with that loop to rounding, not bit for bit.
+
+    A model with a keeps test holds only while each entry of the block's
+    rows stays where it held at the block's start (the Lasso's side of
+    +-lam).  The solve's moves of every entry (one bincount over the Gram's
+    column pairs) are checked with it; when an entry leaves, the steps
+    before the first such step are exact and are applied, and the next
+    block starts at that step with the indices already drawn.  Step 0's
+    entries have not moved, so a block always advances.
 
     A block never crosses a trace record (run steps one segment) and ends
     before a step whose c would fall below FOLD_BELOW; the next block folds
-    c first, as the per-step loop does.  1/L comes from the profile.
+    c first, as the per-step loop does.  A segment runs as blocks of
+    block_len until less than 1.5 block_len steps are left, which run as
+    one block, so no block is a short remainder.  1/L comes from the
+    profile.
     """
 
     def __init__(self, oracle, profile, sampler, iters, schedule, ux, vx, aggs, algo):
         mat = oracle.row_matrix
-        self.take = _index_taker(sampler, iters)
-        self.rhs, self.inv_l = oracle.row_rhs, 1.0 / profile.l
+        self.indices = _Indices(sampler, iters)
+        self.model, self.inv_l = oracle.block_model, 1.0 / profile.l
+        self.div = oracle.agg_div
         if mat.nnz == mat.m * mat.d:
             # validated rows ascend strictly in [0, d): the data array is
             # the dense matrix
             self.rows_of = partial(_FullRows, mat.data.reshape(mat.m, mat.d))
         else:
-            # the oracle rejects empty rows
             self.rows_of = partial(_ScatteredRows, mat)
         # the Gram product grows with block_len^2 * nnz per row, while the
-        # per-block overhead it amortizes does not; nnz >= m keeps the
-        # block at most sqrt(_BLOCK_WORK) steps
-        self.block_len = max(_BLOCK_MIN, math.isqrt(_BLOCK_WORK * mat.m // mat.nnz))
+        # per-block overhead it amortizes does not; counting an empty row
+        # as one entry keeps the block at most sqrt(_BLOCK_WORK) steps
+        self.block_len = max(_BLOCK_MIN,
+                             math.isqrt(_BLOCK_WORK * mat.m // max(mat.nnz, mat.m)))
         self.schedule, self.algo = schedule, algo
         self.ux, self.vx, self.aggs = ux, vx, aggs
         self.r = schedule.r if schedule is not None else 0.0
@@ -492,43 +627,66 @@ class _Blocks:
         """Steps k .. end - 1 from implicit coefficient c; returns the new c."""
         schedule, aggs, r = self.schedule, self.aggs, self.r
         one_minus_r = 1.0 - r
+        cs = None
         while k < end:
-            size = min(self.block_len, end - k)
+            size = end - k
+            if 2 * size >= 3 * self.block_len:
+                size = self.block_len
             if schedule is not None:
                 rho, eta = schedule.steps(k, size)
                 # c at each step, multiplied in step order
-                cs = np.cumprod(np.concatenate(([c], rho)))[1:]
+                rho[0] *= c
+                cs = np.cumprod(rho)
                 if cs[0] < FOLD_BELOW:
                     self.vx *= cs[0]
                     aggs[1] *= cs[0]
                     rho[0] = 1.0
-                    cs = np.cumprod(np.concatenate(([1.0], rho)))[1:]
+                    cs = np.cumprod(rho)
                 # c never rises: the block ends before the next fold
                 size = int(np.count_nonzero(cs >= FOLD_BELOW))
                 cs, eta = cs[:size], eta[:size]
-            idx = self.take(size)
-            rows = self.rows_of(idx)
-            gram = rows.gram()
-            parts = rows.parts(aggs)
+            idx = self.indices.take(size)
+            rows = self.rows_of(idx, self.ux, self.vx, aggs, cs)
+            model = self.model(rows)
             il = self.inv_l[idx]
             if schedule is not None:
                 zc = schedule.z_scale(schedule.z_coef[idx], eta)
                 kappa = (r * il - zc) / one_minus_r
                 cmu = (zc - il) / one_minus_r
-                res = parts[:, 0] + cs * parts[:, 1] - self.rhs[idx]
-                tri = gram * -(kappa + cs[:, None] / cs * cmu)
+                # -K = -(kappa + (c_t / c_s) cmu), in place
+                neg_k = cs[:, None] / cs
+                neg_k *= cmu
+                neg_k += kappa
+                np.negative(neg_k, out=neg_k)
             else:
-                res = parts[:, 0] - self.rhs[idx]
-                tri = gram * il
+                neg_k = il
+            # A = delta E + G, then tri = A o (-K), in place
+            tri = rows.gram(model.weights)
+            if model.delta:
+                np.add(tri, model.delta, out=tri, where=idx[:, None] == idx)
+            tri *= neg_k
             # solves with tri's strict lower triangle and a unit diagonal;
             # tri.T is Fortran-ordered, so BLAS reads it without a copy
-            g = _dtrsv(tri.T, res, overwrite_x=1, trans=1, diag=1)
-            finite = np.isfinite(g)
-            if not finite.all():
-                raise InvariantViolation(
-                    f"{self.algo}: non-finite gradient at iteration "
-                    f"{k + int(finite.argmin())}"
-                )
+            g = _dtrsv(tri.T, model.grad, overwrite_x=1, trans=1, diag=1)
+            if model.keeps is not None:
+                # steps[t, s] = K_ts g_s, the move of x_{i_s} step t sees
+                steps = np.broadcast_to(neg_k * -g, tri.shape)
+                with np.errstate(invalid="ignore", over="ignore"):
+                    left = ~model.keeps(rows.moves(steps) / self.div)
+                if left.any():
+                    size = max(1, rows.first_step(left))
+                    self.indices.put_back(idx[size:])
+                    idx, g, il = idx[:size], g[:size], il[:size]
+                    if schedule is not None:
+                        cs, zc = cs[:size], zc[:size]
+            # a finite sum needs finite terms
+            if not math.isfinite(np.add.reduce(g)):
+                finite = np.isfinite(g)
+                if not finite.all():
+                    raise InvariantViolation(
+                        f"{self.algo}: non-finite gradient at iteration "
+                        f"{k + int(finite.argmin())}"
+                    )
             dy = -g * il
             if schedule is not None:
                 dz = -zc * g
@@ -536,11 +694,14 @@ class _Blocks:
                 dv = (dy - dz) / (cs * one_minus_r)
                 np.add.at(self.ux, idx, du)
                 np.add.at(self.vx, idx, dv)
-                rows.add(np.stack((du, dv)), aggs)
+                upd = np.stack((du, dv))
                 c = float(cs[-1])
             else:
                 np.add.at(self.ux, idx, dy)
-                rows.add(dy[None, :], aggs)
+                upd = dy[None, :]
+            if self.div != 1.0:
+                upd = upd / self.div
+            rows.add(upd)
             k += size
         return c
 
@@ -688,6 +849,8 @@ def _coordinate_loop(oracle, profile, x0, cfg, p, algo, schedule=None):
 
                 if check_now:
                     f_x, x_pt, _ = value_at(c)
+                    # x = u + c v: with a tiny tau the terms dwarf x
+                    spread = _term_spread(ux, vx, c, x_pt) if accel else 1.0
                 dy = -g * inv_l[i]
                 if accel:
                     # y_i += dy and z_i += dz, in the (u, v) basis
@@ -713,7 +876,7 @@ def _coordinate_loop(oracle, profile, x0, cfg, p, algo, schedule=None):
                 if check_now:
                     viol = _descent_violation(f_x, value_at(c)[0], g, l[i])
                     worst_descent = max(worst_descent, viol)
-                    if viol > DESCENT_SLACK:
+                    if viol > DESCENT_SLACK * spread:
                         raise InvariantViolation(
                             f"{algo}: coordinate descent guarantee violated by "
                             f"{viol:.3e} at iteration {k}"

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nucd import solvers
-from nucd.geometry import s_alpha
+from nucd.geometry import SmoothnessProfile, s_alpha
 from nucd.matrix import SparseRowMatrix
 from nucd.problems import (
     build_kaczmarz,
@@ -521,6 +521,18 @@ def test_rcdm_descends_every_recorded_step():
     slack = 1e-12 * max(1.0, trace.values[0])
     assert np.all(np.diff(trace.values) <= slack)
     assert trace.max_descent_violation <= 1e-12
+
+
+@pytest.mark.parametrize("solver", [rcdm, nu_acdm, nu_acdm_ns])
+def test_descent_check_trips_on_a_profile_that_understates_l(solver):
+    """Steps of 4/L_i overshoot every coordinate's minimum: a checked run
+    reports the broken guarantee, accelerated or not."""
+    l = 10.0 ** np.linspace(-1, 1, 6)
+    oracle, _prof = build_separable_quadratic(l)
+    prof = SmoothnessProfile(l / 4.0, sigma_beta=float(np.min(l)) / 4.0)
+    cfg = SolverConfig(iters=50, seed=2, check_level="full")
+    with pytest.raises(InvariantViolation, match="descent guarantee violated"):
+        solver(oracle, prof, np.ones(6), cfg)
 
 
 def test_full_gd_monotone_and_convergent():

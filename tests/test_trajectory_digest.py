@@ -21,11 +21,13 @@ def test_two_runs_print_identical_digests():
     assert len({tuple(cell[:3]) for cell in cells}) == len(cells)
     solver_cells = [cell for cell in cells if cell[2] in ("off", "cheap", "full")]
     # 12 problems: 9 strongly convex with 5 solvers, 3 penalty duals with 2,
-    # plus kaczmarz on 3 systems; each at 3 check levels; then kaczmarz at a
-    # stride of 64 on 2 systems, unchecked
-    assert len(solver_cells) == (9 * 5 + 3 * 2 + 3) * 3 + 2
-    assert ("linsys-scattered-stride64", "kaczmarz", "off") in {
-        tuple(cell[:3]) for cell in solver_cells}
+    # plus kaczmarz on 3 systems; each at 3 check levels; then, unchecked at
+    # a stride of 64, kaczmarz on 2 systems and 5 solvers on 4 ERM duals
+    assert len(solver_cells) == (9 * 5 + 3 * 2 + 3) * 3 + 2 + 4 * 5
+    names = {tuple(cell[:3]) for cell in solver_cells}
+    assert ("linsys-scattered-stride64", "kaczmarz", "off") in names
+    assert ("lasso-mixed-stride64", "nu_acdm", "off") in names
+    assert ("ridge-scattered-stride64", "rcdm", "off") in names
     # then the drivers: 3 algos x 2 seeds, 2 x 2, 3 x 1 and 3 betas
     drivers = [tuple(cell[:3]) for cell in cells[len(solver_cells):]]
     assert [d[0] for d in drivers] == (["kaczmarz-race"] * 6 + ["erm-race-ridge"] * 4

@@ -12,8 +12,10 @@ rows of all d columns ("dense"), rows of a few scattered columns
 ("scattered") and a mix of empty rows, contiguous runs, scattered, full and
 all-but-one rows ("mixed"); the solvers are nu_acdm, acdm_baseline,
 generalized_accel, nu_acdm_ns and rcdm, plus kaczmarz on the three linear
-systems, and once more, unchecked and with a trace stride of 64 steps, on
-the scattered and mixed ones.
+systems.  Every cell above has a trace stride of 20 steps, below the 64 at
+which rows of a few columns take block steps, so the scattered and mixed
+Kaczmarz systems (kaczmarz) and ridge and Lasso duals (all five solvers)
+are digested once more, unchecked and with a trace stride of 64 steps.
 
 An experiment line is `experiment algo seed=S sha1 iters_sha1` for each
 trace of a run_kaczmarz_race, a ridge run_erm_race (gd and nu-acdm; the digest
@@ -120,17 +122,17 @@ def cells(epochs: int):
         x0[::7] = -0.0
         return x0
 
+    runs = {"nu_acdm": solvers.nu_acdm, "acdm_baseline": solvers.acdm_baseline,
+            "generalized_accel": lambda o, p, x, c: solvers.generalized_accel(
+                o, p, x, c, solvers.rcdm_probabilities(p)),
+            "nu_acdm_ns": solvers.nu_acdm_ns, "rcdm": solvers.rcdm}
     oracles, systems = problems()
     for name, (oracle, prof) in oracles.items():
-        runs = {"nu_acdm": solvers.nu_acdm, "acdm_baseline": solvers.acdm_baseline,
-                "generalized_accel": lambda o, p, x, c: solvers.generalized_accel(
-                    o, p, x, c, solvers.rcdm_probabilities(p)),
-                "nu_acdm_ns": solvers.nu_acdm_ns, "rcdm": solvers.rcdm}
-        if prof.sigma_beta <= 0.0:
-            # the strongly convex schedules need sigma > 0
-            runs = {k: runs[k] for k in ("nu_acdm_ns", "rcdm")}
+        # the strongly convex schedules need sigma > 0
+        solvable = runs if prof.sigma_beta > 0.0 else {
+            k: runs[k] for k in ("nu_acdm_ns", "rcdm")}
         n = oracle.n
-        for solver, run in runs.items():
+        for solver, run in solvable.items():
             for level in CHECK_LEVELS:
                 cfg = solvers.SolverConfig(iters=epochs * n, seed=3,
                                            trace_stride=n // 2, check_level=level,
@@ -150,6 +152,14 @@ def cells(epochs: int):
                                    dist_fn=norm_sq)
         out = solvers.kaczmarz(a, b, start(a.d), cfg)
         yield (f"linsys-{kind}-stride64", "kaczmarz", "off", *_digest(*out))
+    for name in ("ridge-scattered", "ridge-mixed", "lasso-scattered", "lasso-mixed"):
+        oracle, prof = oracles[name]
+        n = oracle.n
+        for solver, run in runs.items():
+            cfg = solvers.SolverConfig(iters=epochs * n, seed=3, trace_stride=64,
+                                       dist_fn=norm_sq)
+            yield (f"{name}-stride64", solver, "off",
+                   *_digest(*run(oracle, prof, start(n), cfg)))
 
 
 def driver_cells(epochs: int):
