@@ -26,10 +26,6 @@ from .solvers import SolverConfig
 KACZMARZ_RACE_ALGOS = ("nu-acdm", "acdm", "kaczmarz")
 
 
-class RaceError(RuntimeError):
-    """A race could not produce the comparison it was asked for."""
-
-
 # --- picklable trace metrics ---
 
 

@@ -245,25 +245,24 @@ PENALTY_LOSS = ScalarConjugate(_pen_phi, _pen_conj, _pen_conj_deriv,
 _VARIANTS = ("ridge", "smoothed_lasso", "l1l2_penalty")
 
 
-def _verify_conjugate_on_grid(pair: ScalarConjugate, labels, tol=1e-6):
-    """Check pair.conj against the brute-force supremum sup_t (s*t - phi(t))
-    on a dense grid.  Reference check for hand-derived conjugates, run on
-    both losses by checks.check_gradients_and_conjugates."""
+def _conjugate_grid_error(phi, conj, labels=(0.0,)) -> float:
+    """Worst |conj(s, l) - sup_t (s*t - phi(t, l))| over s in [-3, 3], the
+    supremum brute-forced on a dense grid, at label 0 and at the smallest
+    and largest of labels.  Reference check for hand-derived conjugates, run
+    on both losses and the Lasso regularizer by
+    checks.check_gradients_and_conjugates."""
     probe = sorted({0.0, float(np.min(labels)), float(np.max(labels))})
     s_grid = np.linspace(-3.0, 3.0, 121)
     offsets = np.arange(-3.0, 3.0 + 1e-3, 1e-3)
+    worst = 0.0
     for l in probe:
         # centered on the label so any kink of phi sits on a grid node;
         # every maximizer for |s| <= 3 lies within label +- 3
         t_grid = l + offsets
-        phi_t = pair.phi(t_grid, l)
+        phi_t = phi(t_grid, l)
         sup = np.max(s_grid[:, None] * t_grid[None, :] - phi_t[None, :], axis=1)
-        err = np.max(np.abs(pair.conj(s_grid, l) - sup))
-        if err > tol:
-            raise AssertionError(
-                f"conjugate formula disagrees with grid supremum by {err:.3e} "
-                f"at label {l}"
-            )
+        worst = max(worst, float(np.max(np.abs(conj(s_grid, l) - sup))))
+    return worst
 
 
 class ErmDual(CoordOracle):
@@ -301,6 +300,8 @@ class ErmDual(CoordOracle):
         self.lam = float(lam)
         self._neg_lam = -self.lam
         self.lam2 = None if lam2 is None else float(lam2)
+        # the strong convexity of r, which bounds the curvature of r*
+        self.lam_smooth = self.lam if lam2 is None else self.lam2
         self.variant = variant
         self.n = data.m
         self.d = data.d
@@ -378,8 +379,7 @@ class ErmDual(CoordOracle):
 
 def _erm_profile(oracle: ErmDual, beta: float, strongly_convex: bool):
     n = oracle.n
-    lam_smooth = oracle.lam2 if oracle.variant == "smoothed_lasso" else oracle.lam
-    l = 1.0 / n + oracle.data.row_norms_sq / (lam_smooth * n * n)
+    l = 1.0 / n + oracle.data.row_norms_sq / (oracle.lam_smooth * n * n)
     if strongly_convex:
         sigma = (1.0 / n) / float(np.max(l ** beta))
     else:
@@ -488,31 +488,43 @@ def _ridge_reference(problem: ErmDual) -> ReferenceMinimum:
     )
 
 
-def _strongly_convex_reference(problem, profile, seed, max_epochs):
-    """Long accelerated run in chunks until relative improvement dies out;
-    valid whenever sigma_beta > 0."""
+class _RelativeChange:
+    """dist = |value - value at the previous record| / max(1, |value|),
+    infinite at the first record."""
+
+    def __init__(self):
+        self.prev = math.inf
+
+    def __call__(self, x, agg, value):
+        change = abs(self.prev - value) / max(1.0, abs(value))
+        self.prev = value
+        return change
+
+
+def _strongly_convex_reference(problem: ErmDual, max_epochs=20000) -> ReferenceMinimum:
+    """One nu_acdm run from y = 0 on the beta = 0 profile, recorded every
+    50 n steps and stopped by the first record whose value moved by at most
+    1e-14 relative to max(1, |value|) since the previous one; valid
+    whenever sigma_beta > 0.  Raises ConvergenceError when max_epochs pass
+    without such a record."""
     n = problem.n
-    y = np.zeros(n)
-    best_y, best = y.copy(), problem.value(y)
-    chunk = 50 * n
-    used = 0
-    while used < max_epochs * n:
-        cfg = solvers.SolverConfig(iters=chunk, seed=seed + used)
-        y, _ = solvers.nu_acdm(problem, profile, y, cfg)
-        used += chunk
-        cur = problem.value(y)
-        improvement = best - cur
-        if cur < best:
-            best_y, best = y.copy(), cur
-        if abs(improvement) <= 1e-14 * max(1.0, abs(cur)):
-            g = problem.full_grad(best_y)
-            # gap bound from 1/n strong convexity: f - f* <= n ||grad||^2 / 2
-            uncert = 0.5 * n * float(np.dot(g, g))
-            return ReferenceMinimum(best, best_y, uncert, "iterative")
-    raise ConvergenceError(
-        f"reference minimum not stationary after {max_epochs} epochs "
-        f"(last value {best})"
+    cfg = solvers.SolverConfig(
+        iters=max_epochs * n,
+        trace_stride=50 * n,
+        dist_fn=_RelativeChange(),
+        stop_when_dist_below=1e-14,
     )
+    profile = _erm_profile(problem, 0.0, strongly_convex=True)
+    y, trace = solvers.nu_acdm(problem, profile, np.zeros(n), cfg)
+    value = problem.value(y)
+    if trace.final_dist() > cfg.stop_when_dist_below:
+        raise ConvergenceError(
+            f"reference minimum not stationary after {max_epochs} epochs "
+            f"(last value {value})"
+        )
+    g = problem.full_grad(y)
+    # gap bound from 1/n strong convexity: f - f* <= n ||grad||^2 / 2
+    return ReferenceMinimum(value, y, 0.5 * n * float(np.dot(g, g)), "iterative")
 
 
 def _penalty_reference(problem: ErmDual, max_rounds=60) -> ReferenceMinimum:
@@ -584,12 +596,13 @@ def _penalty_reference(problem: ErmDual, max_rounds=60) -> ReferenceMinimum:
     )
 
 
-def reference_minimum(problem, profile=None, seed=0, max_epochs=20000):
+def reference_minimum(problem) -> ReferenceMinimum:
     """High-accuracy minimum (value and minimizer) of a built problem.
 
     Quadratics (Kaczmarz, ridge) use closed-form dense solves; the smoothed
-    Lasso runs the strongly convex solver until improvements vanish; the
-    penalty dual is polished through its piecewise-quadratic structure.
+    Lasso is one nu_acdm run from y = 0, stopped once the value recorded
+    every 50 n steps stops moving (_strongly_convex_reference); the penalty
+    dual is polished through its piecewise-quadratic structure.
     """
     if isinstance(problem, KaczmarzQuadratic):
         return _kaczmarz_reference(problem)
@@ -597,11 +610,7 @@ def reference_minimum(problem, profile=None, seed=0, max_epochs=20000):
         if problem.variant == "ridge":
             return _ridge_reference(problem)
         if problem.variant == "smoothed_lasso":
-            if profile is None:
-                _, profile = build_lasso_dual(
-                    problem.data, problem.labels, problem.lam, problem.lam2
-                )
-            return _strongly_convex_reference(problem, profile, seed, max_epochs)
+            return _strongly_convex_reference(problem)
         return _penalty_reference(problem)
     if isinstance(problem, SeparableQuadratic):
         value = problem.value(problem.target)
@@ -633,9 +642,8 @@ def global_smoothness(problem) -> float:
         return float(np.linalg.eigvalsh(dense.T @ dense)[-1])
     if isinstance(problem, ErmDual):
         dense = problem.data.to_dense()
-        lam_smooth = problem.lam2 if problem.variant == "smoothed_lasso" else problem.lam
         n = problem.n
         gram_top = float(np.linalg.eigvalsh(dense.T @ dense)[-1])
         # conjugate-loss curvature is at most 1 for every variant here
-        return 1.0 / n + gram_top / (lam_smooth * n * n)
+        return 1.0 / n + gram_top / (problem.lam_smooth * n * n)
     raise TypeError(f"no smoothness rule for {type(problem).__name__}")

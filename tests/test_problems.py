@@ -12,7 +12,8 @@ from nucd.problems import (
     ConvergenceError,
     ErmDual,
     KaczmarzQuadratic,
-    _verify_conjugate_on_grid,
+    _conjugate_grid_error,
+    _strongly_convex_reference,
     build_kaczmarz,
     build_lasso_dual,
     build_penalty_dual,
@@ -27,6 +28,7 @@ from nucd.problems import (
     smallest_positive_eigenvalue,
     smoothing_term,
 )
+from nucd import solvers
 from nucd.solvers import SolverConfig, nu_acdm
 
 from reference import soft_threshold
@@ -66,7 +68,7 @@ def test_squared_loss_conjugate_values():
     assert SQUARED_LOSS.conj(2.0, 0.0) == 2.0
     assert SQUARED_LOSS.conj(1.0, 3.0) == 3.5
     assert SQUARED_LOSS.conj_deriv(1.0, 3.0) == 4.0
-    _verify_conjugate_on_grid(SQUARED_LOSS, labels=(-1.3, 0.0, 2.1))
+    assert _conjugate_grid_error(SQUARED_LOSS.phi, SQUARED_LOSS.conj, (-1.3, 0.0, 2.1)) < 1e-6
 
 
 def test_penalty_loss_conjugate_values():
@@ -76,7 +78,7 @@ def test_penalty_loss_conjugate_values():
     assert PENALTY_LOSS.conj(-3.0, 1.0) == -1.0
     assert PENALTY_LOSS.conj_deriv(0.5, 0.0) == 0.0
     assert PENALTY_LOSS.conj_deriv(2.0, 1.5) == 2.5
-    _verify_conjugate_on_grid(PENALTY_LOSS, labels=(-1.3, 0.0, 2.1))
+    assert _conjugate_grid_error(PENALTY_LOSS.phi, PENALTY_LOSS.conj, (-1.3, 0.0, 2.1)) < 1e-6
 
 
 def test_fenchel_young_on_grid():
@@ -93,8 +95,7 @@ def test_grid_verifier_rejects_wrong_conjugate():
     bad = ScalarConjugate(
         SQUARED_LOSS.phi, lambda s, l: SQUARED_LOSS.conj(s, l) + 0.01, SQUARED_LOSS.conj_deriv
     )
-    with pytest.raises(AssertionError):
-        _verify_conjugate_on_grid(bad, labels=(0.0,))
+    assert _conjugate_grid_error(bad.phi, bad.conj) > 1e-6
 
 
 # --- quadratics ---
@@ -223,20 +224,18 @@ def test_decoupled_dual_with_zero_features():
     n = 6
     labels = np.linspace(-2, 2, n)
     feats = SparseRowMatrix.from_dense(np.zeros((n, 3)))
-    oracle, prof = build_ridge_dual(feats, labels, lam=1.0)
+    oracle, _ = build_ridge_dual(feats, labels, lam=1.0)
     assert abs(oracle.value(-labels) - (-(labels @ labels) / (2 * n))) < 1e-14
-    ref = reference_minimum(oracle, prof, seed=0)
+    ref = reference_minimum(oracle)
     assert np.allclose(ref.minimizer, -labels, atol=1e-8)
     assert abs(ref.value - (-(labels @ labels) / (2 * n))) < 1e-12
 
 
 def test_ridge_reference_closed_form_vs_iterative():
     data = _skewed(n=15, d=4)
-    oracle, prof = build_ridge_dual(data.features, data.labels, lam=0.2)
-    ref = reference_minimum(oracle, prof)  # closed form
-    from nucd.problems import _strongly_convex_reference
-
-    it = _strongly_convex_reference(oracle, prof, seed=0, max_epochs=20000)
+    oracle, _ = build_ridge_dual(data.features, data.labels, lam=0.2)
+    ref = reference_minimum(oracle)  # closed form
+    it = _strongly_convex_reference(oracle)
     assert abs(ref.value - it.value) < 1e-8 * max(1.0, abs(ref.value))
     assert np.allclose(ref.minimizer, it.minimizer, atol=1e-6)
     grad = oracle.full_grad(ref.minimizer)
@@ -261,8 +260,8 @@ def test_weak_duality_all_variants():
 def test_ridge_primal_dual_consistency():
     data = _skewed(n=18, d=5)
     lam = 0.15
-    oracle, prof = build_ridge_dual(data.features, data.labels, lam=lam)
-    ref = reference_minimum(oracle, prof)
+    oracle, _ = build_ridge_dual(data.features, data.labels, lam=lam)
+    ref = reference_minimum(oracle)
     p_star, w_star = ridge_primal_reference(oracle)
     # recovered primal at the dual optimum equals the closed-form solution
     w_rec = primal_from_dual(oracle, ref.minimizer)
@@ -311,8 +310,8 @@ def test_build_kaczmarz_sigma_bitwise_from_general_product():
 
 def test_penalty_reference_is_a_minimum():
     data = _skewed(n=10, d=3, seed=23)
-    oracle, prof = build_penalty_dual(data.features, data.labels, lam=0.2)
-    ref = reference_minimum(oracle, prof)
+    oracle, _ = build_penalty_dual(data.features, data.labels, lam=0.2)
+    ref = reference_minimum(oracle)
     rng = np.random.default_rng(5)
     for _ in range(40):
         y = ref.minimizer + rng.standard_normal(10) * 0.1
@@ -322,13 +321,41 @@ def test_penalty_reference_is_a_minimum():
 def test_lasso_dual_runs_and_recovers_sparse_primal():
     data = _skewed(n=25, d=6, seed=29)
     lam = 0.4  # large enough to zero some coordinates
-    oracle, prof = build_lasso_dual(data.features, data.labels, lam=lam, lam2=0.05)
-    ref = reference_minimum(oracle, prof)
+    oracle, _ = build_lasso_dual(data.features, data.labels, lam=lam, lam2=0.05)
+    ref = reference_minimum(oracle)
     w = primal_from_dual(oracle, ref.minimizer)
     v = oracle.aggregate(ref.minimizer)
     # primal support matches the soft threshold of the dual aggregate
     assert np.allclose(w, soft_threshold(-v, lam) / 0.05, atol=1e-8)
     assert duality_gap(oracle, ref.minimizer) < 1e-8
+
+
+def test_lasso_reference_is_one_blocked_run_recorded_every_50n_steps(monkeypatch):
+    """On a 100 x 20 Lasso the reference is one nu_acdm run in block steps
+    with one record per 50 n steps, at the value that a run of 50 n-step
+    chunks recording every step gave, -0.18035869546016961."""
+    ds = gen_skewed_dataset(100, 20, two_level_norms(100, 0.3), seed=6)
+    oracle, _ = build_lasso_dual(ds.features, ds.labels, lam=0.1, lam2=0.01)
+    blocks, records = [], []
+    run, record = solvers._Blocks.run, solvers._Recorder.record
+    monkeypatch.setattr(solvers._Blocks, "run",
+                        lambda self, *a: blocks.append(a) or run(self, *a))
+    monkeypatch.setattr(solvers._Recorder, "record",
+                        lambda self, k, *a: records.append(k) or record(self, k, *a))
+    ref = reference_minimum(oracle)
+    chunked = -0.18035869546016961
+    assert abs(ref.value - chunked) <= 1e-12 * abs(chunked)
+    assert np.max(np.abs(oracle.full_grad(ref.minimizer))) <= 1e-10
+    assert blocks
+    assert len(records) > 1
+    assert records == list(range(0, records[-1] + 1, 50 * oracle.n))
+
+
+def test_lasso_reference_raises_when_the_value_keeps_moving():
+    data = _skewed(n=25, d=6, seed=29)
+    oracle, _ = build_lasso_dual(data.features, data.labels, lam=0.4, lam2=0.05)
+    with pytest.raises(ConvergenceError, match="after 50 epochs"):
+        _strongly_convex_reference(oracle, max_epochs=50)
 
 
 def test_global_smoothness_values():
