@@ -16,20 +16,20 @@ columns updates both with one broadcast add (and the single cache of plain
 descent in place); whole iterates are formed only at trace records,
 checked steps and return.  Without a schedule the loop is plain randomized
 coordinate descent on a single sequence, which on the dual of a linear
-system is Kaczmarz.
+system is Kaczmarz.  Single and block steps read one plan of a run's
+steps: coordinates, implicit coefficients and their folds (_StepPlan).
 
 On an oracle with a block_model (the Kaczmarz quadratic, kaczmarz's
 residual form and the ridge and smoothed-Lasso duals), an unchecked run
 with a trace stride of at least _BLOCK_MIN steps (_CSR_SEGMENT_MIN on rows
-of scattered columns) takes block Gauss-Seidel steps: B indices from the
-same stream, the B x B weighted Gram matrix of their rows and one
-triangular solve for all B gradients (see _Blocks).  The Lasso's model
-holds only while no entry crosses +-lam; a block that crosses applies the
-steps before the crossing and restarts there.  That is exact in
-arithmetic, so records and stops are those of single steps, but it rounds
-differently: such a run agrees with a checked run (always single steps) to
-rounding, not bit for bit.  Either way a run is bit-reproducible from its
-parameters and seed.
+of scattered columns) takes block Gauss-Seidel steps: B steps of the plan,
+the B x B weighted Gram matrix of their rows and one triangular solve for
+all B gradients (see _Blocks).  The Lasso's model holds only while no
+entry crosses +-lam; a block that crosses applies the steps before the
+crossing and restarts there.  That is exact in arithmetic, so records
+and stops are those of single steps, but it rounds differently: such a run
+agrees with a checked run (always single steps) to rounding, not bit for
+bit.  Either way a run is bit-reproducible from its parameters and seed.
 
 Iteration cost is honest: no solver ever forms a full gradient except
 full_gd, which exists as a reference baseline.
@@ -87,7 +87,7 @@ class SolverConfig:
     check_level  : "off", "cheap" (at trace records), "full" (every step)
     dist_fn      : optional metric recorded in the trace's dist column,
                    called as dist_fn(x, aggregate, value)
-    stop_when_dist_below : early-stop threshold tested at trace records
+    stop_when_dist_below : early-stop threshold on dist_fn at trace records
     on_record    : optional hook (k, x, aggregate, value) at trace records
     """
 
@@ -106,6 +106,8 @@ class SolverConfig:
             raise ValueError("trace_stride must be positive")
         if self.check_level not in _CHECK_LEVELS:
             raise ValueError(f"check_level must be one of {_CHECK_LEVELS}")
+        if self.stop_when_dist_below is not None and self.dist_fn is None:
+            raise ValueError("stop_when_dist_below needs a dist_fn to test")
 
 
 @dataclass
@@ -174,38 +176,6 @@ class _Recorder:
             max_descent_violation=descent_viol,
             max_mirror_residual=mirror_res,
         )
-
-
-class _Indices:
-    """The first `count` indices of the sampler's stream.  take(size)
-    returns the next `size` of them as an array, and put_back(idx) returns
-    taken indices to the front of the stream.  Indices are drawn up to 4096
-    at a time (cheaper per index); the draws continue one stream, so their
-    sizes do not change the indices."""
-
-    def __init__(self, sampler: WeightedSampler, count: int):
-        self.sampler, self.count = sampler, count
-        self.buf = np.zeros(0, np.int64)
-
-    def take(self, size: int) -> np.ndarray:
-        while self.buf.size < size:
-            draw = min(4096, self.count)
-            self.count -= draw
-            self.buf = np.concatenate((self.buf, self.sampler.sample_block(draw)))
-        out, self.buf = self.buf[:size], self.buf[size:]
-        return out
-
-    def put_back(self, idx: np.ndarray):
-        self.buf = np.concatenate((idx, self.buf))
-
-
-def _index_stream(sampler: WeightedSampler, count: int):
-    """The first `count` indices of the sampler's stream as Python ints."""
-    take = _Indices(sampler, count).take
-    while count > 0:
-        size = min(4096, count)
-        count -= size
-        yield from take(size).tolist()
 
 
 # --- step-size schedules ---
@@ -331,9 +301,6 @@ class _StronglyConvex:
         # a step on coordinate i moves z_i by -z_scale(z_coef[i], eta) * g
         self.z_coef = shrink * self.eta / (p * profile.l ** profile.beta)
 
-    def step(self, k: int):
-        return self.rho, self.eta
-
     def steps(self, k: int, count: int):
         """(rho, eta) of steps k .. k + count - 1 as arrays."""
         return np.full(count, self.rho), np.full(count, self.eta)
@@ -365,14 +332,10 @@ class _Growing:
         self.two_s_sq = 2.0 * s_alpha_sq
         self.z_coef = 1.0 / (p * profile.l ** profile.beta)
 
-    def step(self, k):
-        # ns_schedule(k, s_sq) inline, the same operations; k may be an
-        # array of step indices
-        k2 = k + 2.0
-        return 1.0 - 2.0 / k2, k2 / self.two_s_sq
-
     def steps(self, k: int, count: int):
-        return self.step(np.arange(k, k + count))
+        # ns_schedule(k, s_sq) for each step, the same operations
+        k2 = np.arange(k, k + count) + 2.0
+        return 1.0 - 2.0 / k2, k2 / self.two_s_sq
 
     def z_scale(self, coef, eta):
         return eta * coef
@@ -390,6 +353,70 @@ class _Growing:
             raise InvariantViolation(
                 f"{algo}: step recurrence off at iteration {k}: {lhs} vs {rhs}"
             )
+
+
+class _StepPlan:
+    """The steps of one run: step t's coordinate i_t (the sampler's stream)
+    and coefficients (c_t, 1/L_{i_t}, z coefficient, eta_t), z_{i_t} moving
+    by -(z coefficient) g, or (1, 1/L_{i_t}, 0, 0) without a schedule.
+    c_t = c_{t-1} rho_t from c = 1; where it falls below FOLD_BELOW the run
+    folds it into v (v *= c_t, then c_t = 1).  take(size) returns (idx,
+    fold, coefs) for at most size next steps: a fold's factor to apply
+    before the first (or None; a request ends before the next fold) and a
+    (len(idx), 4) view of their coefficients.  give_back(count) returns the
+    last count steps taken, never all of a request.  Planning 4096 steps at
+    a time makes a short request a slice; draws continue one stream and c
+    one product, so that changes no step."""
+
+    def __init__(self, sampler: WeightedSampler, count: int, schedule, inv_l):
+        self.sampler, self.left = sampler, count  # steps not yet planned
+        self.schedule, self.inv_l = schedule, inv_l
+        self.idx, self.coefs = np.zeros(0, np.int64), np.zeros((0, 4))
+        self.base, self.pos = 0, 0  # the step at idx[0], the next position
+        self.c = 1.0  # c of the last step planned
+        self.folds = []  # (step, factor) of each fold not yet taken, ascending
+
+    def _plan(self, size: int):
+        """Drops the steps taken and plans until size steps are ahead."""
+        idx, coefs = [self.idx[self.pos:]], [self.coefs[self.pos:]]
+        self.base, self.pos, schedule = self.base + self.pos, 0, self.schedule
+        k = self.base + idx[0].size  # the next step to plan
+        while k < self.base + size:
+            count = min(4096, self.left)
+            self.left -= count
+            idx.append(self.sampler.sample_block(count))
+            il = self.inv_l[idx[-1]]
+            if schedule is None:
+                coefs.append(np.column_stack((np.ones(count), il, np.zeros((count, 2)))))
+            else:
+                rho, eta = schedule.steps(k, count)
+                rho[0] *= self.c
+                cs = np.cumprod(rho)
+                # c only falls between folds: the steps below FOLD_BELOW are
+                # those from the next fold on
+                while cs[-1] < FOLD_BELOW:
+                    t = int(np.count_nonzero(cs >= FOLD_BELOW))
+                    self.folds.append((k + t, float(cs[t])))
+                    rho[t] = 1.0
+                    cs[t:] = np.cumprod(rho[t:])
+                self.c = float(cs[-1])
+                zc = schedule.z_scale(schedule.z_coef[idx[-1]], eta)
+                coefs.append(np.column_stack((cs, il, zc, eta)))
+            k += count
+        self.idx, self.coefs = np.concatenate(idx), np.concatenate(coefs)
+
+    def take(self, size: int):
+        if self.pos + size > self.idx.size:
+            self._plan(size)
+        pos, k, folds = self.pos, self.base + self.pos, self.folds
+        fold = folds.pop(0)[1] if folds and folds[0][0] == k else None
+        if folds:
+            size = min(size, folds[0][0] - k)
+        self.pos = pos + size
+        return self.idx[pos:self.pos], fold, self.coefs[pos:self.pos]
+
+    def give_back(self, count: int):
+        self.pos -= count
 
 
 class _BlockRows:
@@ -592,22 +619,18 @@ class _Blocks:
     +-lam).  The solve's moves of every entry (one bincount over the Gram's
     column pairs) are checked with it; when an entry leaves, the steps
     before the first such step are exact and are applied, and the next
-    block starts at that step with the indices already drawn.  Step 0's
-    entries have not moved, so a block always advances.
+    block gives its later steps back to the plan.  Step 0's entries have
+    not moved, so a block always advances.
 
-    A block never crosses a trace record (run steps one segment) and ends
-    before a step whose c would fall below FOLD_BELOW; the next block folds
-    c first, as the per-step loop does.  A segment runs as blocks of
-    block_len until less than 1.5 block_len steps are left, which run as
-    one block, so no block is a short remainder.  1/L comes from the
-    profile.
+    A block's steps come from the run's _StepPlan, so no block crosses a
+    fold, nor a trace record (run steps one segment).  A segment runs as
+    blocks of block_len until less than 1.5 block_len steps are left, which
+    run as one block, so no block is a short remainder.
     """
 
-    def __init__(self, oracle, profile, sampler, iters, schedule, ux, vx, aggs, algo):
+    def __init__(self, oracle, plan, ux, vx, aggs, algo):
         mat = oracle.row_matrix
-        self.indices = _Indices(sampler, iters)
-        self.model, self.inv_l = oracle.block_model, 1.0 / profile.l
-        self.div = oracle.agg_div
+        self.plan, self.model, self.div = plan, oracle.block_model, oracle.agg_div
         if mat.nnz == mat.m * mat.d:
             # validated rows ascend strictly in [0, d): the data array is
             # the dense matrix
@@ -619,38 +642,27 @@ class _Blocks:
         # as one entry keeps the block at most sqrt(_BLOCK_WORK) steps
         self.block_len = max(_BLOCK_MIN,
                              math.isqrt(_BLOCK_WORK * mat.m // max(mat.nnz, mat.m)))
-        self.schedule, self.algo = schedule, algo
+        self.algo, self.accel = algo, vx is not None
         self.ux, self.vx, self.aggs = ux, vx, aggs
-        self.r = schedule.r if schedule is not None else 0.0
+        self.r = plan.schedule.r if self.accel else 0.0
 
-    def run(self, k: int, end: int, c: float) -> float:
-        """Steps k .. end - 1 from implicit coefficient c; returns the new c."""
-        schedule, aggs, r = self.schedule, self.aggs, self.r
+    def run(self, k: int, end: int) -> float:
+        """Steps k .. end - 1; returns the last step's c."""
+        accel, aggs, r = self.accel, self.aggs, self.r
         one_minus_r = 1.0 - r
-        cs = None
         while k < end:
             size = end - k
             if 2 * size >= 3 * self.block_len:
                 size = self.block_len
-            if schedule is not None:
-                rho, eta = schedule.steps(k, size)
-                # c at each step, multiplied in step order
-                rho[0] *= c
-                cs = np.cumprod(rho)
-                if cs[0] < FOLD_BELOW:
-                    self.vx *= cs[0]
-                    aggs[1] *= cs[0]
-                    rho[0] = 1.0
-                    cs = np.cumprod(rho)
-                # c never rises: the block ends before the next fold
-                size = int(np.count_nonzero(cs >= FOLD_BELOW))
-                cs, eta = cs[:size], eta[:size]
-            idx = self.indices.take(size)
-            rows = self.rows_of(idx, self.ux, self.vx, aggs, cs)
+            idx, fold, coefs = self.plan.take(size)
+            cs, il, zc, _ = coefs.T
+            size = idx.size
+            if fold is not None:
+                self.vx *= fold
+                aggs[1] *= fold
+            rows = self.rows_of(idx, self.ux, self.vx, aggs, cs if accel else None)
             model = self.model(rows)
-            il = self.inv_l[idx]
-            if schedule is not None:
-                zc = schedule.z_scale(schedule.z_coef[idx], eta)
+            if accel:
                 kappa = (r * il - zc) / one_minus_r
                 cmu = (zc - il) / one_minus_r
                 # -K = -(kappa + (c_t / c_s) cmu), in place
@@ -675,10 +687,8 @@ class _Blocks:
                     left = ~model.keeps(rows.moves(steps) / self.div)
                 if left.any():
                     size = max(1, rows.first_step(left))
-                    self.indices.put_back(idx[size:])
-                    idx, g, il = idx[:size], g[:size], il[:size]
-                    if schedule is not None:
-                        cs, zc = cs[:size], zc[:size]
+                    self.plan.give_back(idx.size - size)
+                    idx, g, cs, il, zc = idx[:size], g[:size], cs[:size], il[:size], zc[:size]
             # a finite sum needs finite terms
             if not math.isfinite(np.add.reduce(g)):
                 finite = np.isfinite(g)
@@ -688,14 +698,13 @@ class _Blocks:
                         f"{k + int(finite.argmin())}"
                     )
             dy = -g * il
-            if schedule is not None:
+            if accel:
                 dz = -zc * g
                 du = (dz - r * dy) / one_minus_r
                 dv = (dy - dz) / (cs * one_minus_r)
                 np.add.at(self.ux, idx, du)
                 np.add.at(self.vx, idx, dv)
                 upd = np.stack((du, dv))
-                c = float(cs[-1])
             else:
                 np.add.at(self.ux, idx, dy)
                 upd = dy[None, :]
@@ -703,7 +712,7 @@ class _Blocks:
                 upd = upd / self.div
             rows.add(upd)
             k += size
-        return c
+        return float(cs[-1])
 
 
 def _coordinate_loop(oracle, profile, x0, cfg, p, algo, schedule=None):
@@ -721,6 +730,9 @@ def _coordinate_loop(oracle, profile, x0, cfg, p, algo, schedule=None):
     y = u + c v and z = u + r c v, r fixed by the schedule.  The
     recombination x = tau z + (1 - tau) y maps (y, z) onto the same form
     with c scaled by the schedule's rho_k, after which x = u + c v.
+    Every step, its c and c's folds come from one _StepPlan, asked for a
+    segment's steps by the per-step loop (a checked step alone, its z_prev
+    formed before a fold) or, when _takes_blocks(oracle, cfg), by _Blocks.
 
     A step slices row i's (cols, vals) out of oracle.row_matrix once,
     gathers part = u.agg[cols] + c v.agg[cols] once and takes the gradient
@@ -732,11 +744,6 @@ def _coordinate_loop(oracle, profile, x0, cfg, p, algo, schedule=None):
     in place.  An oracle without a row matrix is asked for the gradient
     from x_i alone.  Whole points are formed at trace records, at checked
     steps and at return.
-
-    When _takes_blocks(oracle, cfg), each segment between trace records is
-    stepped by _Blocks instead, B steps per triangular solve; the per-step
-    loop's Python-float lists (1/L, b, the schedule's coefficients) are
-    then never built.
     """
     checking = cfg.check_level != "off"
     check_all = cfg.check_level == "full"
@@ -779,18 +786,10 @@ def _coordinate_loop(oracle, profile, x0, cfg, p, algo, schedule=None):
         x, agg = point(coef)
         return oracle.value(x, agg), x, agg
 
-    sampler = WeightedSampler(p, cfg.seed)
-    blocks = None
-    if _takes_blocks(oracle, cfg):
-        # u's cache alone, or both caches, as the rows of one array
-        blocks = _Blocks(oracle, profile, sampler, iters, schedule, ux, vx,
-                         aggs if accel else uagg[None, :], algo)
-    else:
-        next_index = _index_stream(sampler, iters).__next__
-        # read one entry per step, as Python floats
-        if iters:
-            inv_l = (1.0 / l).tolist()
-            z_at = schedule.z_coef.tolist() if accel else None
+    plan = _StepPlan(WeightedSampler(p, cfg.seed), iters, schedule, 1.0 / l)
+    # u's cache alone, or both caches, as the rows of one array
+    blocks = (_Blocks(oracle, plan, ux, vx, aggs if accel else uagg[None, :], algo)
+              if _takes_blocks(oracle, cfg) else None)
 
     rec = _Recorder(algo, cfg, units_per_epoch=oracle.n)
     worst_descent = -math.inf
@@ -804,22 +803,20 @@ def _coordinate_loop(oracle, profile, x0, cfg, p, algo, schedule=None):
         # one segment of steps up to the next trace record
         end = min(k + stride, iters)
         if blocks is not None:
-            c = blocks.run(k, end, c)
-        else:
-            for k in range(k, end):
-                check_now = check_all or (checking and k + 1 == end)
-                if accel:
-                    if check_now:
-                        z_prev = point(r * c)[0]
-                    rho, eta = schedule.step(k)
-                    c *= rho
-                    if c < FOLD_BELOW:
-                        # y and z are unchanged: u + c v = u + 1 (c v)
-                        vx *= c
-                        if vagg is not None:
-                            vagg *= c
-                        c = 1.0
-                i = next_index()
+            c = blocks.run(k, end)
+        while blocks is None and k < end:
+            # a checked step comes alone, so that its z_prev predates a fold
+            check_now = check_all or (checking and k + 1 == end)
+            idx, fold, coefs = plan.take(1 if check_now else end - k - checking)
+            if check_now and accel:
+                z_prev = point(r * c)[0]
+            if fold is not None:
+                # y and z are unchanged: u + c v = u + 1 (c v)
+                vx *= fold
+                if vagg is not None:
+                    vagg *= fold
+            for k, i, (c, inv_l, z_coef, eta) in zip(range(k, k + idx.size), idx.tolist(),
+                                                       coefs.tolist()):
                 u_i = u_at[i]
                 if accel:
                     v_i = v_at[i]
@@ -851,10 +848,10 @@ def _coordinate_loop(oracle, profile, x0, cfg, p, algo, schedule=None):
                     f_x, x_pt, _ = value_at(c)
                     # x = u + c v: with a tiny tau the terms dwarf x
                     spread = _term_spread(ux, vx, c, x_pt) if accel else 1.0
-                dy = -g * inv_l[i]
+                dy = -g * inv_l
                 if accel:
                     # y_i += dy and z_i += dz, in the (u, v) basis
-                    dz = -schedule.z_scale(z_at[i], eta) * g
+                    dz = -z_coef * g
                     du = (dz - r * dy) / one_minus_r
                     dv = (dy - dz) / (c * one_minus_r)
                     u_at[i] = u_i + du
@@ -892,6 +889,7 @@ def _coordinate_loop(oracle, profile, x0, cfg, p, algo, schedule=None):
                             raise InvariantViolation(
                                 f"{algo}: z-step residual {res:.3e} at iteration {k}"
                             )
+            k += 1
         k = end
         stopped = rec.record(k, *value_at(c))
 
@@ -1094,11 +1092,12 @@ def kaczmarz(
     if x0.shape != (a_matrix.d,):
         raise ValueError("x0 must have one entry per column")
     oracle = KaczmarzResidual(a_matrix, b, x0)  # checks b and the rows
-    dual_cfg = replace(cfg, check_level="off", dist_fn=None, on_record=None)
+    dist_fn = on_record = None
     if cfg.dist_fn is not None:
-        dual_cfg.dist_fn = lambda y, x, value: cfg.dist_fn(x, None, value)
+        dist_fn = lambda y, x, value: cfg.dist_fn(x, None, value)
     if cfg.on_record is not None:
-        dual_cfg.on_record = lambda k, y, x, value: cfg.on_record(k, x, None, value)
+        on_record = lambda k, y, x, value: cfg.on_record(k, x, None, value)
+    dual_cfg = replace(cfg, check_level="off", dist_fn=dist_fn, on_record=on_record)
     # p is the raw norms: normalising them could move a draw by rounding
     norms_sq = a_matrix.row_norms_sq
     _, x, trace = _coordinate_loop(

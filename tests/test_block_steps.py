@@ -191,16 +191,16 @@ def test_erm_block_steps_agree_with_single_steps(variant, name, data):
 def test_lasso_blocks_restart_at_kink_crossings(name, kind):
     """A Lasso whose lam is a tenth of lam_max, started at y = 0 where every
     column of v is inside [-lam, lam]: columns cross lam during the run,
-    so blocks restart (a spy counts the indices put back), and the run
-    still agrees with single steps."""
+    so blocks restart (a spy counts the steps given back to the plan), and
+    the run still agrees with single steps."""
     dense = _rows(kind, 40, 6, seed=11)
     a = SparseRowMatrix.from_dense(dense)
-    put_back = solvers._Indices.put_back
-    with mock.patch.object(solvers._Indices, "put_back", autospec=True,
-                           side_effect=put_back) as spy:
+    give_back = solvers._StepPlan.give_back
+    with mock.patch.object(solvers._StepPlan, "give_back", autospec=True,
+                           side_effect=give_back) as spy:
         _compare(name, a, np.zeros(40), 4000, 80, seed=3, problem=_erm("lasso", 0.1, 0.05))
     assert spy.call_count > 0
-    assert all(call.args[1].size > 0 for call in spy.call_args_list)
+    assert all(call.args[1] > 0 for call in spy.call_args_list)
 
 
 def test_penalty_dual_takes_single_steps():

@@ -264,12 +264,12 @@ def _problem(name):
 
 
 def _setup(solver, prof):
-    """(p, schedule) exactly as each solver builds them."""
+    """p exactly as each solver builds it, and its schedule: ("strongly
+    convex", rate constant), ("growing", S_alpha^2) or None."""
     if solver is rcdm:
         return rcdm_probabilities(prof), None
     if solver is nu_acdm_ns:
-        p = nu_probabilities(prof)
-        return p, solvers._Growing(prof, p, s_alpha(prof, prof.alpha) ** 2)
+        return nu_probabilities(prof), ("growing", s_alpha(prof, prof.alpha) ** 2)
     if solver is nu_acdm:
         p = nu_probabilities(prof)
         p = p / p.sum()
@@ -279,18 +279,29 @@ def _setup(solver, prof):
         rate = max(prof.n * s_alpha(prof, 1.0 - prof.beta),
                    float(np.max(prof.l ** (1.0 - prof.beta) / (p * p))))
         p = p / p.sum()
-    return p, solvers._StronglyConvex(prof, p, rate)
+    return p, ("strongly convex", rate)
 
 
 def _reference_loop(oracle, prof, x0, cfg, p, schedule):
     """The loop's (u, v, c) steps with whole x = u + c v and its aggregate
     formed every step, the gradient from the public coord_grad and the caches
-    moved by update_aggregate.  Returns (y, recorded values)."""
+    moved by update_aggregate.  The step coefficients come from
+    accel_schedule and ns_schedule by the written formulas: strongly convex,
+    rho = (1 - tau)^2, r = -(1 - tau) and z coefficient
+    shrink eta / (p_i L_i^beta); growing, rho_k = 1 - tau_k, r = 0 and z
+    coefficient eta_{k+1} / (p_i L_i^beta).  Returns (y, recorded values)."""
+    kind, constant = schedule or (None, None)
     accel = schedule is not None
     u, uagg = x0.copy(), oracle.aggregate(x0)
     v, vagg = np.zeros(oracle.n), oracle.aggregate(np.zeros(oracle.n))
-    c, r = 1.0, (schedule.r if accel else 0.0)
+    c, r = 1.0, 0.0
     inv_l = 1.0 / prof.l
+    inv_plb = 1.0 / (p * prof.l ** prof.beta)
+    if kind == "strongly convex":
+        tau, eta = solvers.accel_schedule(constant, prof.sigma_beta)
+        rho, r = (1.0 - tau) ** 2, -(1.0 - tau)
+        shrink = 1.0 / (1.0 + eta * prof.sigma_beta)
+        z_coef = shrink * eta / (p * prof.l ** prof.beta)
 
     def point():
         return (u + c * v, uagg + c * vagg) if accel else (u, uagg)
@@ -298,8 +309,10 @@ def _reference_loop(oracle, prof, x0, cfg, p, schedule):
     draws = WeightedSampler(p, cfg.seed).sample_block(cfg.iters)
     values = [oracle.value(*point())]
     for k, i in enumerate(draws.tolist()):
+        if kind == "growing":
+            eta, tau = solvers.ns_schedule(k, constant)
+            rho = 1.0 - tau
         if accel:
-            rho, eta = schedule.step(k)
             c *= rho
             if c < solvers.FOLD_BELOW:
                 v *= c
@@ -309,7 +322,8 @@ def _reference_loop(oracle, prof, x0, cfg, p, schedule):
         g = oracle.coord_grad(x, i, agg)
         dy = -g * inv_l[i]
         if accel:
-            dz = -schedule.z_scale(schedule.z_coef[i], eta) * g
+            zc = z_coef[i] if kind == "strongly convex" else eta * inv_plb[i]
+            dz = -zc * g
             du = (dz - r * dy) / (1.0 - r)
             dv = (dy - dz) / (c * (1.0 - r))
             u[i] += du

@@ -68,8 +68,8 @@ def test_ns_schedule_recurrence(k, s_sq):
 def test_growing_step_is_ns_schedule_bit_for_bit(k, s_sq):
     _, prof = build_separable_quadratic(np.array([1.0, 4.0]))
     eta, tau = ns_schedule(k, s_sq)
-    rho_k, eta_k = solvers._Growing(prof, nu_probabilities(prof), s_sq).step(k)
-    assert (rho_k, eta_k) == (1.0 - tau, eta)
+    rho, etas = solvers._Growing(prof, nu_probabilities(prof), s_sq).steps(k, 1)
+    assert (rho[0], etas[0]) == (1.0 - tau, eta)
 
 
 def test_schedule_rejects_degenerate_inputs():
@@ -631,6 +631,19 @@ def test_config_validation():
         SolverConfig(iters=1, trace_stride=0)
     with pytest.raises(ValueError):
         SolverConfig(iters=1, check_level="sometimes")
+
+
+def test_early_stop_without_dist_fn_is_refused():
+    """Without a dist_fn every distance is NaN and the stop never fires."""
+    with pytest.raises(ValueError, match="needs a dist_fn"):
+        SolverConfig(iters=1, stop_when_dist_below=1e-6)
+    # kaczmarz swaps in a dist_fn of the dual point; the stop still fires
+    a, b, x_star = gen_linear_system(20, 8, 0.25, seed=6)
+    cfg = SolverConfig(iters=20000, trace_stride=20, stop_when_dist_below=1e-3,
+                       dist_fn=lambda x, agg, value: float(np.sum((x - x_star) ** 2)))
+    _x, trace = kaczmarz(a, b, np.zeros(8), cfg)
+    assert trace.final_dist() <= 1e-3 < trace.dists[-2]
+    assert trace.iters[-1] < 20000
 
 
 def test_non_finite_objective_raises():

@@ -22,12 +22,16 @@ def test_two_runs_print_identical_digests():
     solver_cells = [cell for cell in cells if cell[2] in ("off", "cheap", "full")]
     # 12 problems: 9 strongly convex with 5 solvers, 3 penalty duals with 2,
     # plus kaczmarz on 3 systems; each at 3 check levels; then, unchecked at
-    # a stride of 64, kaczmarz on 2 systems and 5 solvers on 4 ERM duals
-    assert len(solver_cells) == (9 * 5 + 3 * 2 + 3) * 3 + 2 + 4 * 5
+    # a stride of 64, kaczmarz on 2 systems and 5 solvers on 4 ERM duals;
+    # then 4 solvers on the folding 2 x 2 system at a stride of 1 at 3 check
+    # levels and unchecked at strides of 64 and 997
+    assert len(solver_cells) == (9 * 5 + 3 * 2 + 3) * 3 + 2 + 4 * 5 + 4 * (3 + 2)
     names = {tuple(cell[:3]) for cell in solver_cells}
     assert ("linsys-scattered-stride64", "kaczmarz", "off") in names
     assert ("lasso-mixed-stride64", "nu_acdm", "off") in names
     assert ("ridge-scattered-stride64", "rcdm", "off") in names
+    assert ("fold-2x2-stride1", "nu_acdm", "full") in names
+    assert ("fold-2x2-stride997", "nu_acdm_ns", "off") in names
     # then the drivers: 3 algos x 2 seeds, 2 x 2, 3 x 1 and 3 betas
     drivers = [tuple(cell[:3]) for cell in cells[len(solver_cells):]]
     assert [d[0] for d in drivers] == (["kaczmarz-race"] * 6 + ["erm-race-ridge"] * 4

@@ -16,6 +16,12 @@ systems.  Every cell above has a trace stride of 20 steps, below the 64 at
 which rows of a few columns take block steps, so the scattered and mixed
 Kaczmarz systems (kaczmarz) and ridge and Lasso duals (all five solvers)
 are digested once more, unchecked and with a trace stride of 64 steps.
+None of those runs folds the strongly convex implicit coefficient c (that
+takes some 13 000 steps there), so the last solver cells run a 2 x 2
+Kaczmarz quadratic whose c folds about every 338 steps: nu_acdm,
+acdm_baseline, generalized_accel and nu_acdm_ns for a fixed FOLD_STEPS
+steps whatever --epochs is, at a stride of 1 step at each check level and
+unchecked at strides of 64 and 997 steps, where they take block steps.
 
 An experiment line is `experiment algo seed=S sha1 iters_sha1` for each
 trace of a run_kaczmarz_race, a ridge run_erm_race (gd and nu-acdm; the digest
@@ -44,6 +50,8 @@ import sys
 import numpy as np
 
 CHECK_LEVELS = ("off", "cheap", "full")
+# steps of each fold cell: 8 folds of c at tau = 0.264
+FOLD_STEPS = 3000
 ROW_KINDS = ("dense", "scattered", "mixed")
 
 
@@ -113,6 +121,8 @@ def cells(epochs: int):
     """Yield (problem, solver, check_level, sha1, iters_sha1) for every
     cell."""
     from nucd import solvers
+    from nucd.matrix import SparseRowMatrix
+    from nucd.problems import build_kaczmarz
 
     def norm_sq(x, agg, value):
         return float(np.dot(x, x))
@@ -160,6 +170,16 @@ def cells(epochs: int):
                                        dist_fn=norm_sq)
             yield (f"{name}-stride64", solver, "off",
                    *_digest(*run(oracle, prof, start(n), cfg)))
+    # tau = 0.264 on these rows, so c falls by rho = 0.54 per step
+    a = SparseRowMatrix.from_dense(np.array([[1.0, 0.3], [0.2, 2.0]]))
+    oracle, prof = build_kaczmarz(a, np.array([1.0, -1.0]))
+    for stride, levels in ((1, CHECK_LEVELS), (64, ("off",)), (997, ("off",))):
+        for solver in ("nu_acdm", "acdm_baseline", "generalized_accel", "nu_acdm_ns"):
+            for level in levels:
+                cfg = solvers.SolverConfig(iters=FOLD_STEPS, seed=3, trace_stride=stride,
+                                           check_level=level, dist_fn=norm_sq)
+                yield (f"fold-2x2-stride{stride}", solver, level,
+                       *_digest(*runs[solver](oracle, prof, start(2), cfg)))
 
 
 def driver_cells(epochs: int):
