@@ -97,25 +97,31 @@ class BlockModel(NamedTuple):
     function of the steps before them (CoordOracle.block_model).
 
     If step s moves x_{i_s} by d_s, step t's gradient is
-        g_t = grad_t + sum_{s<t} (delta [i_s = i_t] + G_ts) d_s,
+        g_t = grad_t + sum_{s<t} (delta_t [i_s = i_t] + G_ts) d_s,
     where G_ts sums a_{i_t,j} a_{i_s,j} weights_{t,j} over the columns j
-    the two rows share: the weight is that of the later step's entry.
+    the two rows share: the curvature and the weight are those of the
+    later step.
 
     grad    : (B,) each step's gradient at the block's start
     delta   : the curvature of f in x_i alone, seen when a coordinate
-              repeats within the block
+              repeats within the block: one float, or (B,) one per step
     weights : one float for every entry (1.0 leaves the Gram matrix as it
               is), or one per entry of rows.entries()
-    keeps   : None when the model holds everywhere; otherwise keeps(move)
-              says, entry by entry, whether the aggregate there, moved by
-              `move` from its value at the block's start, still lies where
-              the model holds
+    keeps   : None when the model holds for every aggregate; otherwise
+              keeps(move) says, entry by entry, whether the aggregate
+              there, moved by `move` from its value at the block's start,
+              still lies where the model holds
+    keeps_x : None when the model holds for every x; otherwise keeps_x(move)
+              says, step by step, whether x_{i_t}, moved by the (B,) `move`
+              of the earlier steps on i_t from its rows.x() value, still
+              lies where the model holds
     """
 
     grad: np.ndarray
-    delta: float
+    delta: float | np.ndarray
     weights: float | np.ndarray
     keeps: Callable | None = None
+    keeps_x: Callable | None = None
 
 
 class CoordOracle:
@@ -143,7 +149,9 @@ class CoordOracle:
     entry of the block's rows and rows.sums(w) the (B,) sums of vals * w
     over each row's entries, for w of entries()'s shape.  It returns the
     BlockModel of those steps.  The attribute is None (the default) on an
-    oracle that takes single steps only.
+    oracle that takes single steps only.  A gradient that is affine only
+    piecewise gives its model tests of where it holds (keeps, keeps_x);
+    the loop restarts a block at the first step that leaves.
     """
 
     n: int = 0

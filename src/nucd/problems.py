@@ -265,6 +265,24 @@ def _conjugate_grid_error(phi, conj, labels=(0.0,)) -> float:
     return worst
 
 
+def _kink_sides(w, kink):
+    """(over, side, keeps) for the kinks at +-kink of a piecewise-affine
+    function of w: over = w - clip(w, -kink, kink) entry by entry, side its
+    sign (-1 below -kink, 0 on [-kink, kink], 1 above kink) and keeps(move)
+    whether w + move lies on the same side, entry by entry."""
+
+    def excess(t):
+        return t - np.minimum(np.maximum(t, -kink), kink)
+
+    over = excess(w)
+    side = np.sign(over)
+
+    def keeps(move):
+        return np.sign(excess(w + move)) == side
+
+    return over, side, keeps
+
+
 class ErmDual(CoordOracle):
     """Dual objective of (1/n) sum_i phi_i(<a_i, w>) + r(w) over y in R^n:
 
@@ -307,9 +325,6 @@ class ErmDual(CoordOracle):
         self.d = data.d
         self.agg_div = float(data.m)
         self.loss = PENALTY_LOSS if variant == "l1l2_penalty" else SQUARED_LOSS
-        if variant == "l1l2_penalty":
-            # its conjugate loss is not affine in y_i
-            self.block_model = None
 
     def _reg_conj_value(self, v):
         """r*(-v); |.| makes the sign flip immaterial for these r."""
@@ -340,29 +355,26 @@ class ErmDual(CoordOracle):
 
     def block_model(self, rows):
         """The squared loss's conjugate derivative (y_i + l_i)/n has slope
-        1/n in y_i.  For ridge the gradient is affine in v with Gram weight
-        1/(lam n^2).  For the Lasso, r*'s gradient at -v is affine on each
-        of v_j < -lam, |v_j| <= lam and v_j > lam, with slope 1/lam2 outside
-        [-lam, lam] and 0 inside, so the model holds while every entry
-        stays on the side of +-lam it had at the block's start."""
+        1/n in y_i; the penalty's, (l_i + sign(y_i) max(|y_i| - 1, 0))/n,
+        has slope 1/n outside [-1, 1] and 0 inside, so its model holds while
+        every step's x_{i_t} stays on the side of +-1 it had at the block's
+        start.  For ridge and the penalty the gradient is affine in v with
+        Gram weight 1/(lam n^2).  For the Lasso, r*'s gradient at -v is
+        affine on each of v_j < -lam, |v_j| <= lam and v_j > lam, with slope
+        1/lam2 outside [-lam, lam] and 0 inside, so the model holds while
+        every entry stays on the side of +-lam it had at the block's start."""
         n = self.n
-        sep = self.loss.conj_deriv(rows.x(), self.labels[rows.idx]) / n
+        x = rows.x()
+        sep = self.loss.conj_deriv(x, self.labels[rows.idx]) / n
         if self.lam2 is None:
-            return BlockModel(sep - self._reg_conj_grad(rows.dots()) / n, 1.0 / n,
-                              1.0 / (self.lam * n * n))
-        lam = self.lam
-
-        def excess(w):
-            # -lam2 times r*'s gradient at -w
-            return w - np.minimum(np.maximum(w, -lam), lam)
-
-        v = rows.entries()
-        over = excess(v)
-        side = np.sign(over)
-
-        def keeps(move):
-            return np.sign(excess(v + move)) == side
-
+            grad = sep - self._reg_conj_grad(rows.dots()) / n
+            weight = 1.0 / (self.lam * n * n)
+            if self.variant == "ridge":
+                return BlockModel(grad, 1.0 / n, weight)
+            _, side, keeps_x = _kink_sides(x, 1.0)
+            return BlockModel(grad, (side != 0.0) / n, weight, keeps_x=keeps_x)
+        over, side, keeps = _kink_sides(rows.entries(), self.lam)
+        # -lam2 times r*'s gradient at -v is over
         return BlockModel(sep + rows.sums(over) / (self.lam2 * n), 1.0 / n,
                           (side != 0.0) / (self.lam2 * n * n), keeps)
 

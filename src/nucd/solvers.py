@@ -20,16 +20,18 @@ system is Kaczmarz.  Single and block steps read one plan of a run's
 steps: coordinates, implicit coefficients and their folds (_StepPlan).
 
 On an oracle with a block_model (the Kaczmarz quadratic, kaczmarz's
-residual form and the ridge and smoothed-Lasso duals), an unchecked run
-with a trace stride of at least _BLOCK_MIN steps (_CSR_SEGMENT_MIN on rows
-of scattered columns) takes block Gauss-Seidel steps: B steps of the plan,
-the B x B weighted Gram matrix of their rows and one triangular solve for
-all B gradients (see _Blocks).  The Lasso's model holds only while no
-entry crosses +-lam; a block that crosses applies the steps before the
-crossing and restarts there.  That is exact in arithmetic, so records
-and stops are those of single steps, but it rounds differently: such a run
-agrees with a checked run (always single steps) to rounding, not bit for
-bit.  Either way a run is bit-reproducible from its parameters and seed.
+residual form and the ridge, smoothed-Lasso and penalty duals), an
+unchecked run with a trace stride of at least _BLOCK_MIN steps
+(_CSR_SEGMENT_MIN on rows of scattered columns) takes block Gauss-Seidel
+steps: B steps of the plan, the B x B weighted Gram matrix of their rows
+and one triangular solve for all B gradients (see _Blocks).  The Lasso's
+model holds only while no entry of the aggregate crosses +-lam, and the
+penalty's only while no step's coordinate crosses +-1; a block that
+crosses applies the steps before the crossing and restarts there.  That
+is exact in arithmetic, so records and stops are those of single steps,
+but it rounds differently: such a run agrees with a checked run (always
+single steps) to rounding, not bit for bit.  Either way a run is
+bit-reproducible from its parameters and seed.
 
 Iteration cost is honest: no solver ever forms a full gradient except
 full_gd, which exists as a reference baseline.
@@ -601,11 +603,12 @@ class _Blocks:
     Within a block the caches move only along the block's own rows, and
     the oracle's BlockModel gives step t's gradient as its value grad_t
     at the block's start plus A_ts times the move of x_{i_s} seen at step
-    t, for every earlier step s, with A = delta E + G: E_ts = [i_t = i_s]
-    and G the weighted Gram matrix of the block's rows.  In the (u, v)
-    basis step s moves u by du_s = kappa_s g_s and v by
-    dv_s = cmu_s g_s / c_s, and step t sees x = u + c_t v, so the move is
-    K_ts g_s with K_ts = kappa_s + (c_t / c_s) cmu_s, and
+    t, for every earlier step s, with A = delta_t E + G: E_ts = [i_t = i_s]
+    (delta_t the curvature of step t, or one for all) and G the weighted
+    Gram matrix of the block's rows.  In the (u, v) basis step s moves u
+    by du_s = kappa_s g_s and v by dv_s = cmu_s g_s / c_s, and step t
+    sees x = u + c_t v, so the move is K_ts g_s with
+    K_ts = kappa_s + (c_t / c_s) cmu_s, and
         (I - strict_tril(A o K)) g = grad;
     without a schedule (du_s = -g_s / L_s, no v) K_ts = -1/L_s.  One
     forward substitution gives every g of the block; the coordinate
@@ -616,11 +619,14 @@ class _Blocks:
 
     A model with a keeps test holds only while each entry of the block's
     rows stays where it held at the block's start (the Lasso's side of
-    +-lam).  The solve's moves of every entry (one bincount over the Gram's
-    column pairs) are checked with it; when an entry leaves, the steps
-    before the first such step are exact and are applied, and the next
-    block gives its later steps back to the plan.  Step 0's entries have
-    not moved, so a block always advances.
+    +-lam); one with a keeps_x test, only while each step's own coordinate
+    does (the penalty's side of +-1).  The solve's moves of every entry
+    (one bincount over the Gram's column pairs) are checked with keeps,
+    and each step's move of x_{i_t}, the sum of K_ts g_s over the earlier
+    steps s on i_t, with keeps_x (skipped when no coordinate repeats).
+    When either fails, the steps before the first failing step are exact
+    and are applied, and the block gives its later steps back to the
+    plan.  Step 0 has not moved, so a block always advances.
 
     A block's steps come from the run's _StepPlan, so no block crosses a
     fold, nor a trace record (run steps one segment).  A segment runs as
@@ -645,6 +651,14 @@ class _Blocks:
         self.algo, self.accel = algo, vx is not None
         self.ux, self.vx, self.aggs = ux, vx, aggs
         self.r = plan.schedule.r if self.accel else 0.0
+        self.lower = np.zeros((0, 0), bool)
+
+    def _below(self, size: int) -> np.ndarray:
+        """The (size, size) mask of the strict lower triangle, a view of
+        the largest one made so far."""
+        if len(self.lower) < size:
+            self.lower = np.tri(size, k=-1, dtype=bool)
+        return self.lower[:size, :size]
 
     def run(self, k: int, end: int) -> float:
         """Steps k .. end - 1; returns the last step's c."""
@@ -674,19 +688,37 @@ class _Blocks:
                 neg_k = il
             # A = delta E + G, then tri = A o (-K), in place
             tri = rows.gram(model.weights)
-            if model.delta:
-                np.add(tri, model.delta, out=tri, where=idx[:, None] == idx)
+            delta, keeps_x = model.delta, model.keeps_x
+            scalar = isinstance(delta, float)
+            if keeps_x is not None or not scalar or delta:
+                # E below the diagonal, the only part of tri the solve reads:
+                # rep[t, s] = [i_s = i_t] for s < t
+                rep = idx[:, None] == idx
+                rep &= self._below(size)
+                if rep.any():
+                    np.add(tri, delta if scalar else delta[:, None], out=tri, where=rep)
+                else:
+                    # no step moves its own coordinate before it
+                    keeps_x = None
             tri *= neg_k
             # solves with tri's strict lower triangle and a unit diagonal;
             # tri.T is Fortran-ordered, so BLAS reads it without a copy
             g = _dtrsv(tri.T, model.grad, overwrite_x=1, trans=1, diag=1)
-            if model.keeps is not None:
+            if model.keeps is not None or keeps_x is not None:
                 # steps[t, s] = K_ts g_s, the move of x_{i_s} step t sees
                 steps = np.broadcast_to(neg_k * -g, tri.shape)
+                first = size  # the first step whose model fails
                 with np.errstate(invalid="ignore", over="ignore"):
-                    left = ~model.keeps(rows.moves(steps) / self.div)
-                if left.any():
-                    size = max(1, rows.first_step(left))
+                    if model.keeps is not None:
+                        left = ~model.keeps(rows.moves(steps) / self.div)
+                        if left.any():
+                            first = rows.first_step(left)
+                    if keeps_x is not None:
+                        left = ~keeps_x(steps.sum(axis=1, where=rep))
+                        if left.any():
+                            first = min(first, int(np.argmax(left)))
+                if first < size:
+                    size = max(1, first)
                     self.plan.give_back(idx.size - size)
                     idx, g, cs, il, zc = idx[:size], g[:size], cs[:size], il[:size], zc[:size]
             # a finite sum needs finite terms

@@ -1,16 +1,17 @@
 """Differential tests for the block steps of the coordinate loop.
 
 On an oracle with a block_model (the Kaczmarz quadratic, the residual form
-that solvers.kaczmarz steps, and the ridge and smoothed-Lasso duals) an
-unchecked run takes its steps in blocks, one triangular solve per block
-(solvers._Blocks).  That regroups the per-step loop's arithmetic, so a
+that solvers.kaczmarz steps, and the ridge, smoothed-Lasso and penalty
+duals) an unchecked run takes its steps in blocks, one triangular solve per
+block (solvers._Blocks).  That regroups the per-step loop's arithmetic, so a
 blocked run must agree with the per-step loop to rounding: within REL of
 the largest entry of the start and the returned point, and of the trace
 values, with the same record iterations exactly.  The per-step reference
 is the same run with block steps switched off; a checked run steps the
 same way, but its descent check may trip on the skewed rows drawn here.
-A Lasso block whose entries cross +-lam restarts at the crossing, which
-must leave the same agreement.
+A Lasso block whose entries cross +-lam, and a penalty block whose steps'
+coordinates cross +-1, restarts at the crossing, which must leave the same
+agreement.
 
 REL is 1e-12, except for the strongly convex accelerated runs.  Their z
 moves about 1/tau times as far as y per step, and y = u + c v is formed
@@ -76,15 +77,19 @@ def _rows(kind, m, d, seed, empty=False):
     return dense
 
 
-def _erm(variant, lam_frac, lam2=None):
-    """A problem builder (A, labels, beta) for the ridge or smoothed-Lasso
-    dual with lam = lam_frac * lam_max, lam_max = ||A^T labels||_inf / m
-    (the smallest lam at which the Lasso's answer is w = 0)."""
+def _erm(variant, lam_frac, lam2=None, label_scale=1.0):
+    """A problem builder (A, labels, beta) for the ridge, smoothed-Lasso or
+    penalty dual with lam = lam_frac * lam_max, lam_max =
+    ||A^T labels||_inf / m (the smallest lam at which the Lasso's answer
+    is w = 0).  The penalty's labels are scaled by label_scale: the
+    further they lie from 0, the further y_i moves, across +-1."""
     def problem(a, labels, beta):
         lam_max = float(np.max(np.abs(a.rmatvec(labels)))) / a.m
         lam = lam_frac * lam_max if lam_max > 0.0 else lam_frac
         if variant == "ridge":
             return build_ridge_dual(a, labels, lam, beta=beta)
+        if variant == "penalty":
+            return build_penalty_dual(a, labels * label_scale, lam, beta=beta)
         return build_lasso_dual(a, labels, lam, lam2, beta=beta)
     return problem
 
@@ -172,17 +177,26 @@ def test_block_steps_agree_with_single_steps(name, data):
     _drawn_comparison(name, data)
 
 
-@pytest.mark.parametrize("variant", ["ridge", "lasso"])
-@pytest.mark.parametrize("name", list(_SOLVERS))
+# the penalty dual is not strongly convex: nu_acdm_ns and rcdm only
+_ERM_CASES = [(name, variant) for variant in ("ridge", "lasso", "penalty")
+              for name in _SOLVERS
+              if variant != "penalty" or name not in _STRONGLY_CONVEX]
+
+
+@pytest.mark.parametrize("name, variant", _ERM_CASES,
+                         ids=[f"{name}-{variant}" for name, variant in _ERM_CASES])
 @settings(deadline=None, max_examples=25)
 @given(data=st.data())
-def test_erm_block_steps_agree_with_single_steps(variant, name, data):
-    """The ridge and smoothed-Lasso duals on the same rows, mixed rows with
-    empty ones included.  The Lasso's lam runs from well below lam_max,
-    where many columns are active and cross +-lam during a run, to above
-    it, where none ever is."""
+def test_erm_block_steps_agree_with_single_steps(name, variant, data):
+    """The ridge, smoothed-Lasso and penalty duals on the same rows, mixed
+    rows with empty ones included.  The Lasso's lam runs from well below
+    lam_max, where many columns are active and cross +-lam during a run,
+    to above it, where none ever is.  The penalty's labels are scaled by 2
+    to 8, so that y_i crosses +-1 in most runs, and in many within a block
+    that steps on i again."""
     problem = _erm(variant, data.draw(st.floats(0.05, 1.5), label="lam / lam_max"),
-                   data.draw(st.floats(1e-3, 1.0), label="lam2"))
+                   data.draw(st.floats(1e-3, 1.0), label="lam2"),
+                   data.draw(st.floats(2.0, 8.0), label="label scale"))
     _drawn_comparison(name, data, problem, empty=True)
 
 
@@ -203,17 +217,40 @@ def test_lasso_blocks_restart_at_kink_crossings(name, kind):
     assert all(call.args[1] > 0 for call in spy.call_args_list)
 
 
-def test_penalty_dual_takes_single_steps():
-    """The penalty dual's conjugate loss is not affine in y_i: it has no
-    block model, and an unchecked run at a long stride solves nothing."""
+@pytest.mark.parametrize("kind", ["dense", "scattered"])
+@pytest.mark.parametrize("name", ["nu_acdm_ns", "rcdm"])
+def test_penalty_blocks_restart_at_region_crossings(name, kind):
+    """A penalty dual whose labels are standard normals times 3, started at
+    y = 0, inside [-1, 1] everywhere: coordinates cross +-1 during the
+    run, so blocks restart (a spy counts the steps given back to the plan),
+    and the run still agrees with single steps to 1e-12."""
+    dense = _rows(kind, 40, 6, seed=11)
+    a = SparseRowMatrix.from_dense(dense)
+    give_back = solvers._StepPlan.give_back
+    with mock.patch.object(solvers._StepPlan, "give_back", autospec=True,
+                           side_effect=give_back) as spy:
+        _compare(name, a, np.zeros(40), 4000, 80, seed=3,
+                 problem=_erm("penalty", 0.5, label_scale=3.0))
+    assert spy.call_count > 0
+    assert all(call.args[1] > 0 for call in spy.call_args_list)
+
+
+def test_penalty_dual_takes_blocks_unless_checked():
+    """The penalty's conjugate loss is affine on each side of +-1, so the
+    dual has a block model: on rows of all d columns an unchecked run takes
+    blocks at a trace stride of _BLOCK_MIN steps or more, and a run checked
+    at every step solves nothing."""
     a = SparseRowMatrix.from_dense(_rows("dense", 12, 4, seed=6))
-    pen, prof = build_penalty_dual(a, np.linspace(-1.0, 1.0, 12), 0.1)
-    cfg = SolverConfig(iters=600, seed=2, trace_stride=120)
-    assert pen.block_model is None
-    assert not solvers._takes_blocks(pen, cfg)
-    with mock.patch.object(solvers, "_dtrsv", wraps=solvers._dtrsv) as solves:
-        solvers.nu_acdm_ns(pen, prof, np.zeros(12), cfg)
-    assert solves.call_count == 0
+    pen, prof = build_penalty_dual(a, np.linspace(-3.0, 3.0, 12), 0.1)
+    take = solvers._takes_blocks
+    assert take(pen, SolverConfig(iters=50, trace_stride=solvers._BLOCK_MIN))
+    assert not take(pen, SolverConfig(iters=50, trace_stride=solvers._BLOCK_MIN - 1))
+    for level, blocked in (("off", True), ("full", False)):
+        cfg = SolverConfig(iters=600, seed=2, trace_stride=120, check_level=level)
+        assert take(pen, cfg) is blocked
+        with mock.patch.object(solvers, "_dtrsv", wraps=solvers._dtrsv) as solves:
+            solvers.nu_acdm_ns(pen, prof, np.zeros(12), cfg)
+        assert (solves.call_count > 0) is blocked
 
 
 @pytest.mark.parametrize("rows", [[[3.0]], [[3.0, 0.0], [0.0, 3.0]]])

@@ -14,8 +14,9 @@ all-but-one rows ("mixed"); the solvers are nu_acdm, acdm_baseline,
 generalized_accel, nu_acdm_ns and rcdm, plus kaczmarz on the three linear
 systems.  Every cell above has a trace stride of 20 steps, below the 64 at
 which rows of a few columns take block steps, so the scattered and mixed
-Kaczmarz systems (kaczmarz) and ridge and Lasso duals (all five solvers)
-are digested once more, unchecked and with a trace stride of 64 steps.
+Kaczmarz systems (kaczmarz), ridge and Lasso duals (all five solvers) and
+penalty duals (nu_acdm_ns and rcdm) are digested once more, unchecked and
+with a trace stride of 64 steps.
 None of those runs folds the strongly convex implicit coefficient c (that
 takes some 13 000 steps there), so the last solver cells run a 2 x 2
 Kaczmarz quadratic whose c folds about every 338 steps: nu_acdm,
@@ -136,13 +137,14 @@ def cells(epochs: int):
             "generalized_accel": lambda o, p, x, c: solvers.generalized_accel(
                 o, p, x, c, solvers.rcdm_probabilities(p)),
             "nu_acdm_ns": solvers.nu_acdm_ns, "rcdm": solvers.rcdm}
+    def solvable(prof):
+        # the strongly convex schedules need sigma > 0
+        return runs if prof.sigma_beta > 0.0 else {k: runs[k] for k in ("nu_acdm_ns", "rcdm")}
+
     oracles, systems = problems()
     for name, (oracle, prof) in oracles.items():
-        # the strongly convex schedules need sigma > 0
-        solvable = runs if prof.sigma_beta > 0.0 else {
-            k: runs[k] for k in ("nu_acdm_ns", "rcdm")}
         n = oracle.n
-        for solver, run in solvable.items():
+        for solver, run in solvable(prof).items():
             for level in CHECK_LEVELS:
                 cfg = solvers.SolverConfig(iters=epochs * n, seed=3,
                                            trace_stride=n // 2, check_level=level,
@@ -162,10 +164,11 @@ def cells(epochs: int):
                                    dist_fn=norm_sq)
         out = solvers.kaczmarz(a, b, start(a.d), cfg)
         yield (f"linsys-{kind}-stride64", "kaczmarz", "off", *_digest(*out))
-    for name in ("ridge-scattered", "ridge-mixed", "lasso-scattered", "lasso-mixed"):
+    for name in ("ridge-scattered", "ridge-mixed", "lasso-scattered", "lasso-mixed",
+                 "penalty-scattered", "penalty-mixed"):
         oracle, prof = oracles[name]
         n = oracle.n
-        for solver, run in runs.items():
+        for solver, run in solvable(prof).items():
             cfg = solvers.SolverConfig(iters=epochs * n, seed=3, trace_stride=64,
                                        dist_fn=norm_sq)
             yield (f"{name}-stride64", solver, "off",
