@@ -365,14 +365,20 @@ class ErmDual(CoordOracle):
         every entry stays on the side of +-lam it had at the block's start."""
         n = self.n
         x = rows.x()
-        sep = self.loss.conj_deriv(x, self.labels[rows.idx]) / n
+        labels = self.labels[rows.idx]
+        if self.variant == "l1l2_penalty":
+            x_over, x_side, keeps_x = _kink_sides(x, 1.0)
+            # its conjugate derivative l + sign(x) max(|x| - 1, 0), signed
+            # zeros included: |x_over| is that max
+            sep = (labels + np.sign(x) * np.abs(x_over)) / n
+        else:
+            sep = self.loss.conj_deriv(x, labels) / n
         if self.lam2 is None:
             grad = sep - self._reg_conj_grad(rows.dots()) / n
             weight = 1.0 / (self.lam * n * n)
             if self.variant == "ridge":
                 return BlockModel(grad, 1.0 / n, weight)
-            _, side, keeps_x = _kink_sides(x, 1.0)
-            return BlockModel(grad, (side != 0.0) / n, weight, keeps_x=keeps_x)
+            return BlockModel(grad, (x_side != 0.0) / n, weight, keeps_x=keeps_x)
         over, side, keeps = _kink_sides(rows.entries(), self.lam)
         # -lam2 times r*'s gradient at -v is over
         return BlockModel(sep + rows.sums(over) / (self.lam2 * n), 1.0 / n,

@@ -359,21 +359,30 @@ class _Growing:
 
 class _StepPlan:
     """The steps of one run: step t's coordinate i_t (the sampler's stream)
-    and coefficients (c_t, 1/L_{i_t}, z coefficient, eta_t), z_{i_t} moving
-    by -(z coefficient) g, or (1, 1/L_{i_t}, 0, 0) without a schedule.
-    c_t = c_{t-1} rho_t from c = 1; where it falls below FOLD_BELOW the run
-    folds it into v (v *= c_t, then c_t = 1).  take(size) returns (idx,
-    fold, coefs) for at most size next steps: a fold's factor to apply
-    before the first (or None; a request ends before the next fold) and a
-    (len(idx), 4) view of their coefficients.  give_back(count) returns the
-    last count steps taken, never all of a request.  Planning 4096 steps at
-    a time makes a short request a slice; draws continue one stream and c
-    one product, so that changes no step."""
+    and the coefficients its consumer reads.  c_t = c_{t-1} rho_t from
+    c = 1; where it falls below FOLD_BELOW the run folds it into v
+    (v *= c_t, then c_t = 1).  Under a schedule, single steps read
+    (c_t, 1/L_{i_t}, z coefficient, eta_t), z_{i_t} moving by
+    -(z coefficient) g; block steps (blocks=True) read (c_t, kappa_t, w_t),
+    the moves of u_{i_t} and v_{i_t} per unit of g:
+        kappa_t = (r/L_{i_t} - z coefficient) / (1 - r)
+        w_t = (z coefficient - 1/L_{i_t}) / (c_t (1 - r)),
+    which is du = (dz - r dy)/(1 - r) and dv = (dy - dz)/(c (1 - r))
+    regrouped.  Without a schedule (c = 1, no z) the plan holds 1/L_{i_t}
+    alone, one float per step.  take(size) returns (idx, fold, coefs) for
+    at most size next steps: a fold's factor to apply before the first (or
+    None; a request ends before the next fold) and a view of their rows of
+    the table.  give_back(count) returns the last count steps taken, never
+    all of a request.  Planning 4096 steps at a time makes a short request
+    a slice; draws continue one stream and c one product, so that changes
+    no step."""
 
-    def __init__(self, sampler: WeightedSampler, count: int, schedule, inv_l):
+    def __init__(self, sampler: WeightedSampler, count: int, schedule, inv_l,
+                 blocks: bool):
         self.sampler, self.left = sampler, count  # steps not yet planned
-        self.schedule, self.inv_l = schedule, inv_l
-        self.idx, self.coefs = np.zeros(0, np.int64), np.zeros((0, 4))
+        self.schedule, self.inv_l, self.blocks = schedule, inv_l, blocks
+        width = () if schedule is None else (3 if blocks else 4,)
+        self.idx, self.coefs = np.zeros(0, np.int64), np.zeros((0, *width))
         self.base, self.pos = 0, 0  # the step at idx[0], the next position
         self.c = 1.0  # c of the last step planned
         self.folds = []  # (step, factor) of each fold not yet taken, ascending
@@ -389,7 +398,7 @@ class _StepPlan:
             idx.append(self.sampler.sample_block(count))
             il = self.inv_l[idx[-1]]
             if schedule is None:
-                coefs.append(np.column_stack((np.ones(count), il, np.zeros((count, 2)))))
+                coefs.append(il)
             else:
                 rho, eta = schedule.steps(k, count)
                 rho[0] *= self.c
@@ -403,7 +412,13 @@ class _StepPlan:
                     cs[t:] = np.cumprod(rho[t:])
                 self.c = float(cs[-1])
                 zc = schedule.z_scale(schedule.z_coef[idx[-1]], eta)
-                coefs.append(np.column_stack((cs, il, zc, eta)))
+                if self.blocks:
+                    r = schedule.r
+                    kappa = (r * il - zc) / (1.0 - r)
+                    w = (zc - il) / (cs * (1.0 - r))
+                    coefs.append(np.column_stack((cs, kappa, w)))
+                else:
+                    coefs.append(np.column_stack((cs, il, zc, eta)))
             k += count
         self.idx, self.coefs = np.concatenate(idx), np.concatenate(coefs)
 
@@ -606,16 +621,17 @@ class _Blocks:
     t, for every earlier step s, with A = delta_t E + G: E_ts = [i_t = i_s]
     (delta_t the curvature of step t, or one for all) and G the weighted
     Gram matrix of the block's rows.  In the (u, v) basis step s moves u
-    by du_s = kappa_s g_s and v by dv_s = cmu_s g_s / c_s, and step t
-    sees x = u + c_t v, so the move is K_ts g_s with
-    K_ts = kappa_s + (c_t / c_s) cmu_s, and
+    by du_s = kappa_s g_s and v by dv_s = w_s g_s, with (c, kappa, w) the
+    block table of the run's _StepPlan, and step t sees x = u + c_t v, so
+    the move is K_ts g_s with K_ts = kappa_s + c_t w_s, and
         (I - strict_tril(A o K)) g = grad;
-    without a schedule (du_s = -g_s / L_s, no v) K_ts = -1/L_s.  One
-    forward substitution gives every g of the block; the coordinate
-    updates are then added in step order (repeated rows included) and
-    each cache moves by one product with the block's rows (_FullRows or
-    _ScatteredRows).  This is the per-step loop's arithmetic regrouped, so
-    it agrees with that loop to rounding, not bit for bit.
+    without a schedule (du_s = -g_s / L_s, no v, a plan of 1/L alone)
+    K_ts = -1/L_s.  One forward substitution gives every g of the block;
+    the moves (du, dv) are one (2, B) product of the plan's (kappa, w)
+    with g, added to u and v in step order (repeated rows included), and
+    each cache moves by one product of them with the block's rows
+    (_FullRows or _ScatteredRows).  This is the per-step loop's arithmetic
+    regrouped, so it agrees with that loop to rounding, not bit for bit.
 
     A model with a keeps test holds only while each entry of the block's
     rows stays where it held at the block's start (the Lasso's side of
@@ -650,7 +666,6 @@ class _Blocks:
                              math.isqrt(_BLOCK_WORK * mat.m // max(mat.nnz, mat.m)))
         self.algo, self.accel = algo, vx is not None
         self.ux, self.vx, self.aggs = ux, vx, aggs
-        self.r = plan.schedule.r if self.accel else 0.0
         self.lower = np.zeros((0, 0), bool)
 
     def _below(self, size: int) -> np.ndarray:
@@ -662,30 +677,25 @@ class _Blocks:
 
     def run(self, k: int, end: int) -> float:
         """Steps k .. end - 1; returns the last step's c."""
-        accel, aggs, r = self.accel, self.aggs, self.r
-        one_minus_r = 1.0 - r
+        accel, aggs, c = self.accel, self.aggs, 1.0
         while k < end:
             size = end - k
             if 2 * size >= 3 * self.block_len:
                 size = self.block_len
             idx, fold, coefs = self.plan.take(size)
-            cs, il, zc, _ = coefs.T
             size = idx.size
             if fold is not None:
                 self.vx *= fold
                 aggs[1] *= fold
-            rows = self.rows_of(idx, self.ux, self.vx, aggs, cs if accel else None)
-            model = self.model(rows)
             if accel:
-                kappa = (r * il - zc) / one_minus_r
-                cmu = (zc - il) / one_minus_r
-                # -K = -(kappa + (c_t / c_s) cmu), in place
-                neg_k = cs[:, None] / cs
-                neg_k *= cmu
-                neg_k += kappa
-                np.negative(neg_k, out=neg_k)
+                cs, kappa, w = coefs.T
+                # -K_ts = -(kappa_s + c_t w_s)
+                neg_k = np.multiply.outer(cs, -w)
+                neg_k -= kappa
             else:
-                neg_k = il
+                cs, neg_k = None, coefs
+            rows = self.rows_of(idx, self.ux, self.vx, aggs, cs)
+            model = self.model(rows)
             # A = delta E + G, then tri = A o (-K), in place
             tri = rows.gram(model.weights)
             delta, keeps_x = model.delta, model.keeps_x
@@ -706,7 +716,9 @@ class _Blocks:
             g = _dtrsv(tri.T, model.grad, overwrite_x=1, trans=1, diag=1)
             if model.keeps is not None or keeps_x is not None:
                 # steps[t, s] = K_ts g_s, the move of x_{i_s} step t sees
-                steps = np.broadcast_to(neg_k * -g, tri.shape)
+                steps = neg_k * -g
+                if not accel:
+                    steps = np.broadcast_to(steps, tri.shape)
                 first = size  # the first step whose model fails
                 with np.errstate(invalid="ignore", over="ignore"):
                     if model.keeps is not None:
@@ -720,7 +732,7 @@ class _Blocks:
                 if first < size:
                     size = max(1, first)
                     self.plan.give_back(idx.size - size)
-                    idx, g, cs, il, zc = idx[:size], g[:size], cs[:size], il[:size], zc[:size]
+                    idx, g, coefs = idx[:size], g[:size], coefs[:size]
             # a finite sum needs finite terms
             if not math.isfinite(np.add.reduce(g)):
                 finite = np.isfinite(g)
@@ -729,22 +741,21 @@ class _Blocks:
                         f"{self.algo}: non-finite gradient at iteration "
                         f"{k + int(finite.argmin())}"
                     )
-            dy = -g * il
             if accel:
-                dz = -zc * g
-                du = (dz - r * dy) / one_minus_r
-                dv = (dy - dz) / (cs * one_minus_r)
-                np.add.at(self.ux, idx, du)
-                np.add.at(self.vx, idx, dv)
-                upd = np.stack((du, dv))
+                # (du, dv) = (kappa, w) g
+                upd = coefs[:, 1:].T * g
+                np.add.at(self.ux, idx, upd[0])
+                np.add.at(self.vx, idx, upd[1])
+                c = float(coefs[-1, 0])
             else:
+                dy = -g * coefs
                 np.add.at(self.ux, idx, dy)
                 upd = dy[None, :]
             if self.div != 1.0:
                 upd = upd / self.div
             rows.add(upd)
             k += size
-        return float(cs[-1])
+        return c
 
 
 def _coordinate_loop(oracle, profile, x0, cfg, p, algo, schedule=None):
@@ -764,7 +775,8 @@ def _coordinate_loop(oracle, profile, x0, cfg, p, algo, schedule=None):
     with c scaled by the schedule's rho_k, after which x = u + c v.
     Every step, its c and c's folds come from one _StepPlan, asked for a
     segment's steps by the per-step loop (a checked step alone, its z_prev
-    formed before a fold) or, when _takes_blocks(oracle, cfg), by _Blocks.
+    formed before a fold) or, when _takes_blocks(oracle, cfg), by _Blocks;
+    the plan holds the coefficients that its one consumer reads.
 
     A step slices row i's (cols, vals) out of oracle.row_matrix once,
     gathers part = u.agg[cols] + c v.agg[cols] once and takes the gradient
@@ -818,10 +830,11 @@ def _coordinate_loop(oracle, profile, x0, cfg, p, algo, schedule=None):
         x, agg = point(coef)
         return oracle.value(x, agg), x, agg
 
-    plan = _StepPlan(WeightedSampler(p, cfg.seed), iters, schedule, 1.0 / l)
+    takes_blocks = _takes_blocks(oracle, cfg)
+    plan = _StepPlan(WeightedSampler(p, cfg.seed), iters, schedule, 1.0 / l, takes_blocks)
     # u's cache alone, or both caches, as the rows of one array
     blocks = (_Blocks(oracle, plan, ux, vx, aggs if accel else uagg[None, :], algo)
-              if _takes_blocks(oracle, cfg) else None)
+              if takes_blocks else None)
 
     rec = _Recorder(algo, cfg, units_per_epoch=oracle.n)
     worst_descent = -math.inf
@@ -847,13 +860,14 @@ def _coordinate_loop(oracle, profile, x0, cfg, p, algo, schedule=None):
                 vx *= fold
                 if vagg is not None:
                     vagg *= fold
-            for k, i, (c, inv_l, z_coef, eta) in zip(range(k, k + idx.size), idx.tolist(),
-                                                       coefs.tolist()):
+            for k, i, step in zip(range(k, k + idx.size), idx.tolist(), coefs.tolist()):
                 u_i = u_at[i]
                 if accel:
+                    c, inv_l, z_coef, eta = step
                     v_i = v_at[i]
                     x_i = u_i + c * v_i
                 else:
+                    inv_l = step
                     x_i = u_i
                 if mat is None:
                     whole = False

@@ -1,11 +1,13 @@
 """Differential test for the step plan of the coordinate loop.
 
 Single steps and block steps read every step's coordinate, implicit
-coefficient c, fold, 1/L_i, z coefficient and eta from one
-solvers._StepPlan.  Requests of any size, with any give-backs, must hand
-out exactly what a literal loop gives, bit for bit: the sampler's stream
-drawn in one block, c <- c rho_k multiplied step by step and reset to 1
-below FOLD_BELOW, and the coefficients from the written formulas.
+coefficient c and fold from one solvers._StepPlan, with the coefficients
+each consumer uses: (c, 1/L_i, z coefficient, eta) for single steps,
+(c, kappa, w) for block steps and 1/L_i alone without a schedule.
+Requests of any size, with any give-backs, must hand out exactly what a
+literal loop gives, bit for bit: the sampler's stream drawn in one block,
+c <- c rho_k multiplied step by step and reset to 1 below FOLD_BELOW, and
+the coefficients from the written formulas.
 """
 
 import numpy as np
@@ -19,19 +21,23 @@ from nucd.sampling import WeightedSampler
 _KINDS = ("strongly convex", "growing", "plain")
 
 
-def _literal(kind, prof, p, seed, count, c, rate, s_sq):
-    """(idx, c, 1/L_i, z coefficient, eta) per step as arrays, and
-    {step: fold factor}."""
+def _literal(kind, blocks, prof, p, seed, count, c, rate, s_sq):
+    """idx, the coefficients per step as columns ((c, 1/L_i, z coefficient,
+    eta) for single steps, (c, kappa, w) for blocks, 1/L_i alone without a
+    schedule) and {step: fold factor}."""
     idx = WeightedSampler(p, seed).sample_block(count)
     plb = p * prof.l ** prof.beta
+    r = 0.0
     if kind == "strongly convex":
         tau, eta = solvers.accel_schedule(rate, prof.sigma_beta)
         rho = (1.0 - tau) ** 2
+        r = -(1.0 - tau)
         shrink = 1.0 / (1.0 + eta * prof.sigma_beta)
     rows, folds = [], {}
     for k, i in enumerate(idx.tolist()):
+        inv_l = 1.0 / prof.l[i]
         if kind == "plain":
-            rows.append((1.0, 1.0 / prof.l[i], 0.0, 0.0))
+            rows.append(inv_l)
             continue
         if kind == "growing":
             eta, tau = solvers.ns_schedule(k, s_sq)
@@ -43,7 +49,11 @@ def _literal(kind, prof, p, seed, count, c, rate, s_sq):
         if c < solvers.FOLD_BELOW:
             folds[k] = c
             c = 1.0
-        rows.append((c, 1.0 / prof.l[i], z, eta))
+        if blocks:
+            # u_i moves by kappa g and v_i by w g
+            rows.append((c, (r * inv_l - z) / (1.0 - r), (z - inv_l) / (c * (1.0 - r))))
+        else:
+            rows.append((c, inv_l, z, eta))
     return idx, np.array(rows).T, folds
 
 
@@ -51,6 +61,7 @@ def _literal(kind, prof, p, seed, count, c, rate, s_sq):
 @given(data=st.data())
 def test_plan_hands_out_the_literal_loop(data):
     kind = data.draw(st.sampled_from(_KINDS))
+    blocks = data.draw(st.booleans(), label="blocks")
     n = data.draw(st.integers(1, 6))
     l = np.array(data.draw(st.lists(st.floats(0.01, 100.0), min_size=n, max_size=n)))
     beta = data.draw(st.sampled_from([0.0, 0.3, 1.0]))
@@ -70,9 +81,9 @@ def test_plan_hands_out_the_literal_loop(data):
     schedule = {"strongly convex": lambda: solvers._StronglyConvex(prof, p, rate),
                 "growing": lambda: solvers._Growing(prof, p, s_sq),
                 "plain": lambda: None}[kind]()
-    plan = solvers._StepPlan(WeightedSampler(p, seed), count, schedule, 1.0 / l)
+    plan = solvers._StepPlan(WeightedSampler(p, seed), count, schedule, 1.0 / l, blocks)
     plan.c = c0
-    idx, rows, folds = _literal(kind, prof, p, seed, count, c0, rate, s_sq)
+    idx, rows, folds = _literal(kind, blocks, prof, p, seed, count, c0, rate, s_sq)
 
     k = 0
     while k < count:
@@ -82,7 +93,7 @@ def test_plan_hands_out_the_literal_loop(data):
         want = min([size] + [t - k for t in after])
         assert got_idx.size == want
         assert np.array_equal(got_idx, idx[k:k + want])
-        assert np.array_equal(coefs.T, rows[:, k:k + want])
+        assert np.array_equal(coefs.T, rows[..., k:k + want])
         assert (fold is None) if k not in folds else (fold == folds[k])
         back = data.draw(st.integers(0, want - 1), label="given back")
         plan.give_back(back)

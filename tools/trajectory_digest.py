@@ -12,11 +12,12 @@ rows of all d columns ("dense"), rows of a few scattered columns
 ("scattered") and a mix of empty rows, contiguous runs, scattered, full and
 all-but-one rows ("mixed"); the solvers are nu_acdm, acdm_baseline,
 generalized_accel, nu_acdm_ns and rcdm, plus kaczmarz on the three linear
-systems.  Every cell above has a trace stride of 20 steps, below the 64 at
-which rows of a few columns take block steps, so the scattered and mixed
-Kaczmarz systems (kaczmarz), ridge and Lasso duals (all five solvers) and
-penalty duals (nu_acdm_ns and rcdm) are digested once more, unchecked and
-with a trace stride of 64 steps.
+systems.  Every cell above has a trace stride of 20 steps.  That is at
+least _BLOCK_MIN (16), so the dense cells at check level "off" take block
+steps, but below the 64 at which rows of a few columns take them, so the
+scattered and mixed Kaczmarz systems (kaczmarz), ridge and Lasso duals
+(all five solvers) and penalty duals (nu_acdm_ns and rcdm) are digested
+once more, unchecked and with a trace stride of 64 steps.
 None of those runs folds the strongly convex implicit coefficient c (that
 takes some 13 000 steps there), so the last solver cells run a 2 x 2
 Kaczmarz quadratic whose c folds about every 338 steps: nu_acdm,
