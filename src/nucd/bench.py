@@ -169,13 +169,6 @@ class RaceResult:
     def median_epochs_to(self, algo, eps=None) -> float:
         return float(np.median(self.epochs_to(algo, eps)))
 
-    def mean_primal_trace(self, algo):
-        rows = [g for (a, _s), g in sorted(self.primal_gaps.items()) if a == algo]
-        if not rows:
-            raise KeyError(algo)
-        length = min(len(g) for g in rows)
-        return np.mean([g[:length] for g in rows], axis=0)
-
 
 def _collect(description, eps, speedup, results) -> RaceResult:
     out = RaceResult(description=description, eps=eps, speedup=speedup)
@@ -261,48 +254,36 @@ def run_erm_race(
     lam: float = 0.1,
     lam2: float | None = None,
     algos=("nu-acdm", "acdm", "rcdm"),
-    betas: dict | None = None,
     seeds=range(10),
     epochs: int = 40,
     eps: float | None = None,
     jobs: int = 1,
 ) -> RaceResult:
     """Dual suboptimality D(y_k) - D* per epoch for each algorithm; ridge
-    runs also record the primal gap P(w(y_k)) - P*.  betas maps algorithm
-    name to the exponent it runs at (default 0)."""
+    runs also record the primal gap P(w(y_k)) - P*.  Every algorithm runs
+    at beta = 0."""
     seeds = list(seeds)
     if not seeds:
         raise ValueError("need at least one seed")
     if not algos:
         raise ValueError("need at least one algorithm")
-    betas = dict(betas or {})
-    oracle, _ = build_erm(dataset, variant, lam, lam2, 0.0)
+    oracle, profile = build_erm(dataset, variant, lam, lam2, 0.0)
     ref = problems.reference_minimum(oracle)
     run = dict(epochs=epochs, dist_fn=GapTo(ref.value), eps=eps, oracle=oracle,
-               x0=np.zeros(oracle.n))
+               profile=profile, x0=np.zeros(oracle.n))
     if variant == "ridge":
         run["primal_star"], _w = problems.ridge_primal_reference(oracle)
     if "gd" in algos:
         run["l_global"] = problems.global_smoothness(oracle)
 
-    profile_cache = {}
-    cells = []
-    for algo in algos:
-        beta = float(betas.get(algo, 0.0))
-        if beta not in profile_cache:
-            _, profile_cache[beta] = build_erm(dataset, variant, lam, lam2, beta)
-        cells += [dict(run, key=(algo, seed), algo=algo, seed=seed,
-                       profile=profile_cache[beta]) for seed in seeds]
-
-    results = _execute(cells, jobs)
-    result = _collect(
+    cells = [dict(run, key=(algo, seed), algo=algo, seed=seed)
+             for algo in algos for seed in seeds]
+    return _collect(
         f"erm variant={variant} n={dataset.n} d={dataset.d} lam={lam}",
         1e-6 if eps is None else eps,
-        speedup_factor(profile_cache.get(0.0) or next(iter(profile_cache.values()))),
-        results,
+        speedup_factor(profile),
+        _execute(cells, jobs),
     )
-    result.reference = ref
-    return result
 
 
 @dataclass
@@ -347,23 +328,30 @@ def beta_sweep(
                oracle=oracle, x0=x0)
     t_total = epochs * oracle.n
 
-    entries = []
-    for beta in beta_list:
+    # every beta's cells go to one pool, keyed by the beta's position so a
+    # repeated beta stays its own entry
+    bounds, cells = [], []
+    for pos, beta in enumerate(beta_list):
         _, profile = problems.build_penalty_dual(
             dataset.features, dataset.labels, lam, beta=beta
         )
         s_sq = s_alpha(profile, profile.alpha) ** 2
-        bound = (
+        bounds.append(
             2.0 * lbeta_norm_sq(x0 - ref.minimizer, profile) * s_sq
             / (t_total + 1.0) ** 2
         )
-        cells = [dict(run, key=("nu-acdm-ns", seed), seed=seed, profile=profile)
-                 for seed in seeds]
-        results = _execute(cells, jobs)
-        finals = np.asarray([trace.final_dist() for _k, trace, _e in results])
-        length = min(len(trace.dists) for _k, trace, _e in results)
-        mean_gaps = np.mean([trace.dists[:length] for _k, trace, _e in results], axis=0)
-        epochs_axis = results[0][1].epochs[:length]
+        cells += [dict(run, key=(pos, seed), seed=seed, profile=profile)
+                  for seed in seeds]
+    by_beta = [[] for _ in beta_list]
+    for (pos, _seed), trace, _extras in _execute(cells, jobs):
+        by_beta[pos].append(trace)
+
+    entries = []
+    for beta, bound, traces in zip(beta_list, bounds, by_beta):
+        finals = np.asarray([trace.final_dist() for trace in traces])
+        length = min(len(trace.dists) for trace in traces)
+        mean_gaps = np.mean([trace.dists[:length] for trace in traces], axis=0)
+        epochs_axis = traces[0].epochs[:length]
         entry = BetaSweepEntry(
             beta=float(beta),
             bound=float(bound),

@@ -219,6 +219,8 @@ class TrackedPoint:
         self.x = np.array(x, dtype=float)
         if self.x.shape != (oracle.n,):
             raise ValueError(f"point must have shape ({oracle.n},), got {self.x.shape}")
+        if not np.all(np.isfinite(self.x)):
+            raise ValueError("point must be finite")
         self.agg = oracle.aggregate(self.x)
 
     def copy(self) -> "TrackedPoint":

@@ -121,10 +121,6 @@ class KaczmarzQuadratic(CoordOracle):
         w = self.aggregate(y) if aggregate is None else aggregate
         return self.a.matvec(w) - self.b
 
-    def recover_primal(self, y=None, aggregate=None):
-        """The row-space solution x = A^T y the run is actually building."""
-        return self.aggregate(y) if aggregate is None else np.asarray(aggregate)
-
 
 class KaczmarzResidual(KaczmarzQuadratic):
     """The quadratic as solvers.kaczmarz steps it, from a primal start x0.
@@ -305,11 +301,12 @@ class ErmDual(CoordOracle):
             raise ValueError("labels must have one entry per example")
         if not np.all(np.isfinite(labels)):
             raise ValueError("labels must be finite")
-        if lam <= 0.0:
-            raise ValueError("lam must be positive")
+        if not 0.0 < lam < math.inf:
+            raise ValueError(f"lam must be finite and positive, got {lam}")
         if variant == "smoothed_lasso":
-            if lam2 is None or lam2 <= 0.0:
-                raise ValueError("smoothed_lasso needs lam2 > 0")
+            if lam2 is None or not 0.0 < lam2 < math.inf:
+                raise ValueError(
+                    f"lam2 must be finite and positive for smoothed_lasso, got {lam2}")
         else:
             lam2 = None
         self.data = self.row_matrix = data

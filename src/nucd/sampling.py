@@ -30,23 +30,13 @@ class WeightedSampler:
             raise ValueError("weights must be a nonempty 1-d array")
         if not np.all(np.isfinite(w)) or np.any(w < 0.0):
             raise ValueError("weights must be finite and nonnegative")
-        total = float(w.sum())
-        if total <= 0.0:
+        cdf = np.cumsum(w)
+        if cdf[-1] <= 0.0:
             raise ValueError("weights must not all be zero")
-
-        self.n = w.size
-        self.probabilities = w / total  # (n,) exposed for tests and schedules
-        self.seed = seed
         self._rng = np.random.default_rng(seed)
         # the last entry is exactly 1.0, so every uniform in [0, 1) lands
-        cdf = np.cumsum(w)
         self._cdf = cdf / cdf[-1]
 
     def sample_block(self, size: int) -> np.ndarray:
         """Draw `size` indices; consecutive blocks continue one stream."""
         return np.searchsorted(self._cdf, self._rng.random(size), side="right")
-
-    def table_mass(self) -> np.ndarray:
-        """Exact index-selection probabilities implied by the cumulative
-        table; used to verify it against the requested distribution."""
-        return np.diff(self._cdf, prepend=0.0)

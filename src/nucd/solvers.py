@@ -129,9 +129,6 @@ class ConvergenceTrace:
     def epochs(self) -> np.ndarray:
         return self.iters / self.units_per_epoch
 
-    def final_value(self) -> float:
-        return float(self.values[-1])
-
     def final_dist(self) -> float:
         return float(self.dists[-1])
 
@@ -964,6 +961,11 @@ def generalized_accel(
     S_alpha^2 and the run coincides with nu_acdm.  A caller may pass a
     larger rate_constant to model a method with a weaker guarantee.
     """
+    return _accel(oracle, profile, x0, cfg, p, rate_constant, "accel")
+
+
+def _accel(oracle, profile, x0, cfg, p, rate_constant, algo):
+    """generalized_accel's run, its trace and errors labelled algo."""
     p = np.asarray(p, dtype=float)
     if p.shape != (profile.n,):
         raise ValueError("p must have one entry per coordinate")
@@ -978,7 +980,7 @@ def generalized_accel(
             f"rate_constant {rate_constant} below the valid minimum {m_valid}"
         )
     schedule = _StronglyConvex(profile, p, rate_constant)
-    y, _, trace = _coordinate_loop(oracle, profile, x0, cfg, p, "accel", schedule)
+    y, _, trace = _coordinate_loop(oracle, profile, x0, cfg, p, algo, schedule)
     return y, trace
 
 
@@ -1003,9 +1005,7 @@ def nu_acdm(
     Expected suboptimality contracts by (1 - tau) per iteration.
     Returns (y_final, trace); the trace records f(y_k).
     """
-    out, trace = generalized_accel(oracle, profile, x0, cfg, nu_probabilities(profile))
-    trace.algo = "nu-acdm"
-    return out, trace
+    return _accel(oracle, profile, x0, cfg, nu_probabilities(profile), None, "nu-acdm")
 
 
 def acdm_baseline(
@@ -1027,11 +1027,7 @@ def acdm_baseline(
     p = acdm_probabilities(profile)
     m_valid = float(np.max(profile.l ** (1.0 - profile.beta) / (p * p)))
     m_rate = profile.n * s_alpha(profile, 1.0 - profile.beta)
-    out, trace = generalized_accel(
-        oracle, profile, x0, cfg, p, rate_constant=max(m_rate, m_valid)
-    )
-    trace.algo = "acdm"
-    return out, trace
+    return _accel(oracle, profile, x0, cfg, p, max(m_rate, m_valid), "acdm")
 
 
 def nu_acdm_ns(
@@ -1137,6 +1133,8 @@ def kaczmarz(
     x0 = np.array(x0, dtype=float)
     if x0.shape != (a_matrix.d,):
         raise ValueError("x0 must have one entry per column")
+    if not np.all(np.isfinite(x0)):
+        raise ValueError("x0 must be finite")
     oracle = KaczmarzResidual(a_matrix, b, x0)  # checks b and the rows
     dist_fn = on_record = None
     if cfg.dist_fn is not None:

@@ -120,8 +120,10 @@ def test_erm_race_ridge_collects_primal_gaps():
     res = run_erm_race(
         data, "ridge", lam=0.1, algos=("nu-acdm",), seeds=[0, 1], epochs=60, eps=None
     )
-    gaps = res.mean_primal_trace("nu-acdm")
-    assert gaps is not None and gaps[0] > gaps[-1] >= -1e-10
+    rows = [res.primal_gaps[("nu-acdm", seed)] for seed in (0, 1)]
+    length = min(len(g) for g in rows)
+    gaps = np.mean([g[:length] for g in rows], axis=0)
+    assert gaps[0] > gaps[-1] >= -1e-10
 
 
 def test_beta_sweep_bounds_hold_and_uniform_profile_is_flat():
@@ -212,9 +214,9 @@ def test_race_rejects_empty_seeds():
         run_kaczmarz_race(10, 5, 0.5, seeds=[], eps=1e-6)
 
 
-def test_pool_is_sized_to_the_cells(monkeypatch):
-    """A pool forks every worker at its first submit, so it gets no more
-    workers than there are cells; a fake stands in for it here."""
+def _fake_pool(monkeypatch):
+    """Stand a fake in for the process pool; returns the list that each
+    pool's worker count is appended to."""
     sizes = []
 
     class FakePool:
@@ -231,6 +233,13 @@ def test_pool_is_sized_to_the_cells(monkeypatch):
             return map(fn, cells)
 
     monkeypatch.setattr(bench, "ProcessPoolExecutor", FakePool)
+    return sizes
+
+
+def test_pool_is_sized_to_the_cells(monkeypatch):
+    """A pool forks every worker at its first submit, so it gets no more
+    workers than there are cells; a fake stands in for it here."""
+    sizes = _fake_pool(monkeypatch)
     pooled = run_kaczmarz_race(20, 8, 0.5, seeds=[0], eps=1e-6, jobs=64)
     assert sizes == [3]  # nu-acdm, acdm and kaczmarz
     serial = run_kaczmarz_race(20, 8, 0.5, seeds=[0], eps=1e-6, jobs=1)
@@ -241,3 +250,41 @@ def test_pool_is_sized_to_the_cells(monkeypatch):
         with pytest.raises(ValueError, match="jobs must be at least 1"):
             run_kaczmarz_race(20, 8, 0.5, seeds=[0], eps=1e-6, jobs=jobs)
     assert sizes == [3]
+
+
+def _sweep_data():
+    return gen_skewed_dataset(8, 3, two_level_norms(8, 0.25), seed=4)
+
+
+def test_beta_sweep_runs_one_pool(monkeypatch):
+    """Every beta's cells share one pool; a repeated beta stays its own
+    entry, equal to the first."""
+    sizes = _fake_pool(monkeypatch)
+    pooled = beta_sweep(_sweep_data(), beta_list=[0.0, 0.5, 0.0], seeds=range(3),
+                        epochs=4, jobs=2)
+    assert sizes == [2]
+    serial = beta_sweep(_sweep_data(), beta_list=[0.0, 0.5, 0.0], seeds=range(3),
+                        epochs=4)
+    assert [e.beta for e in pooled] == [0.0, 0.5, 0.0]
+    for got, want in zip(pooled, serial):
+        assert got.bound == want.bound and got.mean_final_gap == want.mean_final_gap
+        assert np.array_equal(got.mean_gap_trace, want.mean_gap_trace)
+    assert np.array_equal(pooled[0].mean_gap_trace, pooled[2].mean_gap_trace)
+
+
+def test_real_worker_processes_give_the_serial_runs():
+    """Cells pickled to two worker processes come back bit for bit."""
+    pooled = run_kaczmarz_race(20, 8, 0.5, seeds=[0, 1], jobs=2)
+    serial = run_kaczmarz_race(20, 8, 0.5, seeds=[0, 1], jobs=1)
+    assert sorted(pooled.traces) == sorted(serial.traces)
+    for key, want in serial.traces.items():
+        got = pooled.traces[key]
+        for attr in ("iters", "values", "dists"):
+            assert np.array_equal(getattr(got, attr), getattr(want, attr))
+    sweeps = [beta_sweep(_sweep_data(), beta_list=[0.0, 1.0], seeds=range(4), epochs=6,
+                         jobs=jobs) for jobs in (2, 1)]
+    for got, want in zip(*sweeps):
+        assert (got.beta, got.bound, got.mean_final_gap) == (
+            want.beta, want.bound, want.mean_final_gap)
+        assert np.array_equal(got.epochs, want.epochs)
+        assert np.array_equal(got.mean_gap_trace, want.mean_gap_trace)

@@ -326,11 +326,12 @@ def test_build_kaczmarz_on_a_tall_system_is_bitwise_the_dense_gram():
     assert prof.sigma_beta == min(sigma0, float(np.min(l)))
 
 
-@pytest.mark.parametrize("name", ["nu_acdm", "rcdm"])
+@pytest.mark.parametrize("name", ["nu_acdm", "acdm_baseline", "rcdm"])
 def test_block_steps_name_the_iteration_of_a_non_finite_gradient(name):
     """Rows 0 and 1 are one hyperplane pair with right-hand sides +-1.5e308:
     after a step on row 0 the gradient of row 1 overflows.  Rows 2 and 3
-    live on other columns.  Both paths raise for the same iteration."""
+    live on other columns.  Both paths raise for the same iteration, and
+    the message names the solver that was called."""
     dense = np.array([[1.0, 1.0, 0.0, 0.0], [1.0, 1.0, 0.0, 0.0],
                       [0.0, 0.0, 1.0, 0.5], [0.0, 0.0, -0.5, 1.0]])
     a = SparseRowMatrix.from_dense(dense)
@@ -343,6 +344,8 @@ def test_block_steps_name_the_iteration_of_a_non_finite_gradient(name):
             _SOLVERS[name](oracle, prof, np.zeros(4), cfg)
         messages.append(str(err.value))
     assert messages[0] == messages[1]
+    label = {"nu_acdm": "nu-acdm", "acdm_baseline": "acdm", "rcdm": "rcdm"}[name]
+    assert messages[0].startswith(f"{label}: ")
 
 
 def test_short_strides_and_checked_runs_take_single_steps():

@@ -39,6 +39,9 @@ def test_usage_errors_exit_one(capsys):
                "--r", "0.5", "--out", "x")[0] == 1  # m < n
     # kaczmarz only projects linear systems
     assert run(capsys, "solve", "--problem", "ridge", "--algo", "kaczmarz")[0] == 1
+    code, _out, err = run(capsys, "solve", "--problem", "ridge", "--algo", "nu-acdm",
+                          "--lambda", "inf", "--epochs", "1")
+    assert code == 1 and "lam must be finite" in err
 
 
 def test_metadata_json_on_stderr(capsys):

@@ -124,10 +124,10 @@ def test_kaczmarz_oracle_against_dense_formulas():
     assert np.allclose(oracle.full_grad(y), dense @ w - b, atol=1e-12)
     for i in range(10):
         assert abs(oracle.coord_grad(y, i) - (dense[i] @ w - b[i])) < 1e-12
-    assert np.allclose(oracle.recover_primal(y), w, atol=1e-15)
+    assert np.allclose(oracle.aggregate(y), w, atol=1e-15)
     # the dual optimum recovers the primal solution of the consistent system
     y_opt = np.linalg.lstsq(dense @ dense.T, b, rcond=None)[0]
-    assert np.allclose(oracle.recover_primal(y_opt), x_star, atol=1e-8)
+    assert np.allclose(oracle.aggregate(y_opt), x_star, atol=1e-8)
 
 
 def test_kaczmarz_aggregate_coherence_long_run():

@@ -205,7 +205,7 @@ def driver_cells(epochs: int):
             seeds=[0, 1], epochs=epochs),
         "erm-race-lasso": bench.run_erm_race(
             dataset(20, 8, 0.3, 6), "lasso", 0.1, 0.01,
-            algos=("nu-acdm", "acdm", "rcdm"), betas={"rcdm": 0.5}, seeds=[2],
+            algos=("nu-acdm", "acdm", "rcdm"), seeds=[2],
             epochs=epochs, eps=1e-9),
     }
     for name, race in races.items():
