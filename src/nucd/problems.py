@@ -15,7 +15,6 @@ from functools import cached_property
 from typing import Callable
 
 import numpy as np
-import scipy.optimize
 
 from .geometry import BlockModel, CoordOracle, SmoothnessProfile
 from .matrix import SparseRowMatrix
@@ -554,6 +553,9 @@ def _penalty_reference(problem: ErmDual, max_rounds=60) -> ReferenceMinimum:
     1/T^2 rate the tail improvements stay far above resolvable levels at
     any desk-scale budget.)
     """
+    # imported here, its one use: loading it costs about 19 MB resident
+    import scipy.optimize
+
     dense = problem.data.to_dense()
     n = problem.n
     lam = problem.lam

@@ -13,15 +13,18 @@ a boundary.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
 class WeightedSampler:
     """Inverse-CDF sampler over indices 0..n-1 with fixed weights.
 
-    Weights must be finite, nonnegative, and not all zero.  Indices with
-    zero weight stay legal inputs but are never returned: each owns an
-    empty interval of the cumulative table.
+    Weights must be finite, nonnegative, not all zero, and have a finite
+    sum; one that overflows is refused, as rescaling would move draws.
+    Indices with zero weight stay legal inputs but are never returned: each
+    owns an empty interval of the cumulative table.
     """
 
     def __init__(self, weights, seed: int):
@@ -30,9 +33,12 @@ class WeightedSampler:
             raise ValueError("weights must be a nonempty 1-d array")
         if not np.all(np.isfinite(w)) or np.any(w < 0.0):
             raise ValueError("weights must be finite and nonnegative")
-        cdf = np.cumsum(w)
+        with np.errstate(over="ignore"):  # an overflowing sum is refused below
+            cdf = np.cumsum(w)
         if cdf[-1] <= 0.0:
             raise ValueError("weights must not all be zero")
+        if not math.isfinite(cdf[-1]):
+            raise ValueError("weights must have a finite sum")
         self._rng = np.random.default_rng(seed)
         # the last entry is exactly 1.0, so every uniform in [0, 1) lands
         self._cdf = cdf / cdf[-1]

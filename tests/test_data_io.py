@@ -1,5 +1,10 @@
 import io
 import math
+import os
+import pathlib
+import subprocess
+import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,6 +29,7 @@ from nucd.data_io import _ceil_fraction, _scan_line
 from nucd.matrix import SparseRowMatrix
 from nucd.solvers import ConvergenceTrace
 
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 # --- libsvm parsing ---
 
@@ -229,6 +235,149 @@ def test_parse_matches_line_scanner(tmp_path_factory, data):
     _assert_same_parse(parse_libsvm(p), _scan_file(p))
     d = max(data.draw(st.integers(0, 210)), parse_libsvm(p).d)
     _assert_same_parse(parse_libsvm(p, n_features=d), _scan_file(p, d))
+
+
+# spellings the bulk path takes, among them the two whose sign the reader
+# drops (-0, negative underflow) and "+"-signed ones, which it refuses
+_FAST_NUMBERS = ["0", "-0", "-0.0", "1", "+1", "+0", "+2.5e-3", "+1E+5",
+                 "-2.5e-3", "1E+5", "1e5", "7e-06",
+                 "5e-324", "-4.9406564584124654e-324", "2.2250738585072009e-308",
+                 "1.7976931348623157e308", "-1e-400", "0000012.5", "1" + "0" * 30]
+# the reader's quirks: tokens it reads as a prefix ("1e" as 1.0, "0x10" as
+# 0.0), reads as non-finite, or refuses; what only Python's float() reads;
+# then, for each state of the bulk grammar (a number's start, after its
+# sign, its point, its exponent mark and the exponent's sign), the
+# characters that may not follow it
+_QUIRK_NUMBERS = [
+    "1e", "1.2.3", "12abc", "0x10", "1_000", "1..2", "1e5e5", "inf", "-inf", "nan",
+    "1e400", "-1e+400", "+1e400", ".5", "1.", "\u0661.\u0665",
+    "", "e5", "1-2", "1+2", "1:2",
+    "-", "--1", "-+1", "-.5", "-e5", "-1-1", "-1+1",
+    "+", "++1", "+-1", "+.5", "+e5", "+1-1", "+1+1",
+    "1.e5", "1.-5", "1.5-5", "1.+5", "1.5+5", "1.5.5",
+    "1ee5", "1e.5", "1e5.5", "1e5-5", "1e5+5",
+    "1e-", "1e+", "1e--5", "1e-+5", "1e-.5", "1e-5.5", "1e-e5", "1e-5e5", "1e-5-5",
+    "1e+5+5",
+]
+
+
+def _index_spellings(idx):
+    """Spellings of index idx that only int() takes, ones it refuses, and
+    an index past 2**53, which a double cannot hold."""
+    digits = str(idx)
+    return [digits.zfill(16), "+" + digits, "-" + digits, "0_" + digits,
+            digits.translate(_ARABIC_INDIC), digits + "e0", digits + ".0",
+            "0x" + digits, "", str(2**53 + 2 * idx + 1)]
+
+
+def _assert_parses_like_scanner(path):
+    """parse_libsvm(path) equals the _scan_line build, sign bits included,
+    or raises the same ParseError."""
+    try:
+        want = _scan_file(path)
+    except ParseError as exc:
+        with pytest.raises(ParseError) as err:
+            parse_libsvm(path)
+        assert str(err.value) == str(exc), path.read_text()
+    else:
+        _assert_same_parse(parse_libsvm(path), want)
+
+
+def test_each_reader_quirk_parses_like_line_scanner(tmp_path):
+    """Every quirk as a label and as a value, and every index spelling, on
+    a row between rows of fast spellings in one block."""
+    fast = ["-0 3:-0.0 7:5e-324 8:1e5", "+1 1:+2.5 4:-1 6:+0",
+            "1E+5 2:0000012.5 9:-4.9406564584124654e-324"]
+    rows = [row for q in _QUIRK_NUMBERS for row in (f"{q} 1:1", f"2 4:{q}")]
+    rows += [f"0 1:1 {idx}:2" for idx in _index_spellings(3)]
+    for i, row in enumerate(rows):
+        p = tmp_path / f"quirk{i}.libsvm"
+        p.write_text("\n".join(fast + [row] + fast) + "\n")
+        _assert_parses_like_scanner(p)
+
+
+# rows holding entries near the largest double have squared norms that
+# overflow when the matrix is built; only the parse is under test here
+@pytest.mark.filterwarnings("ignore:overflow encountered in multiply:RuntimeWarning")
+@settings(deadline=None, max_examples=100)
+@given(st.data())
+def test_reader_quirks_parse_like_line_scanner(tmp_path_factory, data):
+    """Rows of spellings the bulk reader takes, with some tokens (labels,
+    indices or values) swapped for a quirk of the reader or any string of
+    number characters, read in blocks of one line, a few lines or all:
+    parse_libsvm equals the _scan_line build, sign bits included, or raises
+    the same ParseError."""
+    fast = st.one_of(st.sampled_from(_FAST_NUMBERS),
+                     st.floats(allow_nan=False, allow_infinity=False).map(
+                         lambda x: f"{x:.17g}"))
+    rows = []  # each row: [label, index, value, index, value, ...]
+    for _ in range(data.draw(st.integers(1, 8))):
+        row = [data.draw(fast)]
+        idx = 0
+        for _ in range(data.draw(st.integers(0, 4))):
+            idx += data.draw(st.integers(1, 30))
+            row += [data.draw(st.sampled_from([str(idx), "00" + str(idx)])), data.draw(fast)]
+        rows.append(row)
+    spots = [(r, k) for r, row in enumerate(rows) for k in range(len(row))]
+    for r, k in data.draw(st.lists(st.sampled_from(spots), max_size=3, unique=True)):
+        quirks = (st.sampled_from(_index_spellings(int(rows[r][k]))) if k % 2 else
+                  st.one_of(st.sampled_from(_QUIRK_NUMBERS), st.text("01.-+eE", max_size=7)))
+        rows[r][k] = data.draw(quirks)
+    lines = [row[0] + "".join(f" {i}:{v}" for i, v in zip(row[1::2], row[2::2]))
+             for row in rows]
+    p = tmp_path_factory.mktemp("quirks") / "data.libsvm"
+    p.write_text("\n".join(lines) + data.draw(st.sampled_from(["\n", ""])))
+    block_bytes = data.draw(st.sampled_from([1, 64, data_io._BLOCK_BYTES]))
+    with mock.patch.object(data_io, "_BLOCK_BYTES", block_bytes):
+        _assert_parses_like_scanner(p)
+
+
+def test_only_blocks_outside_the_grammar_reach_the_scanner(tmp_path, monkeypatch):
+    rng = np.random.default_rng(9)
+    rows = []
+    for i in range(60):
+        cols = np.sort(rng.choice(50, size=4, replace=False)) + 1
+        vals = rng.standard_normal(4) * 10.0 ** rng.integers(-8, 8, size=4)
+        # labels alternate between the benchmark's reprs and the +1/-1 of
+        # binary classification files
+        label = "%.17g" % rng.standard_normal() if i % 2 else "%+d" % rng.choice([-1, 1])
+        rows.append(label + " " + " ".join("%d:%.17g" % cv for cv in zip(cols, vals)))
+    monkeypatch.setattr(data_io, "_BLOCK_BYTES", 200)
+    scanned = []
+    monkeypatch.setattr(data_io, "_scan_line", lambda *a: scanned.append(a[1]) or _scan_line(*a))
+    # one space between tokens, "\n" ends each row
+    plain = tmp_path / "plain.libsvm"
+    plain.write_text("\n".join(rows) + "\n")
+    blocks = _blocks(plain)
+    assert len(blocks) > 10
+    _assert_same_parse(parse_libsvm(plain), _scan_file(plain))
+    # comments, tabs, form feeds, runs of blanks and blank lines
+    messy = tmp_path / "messy.libsvm"
+    messy.write_text("".join(
+        " \t".join(row.split(" ")) + ("  # tail" if i % 3 else "\x0c")
+        + ("\n\n# note\n" if i % 5 == 0 else "\n") for i, row in enumerate(rows)))
+    _assert_same_parse(parse_libsvm(messy), _scan_file(messy))
+    assert not scanned
+    # one underscore spelling (its row's first index becomes 0_idx) sends its
+    # block, and only that block, to the scanner
+    k = len(blocks) // 2
+    first = sum(map(len, blocks[:k])) + 1
+    rows[first - 1] = rows[first - 1].replace(" ", " 0_", 1)
+    underscored = tmp_path / "underscored.libsvm"
+    underscored.write_text("\n".join(rows) + "\n")
+    assert list(map(len, _blocks(underscored))) == list(map(len, blocks))
+    _assert_same_parse(parse_libsvm(underscored), _scan_file(underscored))
+    assert scanned == list(range(first, first + len(blocks[k])))
+
+
+def test_import_loads_neither_optimizer_nor_reader():
+    """scipy.optimize (about 19 MB resident) and scipy.io load only when a
+    penalty reference or a parse first needs them."""
+    code = ("import sys, nucd, nucd.cli; "
+            "print(sorted({'scipy.optimize', 'scipy.io'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert out.stdout.split() == ["[]"]
 
 
 def _many_block_file(tmp_path):

@@ -16,7 +16,8 @@ def _table_mass(s):
 
 
 def test_rejects_bad_weights():
-    for bad in ([], [[1.0, 2.0]], [1.0, -0.5], [np.nan, 1.0], [np.inf], [0.0, 0.0]):
+    for bad in ([], [[1.0, 2.0]], [1.0, -0.5], [np.nan, 1.0], [np.inf], [0.0, 0.0],
+                [1e308, 1e308, 1.0]):  # finite weights whose sum overflows
         with pytest.raises(ValueError):
             WeightedSampler(np.asarray(bad, dtype=float), seed=0)
 

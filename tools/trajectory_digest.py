@@ -25,6 +25,12 @@ acdm_baseline, generalized_accel and nu_acdm_ns for a fixed FOLD_STEPS
 steps whatever --epochs is, at a stride of 1 step at each check level and
 unchecked at strides of 64 and 997 steps, where they take block steps.
 
+The last line, `parse-libsvm parse_libsvm rows=R sha1 structure_sha1`,
+digests what parse_libsvm reads from one generated LibSVM file holding
+signed zeros, "+"-signed numbers, subnormals, exponents, 17-digit values
+and comments: the labels, indptr, indices and data, then indptr and
+indices alone.
+
 An experiment line is `experiment algo seed=S sha1 iters_sha1` for each
 trace of a run_kaczmarz_race, a ridge run_erm_race (gd and nu-acdm; the digest
 covers the primal gaps too) and a lasso run_erm_race, the full digest taken
@@ -48,6 +54,7 @@ import argparse
 import hashlib
 import pathlib
 import sys
+import tempfile
 
 import numpy as np
 
@@ -225,6 +232,34 @@ def driver_cells(epochs: int):
                _sha1((e.epochs, np.float64)))
 
 
+def parse_cells():
+    """Yield (name, reader, rows, sha1, structure_sha1) for one generated
+    LibSVM file."""
+    from nucd.data_io import parse_libsvm
+
+    rng = np.random.default_rng(8)
+    specials = ["0", "-0", "-0.0", "+1", "+2.5e-3", "5e-324", "-4.9406564584124654e-324",
+                "2.2250738585072009e-308", "1e-300", "-2.5E+10", "1e5", "7e-06",
+                "-1.2345678901234567e+150"]
+    lines = ["# signed zeros, subnormals, exponents and 17-digit values"]
+    for i in range(48):
+        cols = np.sort(rng.choice(30, size=rng.integers(0, 6), replace=False)) + 1
+        nums = [specials[j % len(specials)] if j % 3 == 0 else
+                f"{rng.standard_normal() * 10.0 ** rng.integers(-12, 12):.17g}"
+                for j in rng.integers(0, 99, size=cols.size + 1)]
+        line = " ".join([nums[0]] + [f"{c}:{v}" for c, v in zip(cols, nums[1:])])
+        lines.append(line + ("  # row %d" % i if i % 11 == 0 else ""))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / "digest.libsvm"
+        path.write_text("\n".join(lines) + "\n")
+        ds = parse_libsvm(path)
+    f = ds.features
+    yield ("parse-libsvm", "parse_libsvm", f"rows={ds.n}",
+           _sha1((ds.labels, np.float64), (f.indptr, np.int64), (f.indices, np.int64),
+                 (f.data, np.float64)),
+           _sha1((f.indptr, np.int64), (f.indices, np.int64)))
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--epochs", type=int, default=20,
@@ -243,6 +278,8 @@ def main(argv=None) -> int:
     for cell in cells(args.epochs):
         print(*cell)
     for cell in driver_cells(args.epochs):
+        print(*cell)
+    for cell in parse_cells():
         print(*cell)
     return 0
 
