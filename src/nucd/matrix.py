@@ -6,9 +6,13 @@ a scipy object allocation.  No table of per-row views is kept anywhere:
 the solvers' loop slices each sampled row out of indptr, indices and data
 itself.  Full products (A @ x, A.T @ y) are needed only at setup and trace
 time; they go through a scipy CSR array that shares the same three arrays.
+The m x m Gram A A^T that the linear-system block steps read is formed on
+first use and kept with the matrix (row_gram).
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse
@@ -34,10 +38,13 @@ class SparseRowMatrix:
         )
         self._csr_t = self._csr.T
         # row norms are consumed as smoothness constants and sampling
-        # weights; cache once
+        # weights; cache once.  A row with an entry above about 1.3e154 has
+        # a squared norm that no double holds: it reads inf, and the
+        # problem builders refuse it by row
         row_of_entry = np.repeat(np.arange(self.m), np.diff(self.indptr))
         sq = np.zeros(self.m)
-        np.add.at(sq, row_of_entry, self.data * self.data)
+        with np.errstate(over="ignore"):
+            np.add.at(sq, row_of_entry, self.data * self.data)
         self.row_norms_sq = sq
 
     def _validate(self):
@@ -95,6 +102,16 @@ class SparseRowMatrix:
 
     def to_dense(self) -> np.ndarray:
         return self._csr.toarray()
+
+    @cached_property
+    def row_gram(self) -> np.ndarray:
+        """A A^T as a dense (m, m) array for a matrix whose rows all have d
+        columns, formed on first use and kept with the matrix, so that
+        every run on it shares one copy."""
+        # validated rows ascend strictly in [0, d): the data array is the
+        # dense matrix, and no copy of it is made
+        dense = self.data.reshape(self.m, self.d)
+        return dense @ dense.T
 
     @property
     def nnz(self) -> int:

@@ -71,6 +71,14 @@ def build_separable_quadratic(l, target=None, beta: float = 0.0):
     return oracle, profile
 
 
+def _check_row_norms(a: SparseRowMatrix):
+    """Raises ValueError naming the first row whose squared norm is not
+    finite: the norms are smoothness constants and sampling weights."""
+    finite = np.isfinite(a.row_norms_sq)
+    if not finite.all():
+        raise ValueError(f"row {int(finite.argmin())}: squared norm overflows a double")
+
+
 # --- linear systems over row space ---
 
 
@@ -88,6 +96,7 @@ class KaczmarzQuadratic(CoordOracle):
             raise ValueError("b must have one entry per row of A")
         if not np.all(np.isfinite(b)):
             raise ValueError("b must be finite")
+        _check_row_norms(a_matrix)
         if np.any(a_matrix.row_norms_sq <= 0.0):
             raise ValueError("zero rows are not allowed")
         self.a = self.row_matrix = a_matrix
@@ -300,6 +309,7 @@ class ErmDual(CoordOracle):
             raise ValueError("labels must have one entry per example")
         if not np.all(np.isfinite(labels)):
             raise ValueError("labels must be finite")
+        _check_row_norms(data)
         if not 0.0 < lam < math.inf:
             raise ValueError(f"lam must be finite and positive, got {lam}")
         if variant == "smoothed_lasso":

@@ -27,10 +27,16 @@ steps: B steps of the plan, the B x B weighted Gram matrix of their rows
 and one triangular solve for all B gradients (see _Blocks).  The Lasso's
 model holds only while no entry of the aggregate crosses +-lam, and the
 penalty's only while no step's coordinate crosses +-1; a block that
-crosses applies the steps before the crossing and restarts there.  That
-is exact in arithmetic, so records and stops are those of single steps,
-but it rounds differently: such a run agrees with a checked run (always
-single steps) to rounding, not bit for bit.  Either way a run is
+crosses applies the steps before the crossing and restarts there.  A
+linear system (the Kaczmarz quadratic, kaczmarz's residual form) of rows
+of all d columns, with m at most 4 d and an m x m Gram under 8 MiB, where
+row blocks would be shorter than 80 steps, takes the Gram path instead:
+its blocks read the matrix's cached A A^T and the products r of the
+caches with every row, move r alone, and the caches are rebuilt from the
+points at each trace record and at return (_GramRows).  Blocks are exact
+in arithmetic, so records and stops are those of single steps, but they
+round differently: such a run agrees with a checked run (always single
+steps) to rounding, not bit for bit.  Either way a run is
 bit-reproducible from its parameters and seed.
 
 Iteration cost is honest: no solver ever forms a full gradient except
@@ -71,6 +77,17 @@ FOLD_BELOW = 2.0 ** -300
 _BLOCK_MIN = 16
 _BLOCK_WORK = 2 ** 18
 _CSR_SEGMENT_MIN = 64
+# the Gram path of the linear-system oracles (_GramRows) costs O(B m) per
+# block, not O(B^2 d), and runs blocks of _GRAM_BLOCK steps.  It takes rows
+# of all d columns whose m x m Gram fits _GRAM_BYTES, with m at most
+# _GRAM_ROWS_PER_COLUMN d, where the row path's blocks are shorter than
+# _GRAM_BLOCK.  Measured against the row path (see CHANGES.md), it won on
+# 200-400 x 100 systems and tied or won on 1000 x 500; it lost on 600-2000
+# x 100, 2000 x 500 and every system of 10 or 30 columns tried, whose row
+# blocks are longer
+_GRAM_BYTES = 8 * 2 ** 20
+_GRAM_ROWS_PER_COLUMN = 4
+_GRAM_BLOCK = 80
 
 _CHECK_LEVELS = ("off", "cheap", "full")
 
@@ -598,6 +615,44 @@ class _ScatteredRows(_BlockRows):
             np.add.at(agg, cols, w[wrow] * vals)
 
 
+class _GramRows(_BlockRows):
+    """The rows of a linear system read through the matrix's m x m Gram
+    G = A A^T (SparseRowMatrix.row_gram) and r = aggs A^T, the products of
+    the caches with every row: a block gathers its B rows of G once, which
+    give its triangle, and its start gradients come from r.  Its moves are
+    added to r, one (k, B) by (B, m) product, not to the caches, which
+    _Blocks rebuilds at the end of each segment."""
+
+    def __init__(self, gram: np.ndarray, r: np.ndarray, idx: np.ndarray, *state):
+        super().__init__(idx, *state)
+        self.r, self.g_rows = r, gram.take(idx, 0)
+
+    def dots(self) -> np.ndarray:
+        parts = self.r.take(self.idx, 1)
+        return parts[0] if self.cs is None else parts[0] + self.cs * parts[1]
+
+    def gram(self, weights: float) -> np.ndarray:
+        """A_I A_I^T: a linear system's Gram weight is 1."""
+        return self.g_rows.take(self.idx, 1)
+
+    def add(self, upd: np.ndarray):
+        """r += upd @ G[idx], for a (k, B) upd: a linear system's model
+        holds everywhere, so its blocks never restart."""
+        self.r += upd @ self.g_rows
+
+
+def _takes_gram(oracle, block_len: int) -> bool:
+    """Whether _Blocks steps this oracle on the Gram path (_GramRows), given
+    the row path's block length: from the matrix's shape alone."""
+    from .problems import KaczmarzQuadratic  # problems imports this module
+
+    mat = oracle.row_matrix
+    m, d = mat.m, mat.d
+    return (isinstance(oracle, KaczmarzQuadratic) and mat.nnz == m * d
+            and 8 * m * m <= _GRAM_BYTES and m <= _GRAM_ROWS_PER_COLUMN * d
+            and block_len < _GRAM_BLOCK)
+
+
 def _takes_blocks(oracle, cfg: SolverConfig) -> bool:
     """Whether _coordinate_loop steps this run with _Blocks."""
     mat = oracle.row_matrix
@@ -630,6 +685,14 @@ class _Blocks:
     (_FullRows or _ScatteredRows).  This is the per-step loop's arithmetic
     regrouped, so it agrees with that loop to rounding, not bit for bit.
 
+    On the Gram path (_takes_gram: a linear system whose shape passes the
+    rule stated at _GRAM_BYTES) a block touches no row of A: G is B rows of the matrix's cached A A^T, grad comes
+    from r = aggs A^T, and the moves go to r, one product with the same
+    rows of A A^T.  The caches stay as they were at the segment's start
+    until the segment ends, at a trace record or the return, where both
+    are rebuilt from u and v with one product each, and r from them
+    (_rebuild); a fold scales r's v row.  The blocks are _GRAM_BLOCK steps.
+
     A model with a keeps test holds only while each entry of the block's
     rows stays where it held at the block's start (the Lasso's side of
     +-lam); one with a keeps_x test, only while each step's own coordinate
@@ -650,10 +713,12 @@ class _Blocks:
     def __init__(self, oracle, plan, ux, vx, aggs, algo):
         mat = oracle.row_matrix
         self.plan, self.model, self.div = plan, oracle.block_model, oracle.agg_div
+        self.r = None
         if mat.nnz == mat.m * mat.d:
             # validated rows ascend strictly in [0, d): the data array is
             # the dense matrix
-            self.rows_of = partial(_FullRows, mat.data.reshape(mat.m, mat.d))
+            self.dense = mat.data.reshape(mat.m, mat.d)
+            self.rows_of = partial(_FullRows, self.dense)
         else:
             self.rows_of = partial(_ScatteredRows, mat)
         # the Gram product grows with block_len^2 * nnz per row, while the
@@ -661,9 +726,24 @@ class _Blocks:
         # as one entry keeps the block at most sqrt(_BLOCK_WORK) steps
         self.block_len = max(_BLOCK_MIN,
                              math.isqrt(_BLOCK_WORK * mat.m // max(mat.nnz, mat.m)))
+        if _takes_gram(oracle, self.block_len):
+            # the caches are affine in the points: the aggregate at 0 plus
+            # A^T x / agg_div
+            self.at_zero = oracle.aggregate(np.zeros(oracle.n))
+            self.r = aggs @ self.dense.T
+            # the partial holds arrays, not self: no reference cycle
+            self.rows_of = partial(_GramRows, mat.row_gram, self.r)
+            self.block_len = _GRAM_BLOCK
         self.algo, self.accel = algo, vx is not None
         self.ux, self.vx, self.aggs = ux, vx, aggs
         self.lower = np.zeros((0, 0), bool)
+
+    def _rebuild(self):
+        """On the Gram path: the caches from the points, one product each,
+        and r from the caches, so that drift spans one segment."""
+        for agg, x in zip(self.aggs, (self.ux, self.vx)):
+            agg[:] = self.at_zero + (x @ self.dense) / self.div
+        self.r[...] = self.aggs @ self.dense.T
 
     def _below(self, size: int) -> np.ndarray:
         """The (size, size) mask of the strict lower triangle, a view of
@@ -674,7 +754,7 @@ class _Blocks:
 
     def run(self, k: int, end: int) -> float:
         """Steps k .. end - 1; returns the last step's c."""
-        accel, aggs, c = self.accel, self.aggs, 1.0
+        accel, aggs, r, c = self.accel, self.aggs, self.r, 1.0
         while k < end:
             size = end - k
             if 2 * size >= 3 * self.block_len:
@@ -683,7 +763,8 @@ class _Blocks:
             size = idx.size
             if fold is not None:
                 self.vx *= fold
-                aggs[1] *= fold
+                # the caches, or on the Gram path their products with the rows
+                (aggs if r is None else r)[1] *= fold
             if accel:
                 cs, kappa, w = coefs.T
                 # -K_ts = -(kappa_s + c_t w_s)
@@ -752,6 +833,8 @@ class _Blocks:
                 upd = upd / self.div
             rows.add(upd)
             k += size
+        if r is not None:
+            self._rebuild()
         return c
 
 

@@ -22,6 +22,7 @@ run differed from it by up to 4.3e-12.
 """
 
 import contextlib
+import gc
 import itertools
 from unittest import mock
 
@@ -32,8 +33,9 @@ from hypothesis import strategies as st
 
 from nucd import solvers
 from nucd.matrix import SparseRowMatrix
-from nucd.problems import (build_kaczmarz, build_lasso_dual, build_penalty_dual,
-                           build_ridge_dual, smallest_positive_eigenvalue)
+from nucd.problems import (KaczmarzResidual, build_kaczmarz, build_lasso_dual,
+                           build_penalty_dual, build_ridge_dual,
+                           smallest_positive_eigenvalue)
 from nucd.solvers import InvariantViolation, SolverConfig
 
 REL = 1e-12
@@ -148,9 +150,10 @@ def _block_len(steps):
     return mock.patch.object(solvers._Blocks, "__init__", short_blocks)
 
 
-def _drawn_comparison(name, data, problem=build_kaczmarz, empty=False):
+def _drawn_comparison(name, data, problem=build_kaczmarz, empty=False,
+                      kinds=("dense", "scattered", "mixed")):
     """_compare on drawn rows, stride, length, early stop and block length."""
-    kind = data.draw(st.sampled_from(["dense", "scattered", "mixed"]), label="rows")
+    kind = data.draw(st.sampled_from(kinds), label="rows")
     # m <= 4 puts repeated rows into most blocks
     m = data.draw(st.one_of(st.integers(1, 4), st.integers(5, 12)), label="m")
     d = data.draw(st.integers(1, 6) if kind == "dense" else st.integers(3, 12), label="d")
@@ -168,13 +171,46 @@ def _drawn_comparison(name, data, problem=build_kaczmarz, empty=False):
                          data.draw(st.integers(0, 99)), stop, problem)
     if stop is not None and iters >= stop * stride:
         assert trace.iters[-1] == stop * stride
+    return trace
 
 
 @pytest.mark.parametrize("name", [*_SOLVERS, "kaczmarz"])
 @settings(deadline=None, max_examples=40)
 @given(data=st.data())
 def test_block_steps_agree_with_single_steps(name, data):
-    _drawn_comparison(name, data)
+    """Blocks of rows, never of the cached Gram: a budget of 0 bytes keeps
+    dense linear systems on the row path."""
+    with mock.patch.object(solvers, "_GRAM_BYTES", 0):
+        _drawn_comparison(name, data)
+
+
+def _gram_path():
+    """Every linear system of rows of all d columns on the Gram path, at
+    any block length the test sets: no row or block-length limit."""
+    stack = contextlib.ExitStack()
+    stack.enter_context(mock.patch.object(solvers, "_GRAM_ROWS_PER_COLUMN", 2 ** 20))
+    stack.enter_context(mock.patch.object(solvers, "_GRAM_BLOCK", 2 ** 20))
+    return stack
+
+
+@pytest.mark.parametrize("name", [*_SOLVERS, "kaczmarz"])
+@settings(deadline=None, max_examples=40)
+@given(data=st.data())
+def test_gram_block_steps_agree_with_single_steps(name, data):
+    """The dense draws of test_block_steps_agree_with_single_steps on the
+    Gram path: blocks read the cached A A^T and the gradient cache r, and
+    the caches are rebuilt at records.  Same tolerances, same record
+    iterations exactly; a spy sees each blocked run take the path."""
+    made = []
+    init = solvers._GramRows.__init__
+
+    def spy(self, *args):
+        made.append(True)
+        init(self, *args)
+
+    with _gram_path(), mock.patch.object(solvers._GramRows, "__init__", spy):
+        trace = _drawn_comparison(name, data, kinds=("dense",))
+    assert bool(made) == (trace.iters[-1] > 0)
 
 
 # the penalty dual is not strongly convex: nu_acdm_ns and rcdm only
@@ -267,6 +303,14 @@ def test_block_steps_fold_inside_a_run(name, rows):
     iters = 3000
     assert (1.0 - tau) ** (2 * iters) < solvers.FOLD_BELOW ** 3
     _compare(name, a, np.linspace(0.3, -0.2, a.m), iters, 997, seed=5)
+
+
+@pytest.mark.parametrize("name", ["nu_acdm", "acdm_baseline", "generalized_accel"])
+def test_gram_block_steps_fold_inside_a_run(name):
+    """The 2 x 2 fold run on the Gram path, where a fold scales r's v row
+    in place of v's cache."""
+    with _gram_path():
+        test_block_steps_fold_inside_a_run(name, [[3.0, 0.0], [0.0, 3.0]])
 
 
 def test_nu_acdm_ns_blocks_fold_at_step_zero():
@@ -391,3 +435,110 @@ def test_block_runs_build_no_per_step_lists():
         solvers.nu_acdm_ns(oracle, prof, np.zeros(30),
                            SolverConfig(iters=300, seed=1, trace_stride=stride))
         assert ("_b" in vars(oracle)) is built
+
+
+def _system(m, d, seed=0):
+    """(A, b) of a dense m x d system with skewed row norms."""
+    a = SparseRowMatrix.from_dense(_rows("dense", m, d, seed))
+    return a, np.random.default_rng(seed).standard_normal(m)
+
+
+def test_gram_path_is_chosen_by_shape():
+    """The Gram path takes a linear system of rows of all d columns whose
+    Gram fits _GRAM_BYTES, with m at most _GRAM_ROWS_PER_COLUMN d, where
+    the row path's blocks are shorter than _GRAM_BLOCK: 300 x 100 does,
+    tall or thin systems, a system over the budget, scattered rows and
+    the ERM duals do not.  build_kaczmarz forms no Gram; the first blocked
+    run on the Gram path forms it, and later runs on the matrix share it."""
+    def takes(oracle):
+        blocks = solvers._Blocks(oracle, None, np.zeros(oracle.n), None,
+                                 oracle.aggregate(np.zeros(oracle.n))[None, :], "test")
+        return blocks.r is not None
+
+    a, b = _system(300, 100)
+    oracle, prof = build_kaczmarz(a, b)
+    assert "row_gram" not in vars(a)
+    assert takes(oracle)
+    assert takes(KaczmarzResidual(a, b, np.zeros(100)))
+    with mock.patch.object(solvers, "_GRAM_BYTES", 8 * 300 * 300 - 1):
+        assert not takes(oracle)
+    assert not takes(build_ridge_dual(a, b, 0.1)[0])
+    for m, d in ((2000, 10), (500, 100), (20, 10)):
+        assert not takes(build_kaczmarz(*_system(m, d))[0])
+    scattered = SparseRowMatrix.from_dense(_rows("scattered", 300, 100, 1))
+    assert not takes(build_kaczmarz(scattered, b)[0])
+
+    cfg = SolverConfig(iters=600, seed=1, trace_stride=300)
+    solvers.nu_acdm(oracle, prof, np.zeros(300), cfg)
+    gram = vars(a)["row_gram"]
+    dense = a.to_dense()
+    assert _close(gram, dense @ dense.T.copy(), rel=1e-13)
+    solvers.kaczmarz(a, b, np.zeros(100), cfg)
+    assert vars(a)["row_gram"] is gram
+
+
+@pytest.mark.parametrize("name", ["nu_acdm", "nu_acdm_ns", "rcdm", "kaczmarz"])
+def test_gram_path_rebuilds_the_caches_at_every_record(name):
+    """On the Gram path a block moves the gradient cache r = aggs A^T and
+    leaves the caches as they stood at the segment's start; at the end of
+    every segment, a trace record or the return, the caches are rebuilt
+    from the points and r from the caches.  A spy on _rebuild sees one
+    call per segment, and its work, and the row path makes no call."""
+    a, b = _system(200, 100, seed=3)
+    x0 = np.linspace(-0.5, 0.4, a.d if name == "kaczmarz" else a.m)
+    cfg = SolverConfig(iters=1000, seed=2, trace_stride=150)
+    rebuild = solvers._Blocks._rebuild
+    calls = []
+
+    def spy(self):
+        if calls:
+            # no block moved the caches since the last rebuild
+            assert np.array_equal(self.aggs, calls[-1])
+        rebuild(self)
+        calls.append(self.aggs.copy())
+        for agg, x in zip(self.aggs, (self.ux, self.vx)):
+            want = self.at_zero + a.rmatvec(x)
+            assert np.allclose(agg, want, rtol=0.0, atol=1e-13 * np.max(np.abs(want)))
+        assert np.array_equal(self.r, self.aggs @ self.dense.T)
+
+    def run(path):
+        calls.clear()
+        with contextlib.ExitStack() as stack:
+            stack.enter_context(mock.patch.object(solvers._Blocks, "_rebuild", spy))
+            if path == "row":
+                stack.enter_context(mock.patch.object(solvers, "_GRAM_BYTES", 0))
+            if name == "kaczmarz":
+                return solvers.kaczmarz(a, b, x0, cfg)[1]
+            oracle, prof = build_kaczmarz(a, b)
+            return _SOLVERS[name](oracle, prof, x0, cfg)[1]
+
+    trace = run("gram")
+    assert list(trace.iters) == [0, 150, 300, 450, 600, 750, 900, 1000]
+    assert len(calls) == len(trace.iters) - 1
+    run("row")
+    assert calls == []
+
+
+@pytest.mark.parametrize("gram_bytes", [0, solvers._GRAM_BYTES], ids=["rows", "gram"])
+def test_blocked_runs_leave_no_reference_cycles(gram_bytes):
+    """With the cyclic collector off, a blocked run frees everything it
+    made by reference counting: a later collection finds nothing.  A block
+    view that referred to _Blocks, which holds it, would keep every run's
+    arrays alive until the collector ran."""
+    a, b = _system(300, 100)
+    oracle, prof = build_kaczmarz(a, b)
+    cfg = SolverConfig(iters=900, seed=1, trace_stride=300)
+    runs = [lambda: solvers.nu_acdm(oracle, prof, np.zeros(300), cfg),
+            lambda: solvers.rcdm(oracle, prof, np.zeros(300), cfg),
+            lambda: solvers.kaczmarz(a, b, np.zeros(100), cfg)]
+    with mock.patch.object(solvers, "_GRAM_BYTES", gram_bytes):
+        for run in runs:
+            run()  # the Gram and the lazy imports, made once
+        gc.collect()
+        gc.disable()
+        try:
+            for run in runs:
+                run()
+                assert gc.collect() == 0
+        finally:
+            gc.enable()

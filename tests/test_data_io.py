@@ -296,9 +296,6 @@ def test_each_reader_quirk_parses_like_line_scanner(tmp_path):
         _assert_parses_like_scanner(p)
 
 
-# rows holding entries near the largest double have squared norms that
-# overflow when the matrix is built; only the parse is under test here
-@pytest.mark.filterwarnings("ignore:overflow encountered in multiply:RuntimeWarning")
 @settings(deadline=None, max_examples=100)
 @given(st.data())
 def test_reader_quirks_parse_like_line_scanner(tmp_path_factory, data):

@@ -6,7 +6,8 @@ import pytest
 from nucd.data_io import gen_linear_system, gen_skewed_dataset
 from nucd.geometry import SmoothnessProfile, TrackedPoint, lbeta_inner, lbeta_norm_sq
 from nucd.matrix import SparseRowMatrix
-from nucd.problems import (ErmDual, SeparableQuadratic, build_penalty_dual,
+from nucd.problems import (ErmDual, SeparableQuadratic, build_kaczmarz,
+                           build_lasso_dual, build_penalty_dual, build_ridge_dual,
                            build_separable_quadratic)
 from nucd.solvers import (SolverConfig, full_gd, kaczmarz, nu_acdm, nu_acdm_ns,
                           rcdm)
@@ -76,3 +77,34 @@ def test_non_finite_inputs_raise_value_error(call, name):
     with pytest.raises(ValueError, match=rf"^{name} .*finite"):
         call()
 
+
+
+# row 0 holds 1e155, whose square overflows a double
+_HUGE_ROW = ([0, 2, 3], [0, 1, 0], [1e155, 1.0, 2.0], (2, 2))
+
+
+@pytest.mark.filterwarnings("error")
+def test_overflowing_row_norm_is_stored_without_a_warning():
+    """The squared norm of a row holding 1e155 is inf: the matrix stores
+    it as inf, bitwise as before, and builds without a RuntimeWarning."""
+    a = SparseRowMatrix(*_HUGE_ROW)
+    assert np.array_equal(a.row_norms_sq, [np.inf, 4.0])
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda a: build_kaczmarz(a, np.ones(2)),
+        lambda a: kaczmarz(a, np.ones(2), np.zeros(2), SolverConfig(iters=1)),
+        lambda a: build_ridge_dual(a, np.ones(2), 0.1),
+        lambda a: build_lasso_dual(a, np.ones(2), 0.1, 0.01),
+        lambda a: build_penalty_dual(a, np.ones(2), 0.1),
+    ],
+    ids=["build_kaczmarz", "kaczmarz", "ridge", "lasso", "penalty"],
+)
+def test_overflowing_row_norm_is_refused_by_row(call):
+    """Builders and kaczmarz name the first row whose squared norm is not
+    finite, instead of failing later on the smoothness constants."""
+    with pytest.raises(ValueError, match=r"^row 0: squared norm"):
+        call(SparseRowMatrix(*_HUGE_ROW))

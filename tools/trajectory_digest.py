@@ -24,6 +24,11 @@ Kaczmarz quadratic whose c folds about every 338 steps: nu_acdm,
 acdm_baseline, generalized_accel and nu_acdm_ns for a fixed FOLD_STEPS
 steps whatever --epochs is, at a stride of 1 step at each check level and
 unchecked at strides of 64 and 997 steps, where they take block steps.
+Every blocked cell here takes the row path: the Gram path of dense linear
+systems (solvers._GramRows) needs row blocks shorter than 80 steps, so
+at least 41 columns, and the systems here have at most 12.  The blocked
+Gram path is covered by tests/test_block_steps.py and by the 300 x 100
+kaczmarz-race acceptance check.
 
 The last line, `parse-libsvm parse_libsvm rows=R sha1 structure_sha1`,
 digests what parse_libsvm reads from one generated LibSVM file holding
