@@ -6,7 +6,8 @@ the one place that turns an (algorithm, epochs, seed) cell into a solver
 call.  Wall-clock is recorded per cell and reported as a per-algorithm
 median next to the epoch counts.  Each (algorithm, seed) cell is an
 independent run, so cells may be executed in parallel; results are merged
-by sorted key and a race is bit-reproducible from its parameters.
+by sorted key and a race is bit-reproducible from its parameters, for a
+fixed BLAS library and thread count.
 """
 
 from __future__ import annotations

@@ -6,8 +6,10 @@ a scipy object allocation.  No table of per-row views is kept anywhere:
 the solvers' loop slices each sampled row out of indptr, indices and data
 itself.  Full products (A @ x, A.T @ y) are needed only at setup and trace
 time; they go through a scipy CSR array that shares the same three arrays.
-The m x m Gram A A^T that the linear-system block steps read is formed on
-first use and kept with the matrix (row_gram).
+A matrix whose rows all hold all d columns also keeps its data array as
+the dense (m, d) matrix (dense), so that full products on it can be one
+BLAS call.  The m x m Gram A A^T that the linear-system block steps read
+is formed from it on first use and kept with the matrix (row_gram).
 """
 
 from __future__ import annotations
@@ -24,6 +26,8 @@ class SparseRowMatrix:
     indptr  : (m+1,) int64, row i occupies [indptr[i], indptr[i+1])
     indices : (nnz,) int64 column ids, strictly ascending within each row
     data    : (nnz,) float64 values
+    dense   : (m, d) view of data when every row holds all d columns, else
+              None
     """
 
     def __init__(self, indptr, indices, data, shape):
@@ -32,6 +36,10 @@ class SparseRowMatrix:
         self.data = np.asarray(data, dtype=float)
         self.m, self.d = int(shape[0]), int(shape[1])
         self._validate()
+        # validated rows ascend strictly in [0, d): nnz = m d means every
+        # row is columns 0..d-1, and the data array is the dense matrix
+        self.dense = (self.data.reshape(self.m, self.d) if self.nnz == self.m * self.d
+                      else None)
         # no copies: products read the arrays above
         self._csr = scipy.sparse.csr_array(
             (self.data, self.indices, self.indptr), shape=(self.m, self.d), copy=False
@@ -108,10 +116,7 @@ class SparseRowMatrix:
         """A A^T as a dense (m, m) array for a matrix whose rows all have d
         columns, formed on first use and kept with the matrix, so that
         every run on it shares one copy."""
-        # validated rows ascend strictly in [0, d): the data array is the
-        # dense matrix, and no copy of it is made
-        dense = self.data.reshape(self.m, self.d)
-        return dense @ dense.T
+        return self.dense @ self.dense.T
 
     @property
     def nnz(self) -> int:

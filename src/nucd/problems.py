@@ -138,7 +138,9 @@ class KaczmarzResidual(KaczmarzQuadratic):
     side b - A x0, shifted by a constant.  The value is the squared residual
     ||A x - b||^2, the quantity a Kaczmarz trace records, not f.  The
     aggregate is affine in y, not linear, so only the loop without a
-    schedule (one stored point) may step this oracle.
+    schedule (one stored point) may step this oracle.  On rows of all d
+    columns the residual is one BLAS product with the dense matrix; on
+    scattered rows it is the CSR product.
     """
 
     def __init__(self, a_matrix: SparseRowMatrix, b, x0: np.ndarray):
@@ -151,7 +153,8 @@ class KaczmarzResidual(KaczmarzQuadratic):
 
     def value(self, y, aggregate=None):
         x = self.aggregate(y) if aggregate is None else aggregate
-        r = self.a.matvec(x) - self.b
+        dense = self.a.dense
+        r = (self.a.matvec(x) if dense is None else dense @ x) - self.b
         return float(np.dot(r, r))
 
 

@@ -2,11 +2,12 @@
 
 All methods consume a CoordOracle plus a SmoothnessProfile and draw
 coordinates from a seeded inverse-CDF sampler, so a run is bit-reproducible
-from (oracle, profile, x0, config).  The sampled coordinate methods share one
-loop: each step draws a coordinate, takes one coordinate gradient and one
-coordinate step.  The accelerated methods add a step-size schedule to it,
-constant (tau, eta) in the strongly convex case or growing otherwise; the
-schedule couples the step with a second sequence z.  The loop keeps both
+from (oracle, profile, x0, config) for a fixed BLAS library and thread
+count.  The sampled coordinate methods share one loop: each step draws a
+coordinate, takes one coordinate gradient and one coordinate step.  The
+accelerated methods add a step-size schedule to it, constant (tau, eta) in
+the strongly convex case or growing otherwise; the schedule couples the
+step with a second sequence z.  The loop keeps both
 sequences implicitly, as two stored vectors and one scalar, so the coupling
 costs O(1).  On an oracle with a row matrix a step slices the sampled row
 out of its CSR arrays once, gathers the aggregate on its columns once and
@@ -37,7 +38,9 @@ points at each trace record and at return (_GramRows).  Blocks are exact
 in arithmetic, so records and stops are those of single steps, but they
 round differently: such a run agrees with a checked run (always single
 steps) to rounding, not bit for bit.  Either way a run is
-bit-reproducible from its parameters and seed.
+bit-reproducible from its parameters and seed, for a fixed BLAS library
+and thread count: the cached Gram is one BLAS syrk, whose rounding can
+change with the thread count.
 
 Iteration cost is honest: no solver ever forms a full gradient except
 full_gd, which exists as a reference baseline.
@@ -382,19 +385,21 @@ class _StepPlan:
         kappa_t = (r/L_{i_t} - z coefficient) / (1 - r)
         w_t = (z coefficient - 1/L_{i_t}) / (c_t (1 - r)),
     which is du = (dz - r dy)/(1 - r) and dv = (dy - dz)/(c (1 - r))
-    regrouped.  Without a schedule (c = 1, no z) the plan holds 1/L_{i_t}
-    alone, one float per step.  take(size) returns (idx, fold, coefs) for
-    at most size next steps: a fold's factor to apply before the first (or
-    None; a request ends before the next fold) and a view of their rows of
-    the table.  give_back(count) returns the last count steps taken, never
+    regrouped.  Without a schedule (c = 1, no z) the plan holds one float
+    per step: 1/L_{i_t} for single steps, and L_{i_t} itself for block
+    steps, which solve with it on their diagonal.  take(size) returns
+    (idx, fold, coefs) for at most size next steps: a fold's factor to
+    apply before the first (or None; a request ends before the next fold)
+    and a view of their rows of the table.  give_back(count) returns the last count steps taken, never
     all of a request.  Planning 4096 steps at a time makes a short request
     a slice; draws continue one stream and c one product, so that changes
     no step."""
 
-    def __init__(self, sampler: WeightedSampler, count: int, schedule, inv_l,
+    def __init__(self, sampler: WeightedSampler, count: int, schedule, l,
                  blocks: bool):
         self.sampler, self.left = sampler, count  # steps not yet planned
-        self.schedule, self.inv_l, self.blocks = schedule, inv_l, blocks
+        self.schedule, self.blocks = schedule, blocks
+        self.per_coord = l if blocks and schedule is None else 1.0 / l
         width = () if schedule is None else (3 if blocks else 4,)
         self.idx, self.coefs = np.zeros(0, np.int64), np.zeros((0, *width))
         self.base, self.pos = 0, 0  # the step at idx[0], the next position
@@ -410,7 +415,7 @@ class _StepPlan:
             count = min(4096, self.left)
             self.left -= count
             idx.append(self.sampler.sample_block(count))
-            il = self.inv_l[idx[-1]]
+            il = self.per_coord[idx[-1]]  # 1/L under a schedule
             if schedule is None:
                 coefs.append(il)
             else:
@@ -648,7 +653,7 @@ def _takes_gram(oracle, block_len: int) -> bool:
 
     mat = oracle.row_matrix
     m, d = mat.m, mat.d
-    return (isinstance(oracle, KaczmarzQuadratic) and mat.nnz == m * d
+    return (isinstance(oracle, KaczmarzQuadratic) and mat.dense is not None
             and 8 * m * m <= _GRAM_BYTES and m <= _GRAM_ROWS_PER_COLUMN * d
             and block_len < _GRAM_BLOCK)
 
@@ -658,7 +663,7 @@ def _takes_blocks(oracle, cfg: SolverConfig) -> bool:
     mat = oracle.row_matrix
     if oracle.block_model is None or mat is None or cfg.check_level != "off":
         return False
-    if mat.nnz == mat.m * mat.d:
+    if mat.dense is not None:
         return cfg.trace_stride >= _BLOCK_MIN
     return cfg.trace_stride >= _CSR_SEGMENT_MIN
 
@@ -676,11 +681,14 @@ class _Blocks:
     by du_s = kappa_s g_s and v by dv_s = w_s g_s, with (c, kappa, w) the
     block table of the run's _StepPlan, and step t sees x = u + c_t v, so
     the move is K_ts g_s with K_ts = kappa_s + c_t w_s, and
-        (I - strict_tril(A o K)) g = grad;
-    without a schedule (du_s = -g_s / L_s, no v, a plan of 1/L alone)
-    K_ts = -1/L_s.  One forward substitution gives every g of the block;
-    the moves (du, dv) are one (2, B) product of the plan's (kappa, w)
-    with g, added to u and v in step order (repeated rows included), and
+        (I - strict_tril(A o K)) g = grad.
+    Without a schedule (du_s = -g_s / L_s, no v) K_ts = -1/L_s, so the
+    steps h = g / L solve
+        (diag(L) + strict_tril(A)) h = grad,
+    with the plan's L written on the triangle's diagonal, and du = -h.  One
+    forward substitution gives every g (or h) of the block; the moves
+    (du, dv) are one (2, B) product of the plan's (kappa, w) with g, added
+    to u and v in step order (repeated rows included), and
     each cache moves by one product of them with the block's rows
     (_FullRows or _ScatteredRows).  This is the per-step loop's arithmetic
     regrouped, so it agrees with that loop to rounding, not bit for bit.
@@ -713,11 +721,8 @@ class _Blocks:
     def __init__(self, oracle, plan, ux, vx, aggs, algo):
         mat = oracle.row_matrix
         self.plan, self.model, self.div = plan, oracle.block_model, oracle.agg_div
-        self.r = None
-        if mat.nnz == mat.m * mat.d:
-            # validated rows ascend strictly in [0, d): the data array is
-            # the dense matrix
-            self.dense = mat.data.reshape(mat.m, mat.d)
+        self.r, self.dense = None, mat.dense
+        if self.dense is not None:
             self.rows_of = partial(_FullRows, self.dense)
         else:
             self.rows_of = partial(_ScatteredRows, mat)
@@ -771,10 +776,11 @@ class _Blocks:
                 neg_k = np.multiply.outer(cs, -w)
                 neg_k -= kappa
             else:
-                cs, neg_k = None, coefs
+                cs = None
             rows = self.rows_of(idx, self.ux, self.vx, aggs, cs)
             model = self.model(rows)
-            # A = delta E + G, then tri = A o (-K), in place
+            # A = delta E + G, then tri = A o (-K) or, without a schedule,
+            # A with L on its diagonal, in place
             tri = rows.gram(model.weights)
             delta, keeps_x = model.delta, model.keeps_x
             scalar = isinstance(delta, float)
@@ -788,15 +794,18 @@ class _Blocks:
                 else:
                     # no step moves its own coordinate before it
                     keeps_x = None
-            tri *= neg_k
-            # solves with tri's strict lower triangle and a unit diagonal;
+            if accel:
+                tri *= neg_k
+            else:
+                tri.flat[::size + 1] = coefs
+            # solves with tri's lower triangle, its diagonal taken as unit
+            # under a schedule; without one g is the steps h = g / L.
             # tri.T is Fortran-ordered, so BLAS reads it without a copy
-            g = _dtrsv(tri.T, model.grad, overwrite_x=1, trans=1, diag=1)
+            g = _dtrsv(tri.T, model.grad, overwrite_x=1, trans=1, diag=int(accel))
             if model.keeps is not None or keeps_x is not None:
                 # steps[t, s] = K_ts g_s, the move of x_{i_s} step t sees
-                steps = neg_k * -g
-                if not accel:
-                    steps = np.broadcast_to(steps, tri.shape)
+                # (-h_s without a schedule)
+                steps = neg_k * -g if accel else np.broadcast_to(-g, tri.shape)
                 first = size  # the first step whose model fails
                 with np.errstate(invalid="ignore", over="ignore"):
                     if model.keeps is not None:
@@ -826,7 +835,7 @@ class _Blocks:
                 np.add.at(self.vx, idx, upd[1])
                 c = float(coefs[-1, 0])
             else:
-                dy = -g * coefs
+                dy = -g
                 np.add.at(self.ux, idx, dy)
                 upd = dy[None, :]
             if self.div != 1.0:
@@ -911,7 +920,7 @@ def _coordinate_loop(oracle, profile, x0, cfg, p, algo, schedule=None):
         return oracle.value(x, agg), x, agg
 
     takes_blocks = _takes_blocks(oracle, cfg)
-    plan = _StepPlan(WeightedSampler(p, cfg.seed), iters, schedule, 1.0 / l, takes_blocks)
+    plan = _StepPlan(WeightedSampler(p, cfg.seed), iters, schedule, l, takes_blocks)
     # u's cache alone, or both caches, as the rows of one array
     blocks = (_Blocks(oracle, plan, ux, vx, aggs if accel else uagg[None, :], algo)
               if takes_blocks else None)

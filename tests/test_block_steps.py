@@ -32,6 +32,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nucd import solvers
+from nucd.geometry import SmoothnessProfile
 from nucd.matrix import SparseRowMatrix
 from nucd.problems import (KaczmarzResidual, build_kaczmarz, build_lasso_dual,
                            build_penalty_dual, build_ridge_dual,
@@ -269,6 +270,52 @@ def test_penalty_blocks_restart_at_region_crossings(name, kind):
                  problem=_erm("penalty", 0.5, label_scale=3.0))
     assert spy.call_count > 0
     assert all(call.args[1] > 0 for call in spy.call_args_list)
+
+
+def _scaled_l(problem, factor):
+    """The problem with every L_i times factor, a profile that is not the
+    row norms: plain-descent blocks must read L from the plan, not from
+    the Gram's diagonal."""
+    def scaled(a, b, beta):
+        oracle, prof = problem(a, b, beta)
+        return oracle, SmoothnessProfile(factor * prof.l, beta=prof.beta)
+    return scaled
+
+
+@pytest.mark.parametrize("path", ["rows", "gram"])
+def test_plain_descent_blocks_read_the_profiles_l(path):
+    """rcdm on the Kaczmarz quadratic of a 200 x 100 system with
+    L_i = 3 ||a_i||^2, on the row path and on the Gram path (a spy sees
+    which), agrees with single steps."""
+    a, _b = _system(200, 100, seed=5)
+    made = []
+    init = solvers._GramRows.__init__
+
+    def spy(self, *args):
+        made.append(True)
+        init(self, *args)
+
+    with contextlib.ExitStack() as stack:
+        stack.enter_context(mock.patch.object(solvers._GramRows, "__init__", spy))
+        if path == "rows":
+            stack.enter_context(mock.patch.object(solvers, "_GRAM_BYTES", 0))
+        _compare("rcdm", a, np.linspace(-0.5, 0.4, 200), 2000, 150, seed=6,
+                 problem=_scaled_l(build_kaczmarz, 3.0))
+    assert bool(made) == (path == "gram")
+
+
+@pytest.mark.parametrize("variant", ["ridge", "lasso"])
+def test_plain_descent_blocks_read_the_profiles_l_on_scattered_rows(variant):
+    """rcdm on the ridge and Lasso duals of scattered rows with doubled L,
+    at a stride of 80: the Lasso's blocks restart at kink crossings (a spy
+    counts the steps given back), and both agree with single steps."""
+    a = SparseRowMatrix.from_dense(_rows("scattered", 40, 6, seed=11))
+    give_back = solvers._StepPlan.give_back
+    with mock.patch.object(solvers._StepPlan, "give_back", autospec=True,
+                           side_effect=give_back) as spy:
+        _compare("rcdm", a, np.zeros(40), 4000, 80, seed=3,
+                 problem=_scaled_l(_erm(variant, 0.1, 0.05), 2.0))
+    assert (spy.call_count > 0) == (variant == "lasso")
 
 
 def test_penalty_dual_takes_blocks_unless_checked():

@@ -266,9 +266,33 @@ def test_kaczmarz_hooks_see_the_primal_point():
             dists, records, trace.dists):
         assert agg is None and agg_rec is None
         assert np.array_equal(x, x_rec) and value == value_rec
+        # all rows hold all 6 columns: the residual is one dense product,
+        # and it agrees with the CSR product to rounding
+        r = a.dense @ x - b
+        assert value == float(np.dot(r, r))
+        r_csr = a.matvec(x) - b
+        assert abs(value - float(np.dot(r_csr, r_csr))) <= 1e-12 * value
+        assert dist == float(np.dot(x, x))
+
+
+def test_kaczmarz_value_on_scattered_rows_is_the_csr_residual():
+    """Rows of a few columns have no dense matrix: the recorded residual is
+    the CSR product's, bit for bit."""
+    rng = np.random.default_rng(4)
+    arr = rng.standard_normal((15, 8))
+    arr[rng.random((15, 8)) < 0.5] = 0.0
+    arr[~arr.any(axis=1), 0] = 1.0
+    a = SparseRowMatrix.from_dense(arr)
+    assert a.dense is None
+    b = rng.standard_normal(15)
+    records = []
+    cfg = SolverConfig(iters=300, seed=2, trace_stride=64,
+                       on_record=lambda k, x, agg, value: records.append((x.copy(), value)))
+    kaczmarz(a, b, np.linspace(-1.0, 1.0, 8), cfg)
+    assert len(records) == 6
+    for x, value in records:
         r = a.matvec(x) - b
         assert value == float(np.dot(r, r))
-        assert dist == float(np.dot(x, x))
 
 
 def test_kaczmarz_draws_the_row_norm_stream(monkeypatch):

@@ -3,7 +3,8 @@
 Single steps and block steps read every step's coordinate, implicit
 coefficient c and fold from one solvers._StepPlan, with the coefficients
 each consumer uses: (c, 1/L_i, z coefficient, eta) for single steps,
-(c, kappa, w) for block steps and 1/L_i alone without a schedule.
+(c, kappa, w) for block steps and, without a schedule, 1/L_i alone for
+single steps and L_i alone for block steps.
 Requests of any size, with any give-backs, must hand out exactly what a
 literal loop gives, bit for bit: the sampler's stream drawn in one block,
 c <- c rho_k multiplied step by step and reset to 1 below FOLD_BELOW, and
@@ -23,8 +24,8 @@ _KINDS = ("strongly convex", "growing", "plain")
 
 def _literal(kind, blocks, prof, p, seed, count, c, rate, s_sq):
     """idx, the coefficients per step as columns ((c, 1/L_i, z coefficient,
-    eta) for single steps, (c, kappa, w) for blocks, 1/L_i alone without a
-    schedule) and {step: fold factor}."""
+    eta) for single steps, (c, kappa, w) for blocks, 1/L_i or for blocks L_i
+    alone without a schedule) and {step: fold factor}."""
     idx = WeightedSampler(p, seed).sample_block(count)
     plb = p * prof.l ** prof.beta
     r = 0.0
@@ -37,7 +38,7 @@ def _literal(kind, blocks, prof, p, seed, count, c, rate, s_sq):
     for k, i in enumerate(idx.tolist()):
         inv_l = 1.0 / prof.l[i]
         if kind == "plain":
-            rows.append(inv_l)
+            rows.append(prof.l[i] if blocks else inv_l)
             continue
         if kind == "growing":
             eta, tau = solvers.ns_schedule(k, s_sq)
@@ -81,7 +82,7 @@ def test_plan_hands_out_the_literal_loop(data):
     schedule = {"strongly convex": lambda: solvers._StronglyConvex(prof, p, rate),
                 "growing": lambda: solvers._Growing(prof, p, s_sq),
                 "plain": lambda: None}[kind]()
-    plan = solvers._StepPlan(WeightedSampler(p, seed), count, schedule, 1.0 / l, blocks)
+    plan = solvers._StepPlan(WeightedSampler(p, seed), count, schedule, l, blocks)
     plan.c = c0
     idx, rows, folds = _literal(kind, blocks, prof, p, seed, count, c0, rate, s_sq)
 
@@ -101,3 +102,16 @@ def test_plan_hands_out_the_literal_loop(data):
     if kind == "growing":
         # tau_0 = 1: c is 0 after step 0 whatever it started at
         assert folds[0] == 0.0
+
+
+def test_plain_descent_plans_hold_l_for_blocks_and_its_inverse_for_single_steps():
+    """Without a schedule a block plan holds profile.l[idx] itself, which
+    block steps write on their triangle's diagonal, and a single-step plan
+    still holds 1/l, bit for bit."""
+    prof = SmoothnessProfile(np.array([0.3, 7.0, 1e-3, 42.5, 1.0 / 3.0]))
+    p = np.full(5, 0.2)
+    for blocks, want in ((True, prof.l), (False, 1.0 / prof.l)):
+        plan = solvers._StepPlan(WeightedSampler(p, 9), 600, None, prof.l, blocks)
+        idx, fold, coefs = plan.take(600)
+        assert fold is None and idx.size == 600
+        assert np.array_equal(coefs, want[idx])

@@ -24,11 +24,15 @@ Kaczmarz quadratic whose c folds about every 338 steps: nu_acdm,
 acdm_baseline, generalized_accel and nu_acdm_ns for a fixed FOLD_STEPS
 steps whatever --epochs is, at a stride of 1 step at each check level and
 unchecked at strides of 64 and 997 steps, where they take block steps.
-Every blocked cell here takes the row path: the Gram path of dense linear
+The blocked cells above take the row path: the Gram path of dense linear
 systems (solvers._GramRows) needs row blocks shorter than 80 steps, so
-at least 41 columns, and the systems here have at most 12.  The blocked
-Gram path is covered by tests/test_block_steps.py and by the 300 x 100
-kaczmarz-race acceptance check.
+at least 41 columns, and those systems have at most 12.  So one more
+dense system, 100 x 48 (blocks of isqrt(2^18 / 48) = 73 steps on rows,
+m <= 4 d), takes it: kaczmarz on it and nu_acdm, acdm_baseline and rcdm
+on its Kaczmarz quadratic, unchecked at a stride of 50 steps
+("gram-100x48").  That path reads a Gram formed by BLAS syrk, whose
+rounding may depend on the BLAS thread count, so compare digests taken
+at one fixed thread count (OPENBLAS_NUM_THREADS=1, as CI does).
 
 The last line, `parse-libsvm parse_libsvm rows=R sha1 structure_sha1`,
 digests what parse_libsvm reads from one generated LibSVM file holding
@@ -186,6 +190,17 @@ def cells(epochs: int):
                                        dist_fn=norm_sq)
             yield (f"{name}-stride64", solver, "off",
                    *_digest(*run(oracle, prof, start(n), cfg)))
+    # a dense system on the Gram path, every 4th row norm 10 times the rest
+    rng = np.random.default_rng(9)
+    a = SparseRowMatrix.from_dense(_rows("dense", 100, 48, rng))
+    b = a.matvec(rng.standard_normal(48))
+    cfg = solvers.SolverConfig(iters=epochs * a.m, seed=3, trace_stride=50, dist_fn=norm_sq)
+    yield ("linsys-gram-100x48", "kaczmarz", "off",
+           *_digest(*solvers.kaczmarz(a, b, start(a.d), cfg)))
+    oracle, prof = build_kaczmarz(a, b, beta=0.5)
+    for solver in ("nu_acdm", "acdm_baseline", "rcdm"):
+        yield ("kaczmarz-gram-100x48", solver, "off",
+               *_digest(*runs[solver](oracle, prof, start(a.m), cfg)))
     # tau = 0.264 on these rows, so c falls by rho = 0.54 per step
     a = SparseRowMatrix.from_dense(np.array([[1.0, 0.3], [0.2, 2.0]]))
     oracle, prof = build_kaczmarz(a, np.array([1.0, -1.0]))
