@@ -3,7 +3,11 @@
 The solvers draw millions of coordinate indices from a distribution that
 never changes during a run, so the cumulative distribution is built once
 (one O(n) numpy pass) and indices are drawn in vectorized blocks by
-inverse-CDF lookup, O(log n) per draw.  Randomness comes from numpy's
+inverse-CDF lookup, O(log n) per draw.  A block's lookups run in table
+order: its uniforms are ordered by their leading 16 bits (a stable radix
+argsort), searched in that order, so that consecutive searches walk
+nearby parts of the table, and the indices are scattered back to draw
+order.  Randomness comes from numpy's
 PCG64 generator; a given (weights, seed) pair yields one reproducible
 index stream however the blocks are sized.  Scaling the weights by a
 positive factor (normalising them, say) moves each table entry by rounding
@@ -45,4 +49,9 @@ class WeightedSampler:
 
     def sample_block(self, size: int) -> np.ndarray:
         """Draw `size` indices; consecutive blocks continue one stream."""
-        return np.searchsorted(self._cdf, self._rng.random(size), side="right")
+        u = self._rng.random(size)
+        # u < 1, so u * 2**16 (exact) truncates to a 16-bit key
+        order = np.argsort((u * 65536.0).astype(np.uint16), kind="stable")
+        idx = np.empty(size, np.intp)
+        idx[order] = np.searchsorted(self._cdf, u[order], side="right")
+        return idx

@@ -74,7 +74,8 @@ FOLD_BELOW = 2.0 ** -300
 # sqrt(_BLOCK_WORK / nnz per row) steps on rows of few columns.  A run takes
 # them on rows of all d columns when its trace stride is at least
 # _BLOCK_MIN, and on any other rows when it is at least _CSR_SEGMENT_MIN: a
-# block of those pays a sort and some dozen numpy calls whatever its
+# block of those pays a sort of its entries by column (a radix sort when
+# d <= 2^16, see _ScatteredRows) and some dozen numpy calls whatever its
 # length.  The thresholds are where blocks began to beat single steps on
 # 300 x 100 dense and 50000 x 2500, 10 nnz per row systems.
 _BLOCK_MIN = 16
@@ -524,8 +525,9 @@ class _ScatteredRows(_BlockRows):
     """The rows of a SparseRowMatrix as flat entries (block row, column,
     value) read from its indptr, indices and data.  The Gram matrix, the
     products with the caches, the moves of the entries and the scatter
-    into the caches cost O(entries and column collisions) plus one sort,
-    whatever d is."""
+    into the caches cost O(entries and column collisions) plus one sort of
+    the entries by column, whatever d is: a radix sort, O(entries), when
+    d <= 2^16, and a comparison sort of int64 keys on wider matrices."""
 
     def __init__(self, mat: SparseRowMatrix, idx: np.ndarray, *state):
         super().__init__(idx, *state)
@@ -536,6 +538,7 @@ class _ScatteredRows(_BlockRows):
         flat = np.arange(int(lens.sum())) + np.repeat(lo - self.starts, lens)
         self.row = np.repeat(np.arange(idx.size), lens)
         self.cols, self.vals = mat.indices[flat], mat.data[flat]
+        self.narrow = mat.d <= 2 ** 16
         self.pairs = None
 
     def _row_sums(self, x: np.ndarray) -> np.ndarray:
@@ -565,19 +568,27 @@ class _ScatteredRows(_BlockRows):
     def _later_earlier(self):
         """(later, earlier): every pair of entries of two rows on one
         column, the later row's entry first, in ascending column order.
-        Sorted by (column, step), the entries form runs of equal columns,
-        and each entry pairs with the a entries before it in its run."""
+        Sorted stably by column, the entries form runs of equal columns,
+        and each entry after a run's first pairs with the entries before
+        it in its run.  Column ids under 2^16 sort as uint16, which numpy
+        radix-sorts in O(entries); wider ones sort as int64 keys (column,
+        entry)."""
         if self.pairs is None:
-            size = self.cols.size
-            pos = np.arange(size)
-            order = np.argsort(self.cols * size + pos)
-            sorted_cols = self.cols[order]
-            new = np.empty(size, bool)
-            new[:1] = True
-            np.not_equal(sorted_cols[1:], sorted_cols[:-1], out=new[1:])
-            run_start = np.maximum.accumulate(np.where(new, pos, 0))
-            a = pos - run_start
-            later = np.repeat(pos, a)
+            cols = self.cols
+            if self.narrow:
+                order = np.argsort(cols.astype(np.uint16), kind="stable")
+            else:
+                order = np.argsort(cols * cols.size + np.arange(cols.size))
+            sorted_cols = cols[order]
+            # the sorted positions that repeat the previous column: a run's
+            # repeats are consecutive, and its start is just before them
+            rep = np.flatnonzero(sorted_cols[1:] == sorted_cols[:-1]) + 1
+            first = np.empty(rep.size, bool)
+            first[:1] = True
+            np.not_equal(rep[1:], rep[:-1] + 1, out=first[1:])
+            run_start = np.maximum.accumulate(np.where(first, rep - 1, 0))
+            a = rep - run_start
+            later = np.repeat(rep, a)
             earlier = np.repeat(run_start - np.cumsum(a) + a, a) + np.arange(later.size)
             self.pairs = order[later], order[earlier]
         return self.pairs

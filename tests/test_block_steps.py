@@ -390,6 +390,73 @@ def _wide_rows():
     return SparseRowMatrix(np.arange(m + 1) * per_row, spread[local], vals, (m, d)), spread
 
 
+_PAIR_COLUMNS = {
+    "narrow": lambda d: list(range(d)),
+    # the largest matrices whose column ids sort as uint16
+    "2^16": lambda d: [0, 1, 2 ** 15, 2 ** 16 - 2, 2 ** 16 - 1],
+    # ids equal mod 2^16, which a uint16 sort would merge
+    "wide": lambda d: [3, 2 ** 16 - 1, 2 ** 16, 2 ** 16 + 3, 2 ** 17 + 3, d - 1],
+}
+_PAIR_WIDTHS = {"narrow": None, "2^16": 2 ** 16, "wide": 2 ** 17 + 5}
+
+
+def _pairs_by_brute_force(mat, idx):
+    """The flat entries (step, column, value) of the block rows idx, in
+    step order, and every pair (p, q) of entries of two block rows on one
+    column with p the later row's, ordered by column, then p, then q."""
+    entries = [(t, int(mat.indices[j]), mat.data[j]) for t, i in enumerate(idx)
+               for j in range(mat.indptr[i], mat.indptr[i + 1])]
+    pairs = sorted((entries[p][1], p, q) for p in range(len(entries))
+                   for q in range(len(entries))
+                   if entries[p][0] > entries[q][0] and entries[p][1] == entries[q][1])
+    return entries, [(p, q) for _, p, q in pairs]
+
+
+@pytest.mark.parametrize("width", list(_PAIR_COLUMNS))
+@settings(deadline=None, max_examples=60)
+@given(data=st.data())
+def test_column_pairs_match_a_brute_force_listing(width, data):
+    """_ScatteredRows' column pairs, Gram triangle (weights 1.0, a scalar
+    and one per entry) and moves equal, bit for bit, sums over the pairs
+    listed by brute force and taken in that order: on narrow matrices,
+    those of 2^16 columns and ones of 2^17 + 5, with empty rows, rows drawn
+    more than once in a block and one-row blocks."""
+    d = _PAIR_WIDTHS[width] or data.draw(st.integers(1, 6))
+    pool = _PAIR_COLUMNS[width](d)
+    m = data.draw(st.integers(1, 6))
+    rows = [sorted(data.draw(st.sets(st.sampled_from(pool)))) for _ in range(m)]
+    idx = np.array(data.draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=10)))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 16)))
+    lens = [len(r) for r in rows]
+    mat = SparseRowMatrix(np.concatenate(([0], np.cumsum(lens))),
+                          np.array([c for r in rows for c in r], dtype=np.int64),
+                          rng.standard_normal(sum(lens)), (m, d))
+    block = solvers._ScatteredRows(mat, idx, None, None, np.zeros((1, d)), None)
+    entries, pairs = _pairs_by_brute_force(mat, idx)
+    step = np.array([e[0] for e in entries], dtype=np.int64)
+    vals = np.array([e[2] for e in entries])
+    assert np.array_equal(block.cols, [e[1] for e in entries])
+    later, earlier = block._later_earlier()
+    assert np.array_equal(later, [p for p, _ in pairs])
+    assert np.array_equal(earlier, [q for _, q in pairs])
+
+    size = idx.size
+    weights = rng.uniform(0.5, 2.0, vals.size)
+    steps = rng.standard_normal((size, size))
+    for weight in (1.0, 0.75, weights):
+        want = np.zeros((size, size))
+        for p, q in pairs:
+            prod = vals[p] * vals[q]
+            want[step[p], step[q]] += prod if isinstance(weight, float) else prod * weight[p]
+        if isinstance(weight, float) and weight != 1.0:
+            want *= weight
+        assert np.array_equal(block.gram(weight).view(np.int64), want.view(np.int64))
+    want = np.zeros(vals.size)
+    for p, q in pairs:
+        want[p] += vals[q] * steps[step[p], step[q]]
+    assert np.array_equal(block.moves(steps).view(np.int64), want.view(np.int64))
+
+
 def test_build_kaczmarz_on_a_wide_system():
     """With fewer rows than columns sigma comes from the m x m A A^T, which
     has the nonzero eigenvalues of the d x d A^T A: 30 rows over 2^17 + 5

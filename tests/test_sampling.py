@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -102,3 +104,68 @@ def test_stream_does_not_depend_on_weight_normalisation():
 def test_single_index_degenerate():
     s = WeightedSampler(np.array([5.0]), seed=0)
     assert np.array_equal(s.sample_block(10), np.zeros(10, dtype=np.int64))
+
+
+class _Uniforms:
+    """A stand-in for the sampler's generator that hands out given
+    uniforms in order."""
+
+    def __init__(self, u):
+        self.u, self.pos = np.asarray(u, dtype=float), 0
+
+    def random(self, size):
+        out = self.u[self.pos:self.pos + size]
+        self.pos += size
+        assert out.size == size
+        return out
+
+
+def _table_weights():
+    """Named weight vectors: zero weights among positive ones, a single
+    entry, and a table of more than 2^16 entries (zeros included)."""
+    rng = np.random.default_rng(21)
+    big = rng.uniform(0.0, 1.0, 2 ** 16 + 4465)
+    big[rng.choice(big.size, 900, replace=False)] = 0.0
+    return {"zeros": np.array([0.0, 3.0, 0.0, 0.0, 1.0, 2.5, 0.0]),
+            "single": np.array([4.0]),
+            "wide-table": big}
+
+
+@pytest.mark.parametrize("name", list(_table_weights()))
+def test_draws_are_the_lookups_of_the_seeds_uniforms(name):
+    """sample_block returns searchsorted(table, u, side='right') in draw
+    order, for the uniforms the same seed's generator yields, block after
+    block."""
+    w = _table_weights()[name]
+    s = WeightedSampler(w, seed=13)
+    rng = np.random.default_rng(13)
+    for size in (1, 2, 31, 4096, 70000):
+        want = np.searchsorted(s._cdf, rng.random(size), side="right")
+        got = s.sample_block(size)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+    assert not np.isin(got, np.flatnonzero(w == 0.0)).any()
+
+
+def test_crafted_uniforms_land_where_searchsorted_puts_them():
+    """Uniforms at the ends of [0, 1), on table entries (repeated ones of
+    zero weights included) and many sharing one 16-bit key, in shuffled
+    order, all land on searchsorted's index, in draw order."""
+    # a cluster of tiny weights puts many table entries in one key's width
+    w = np.concatenate((np.ones(400), np.full(300, 1e-7), [0.0, 0.0], np.ones(600)))
+    s = WeightedSampler(w, seed=0)
+    table = s._cdf
+    key = math.floor(table[400] * 2 ** 16)
+    assert math.floor(table[701] * 2 ** 16) == key
+    same_key = (key + np.linspace(0.0, 1.0, 2000, endpoint=False)) / 2 ** 16
+    rng = np.random.default_rng(5)
+    u = np.concatenate(([0.0, np.nextafter(1.0, 0.0)], table[:-1], same_key, rng.random(3000)))
+    u = rng.permutation(u)
+    assert np.all((u >= 0.0) & (u < 1.0))
+    s._rng = _Uniforms(u)
+    got = np.concatenate([s.sample_block(size) for size in (1, 4095, u.size - 4096)])
+    assert np.array_equal(got, np.searchsorted(table, u, side="right"))
+    assert not np.isin(got, np.flatnonzero(w == 0.0)).any()
+    one = WeightedSampler(np.array([2.0]), seed=0)
+    one._rng = _Uniforms([np.nextafter(1.0, 0.0), 0.0, 0.5])
+    assert np.array_equal(one.sample_block(3), [0, 0, 0])
