@@ -5,14 +5,17 @@ LibSVM sparse rows for datasets and linear systems, a fixed-schema CSV for
 convergence traces.  Floats are written with 17 significant digits so that
 parse(write(x)) is bitwise faithful.
 
-LibSVM numbers are read in bulk by scipy's C++ Matrix Market reader when a
-block of lines keeps to plain ASCII spellings: a number is
+LibSVM files are read in binary blocks of whole lines.  A block that keeps
+to plain ASCII spellings, one space between tokens and "\n" line ends is
+checked with numpy and its numbers read by one single-threaded call of
+scipy's C++ Matrix Market reader: a number is
 `[-+]?digits(.digits)?([eE][+-]?digits)?` and an index is 1 to 15 digits.
-Comments, blank lines and runs of blanks are tidied away first.  Any other
-spelling that Python's int() and float() accept (`.5`, `1.`, a signed
-index, underscores, Unicode digits) is read line by line instead, which is
-several times slower; so is every block holding an error, which is how its
-`path:line:column` message is found.
+A block with comments, blank lines, runs of blanks, "\r" or non-ASCII
+bytes is decoded as text mode reads it (universal newlines), tidied and
+tried again.  Any other spelling that Python's int() and float() accept
+(`.5`, `1.`, a signed index, underscores, Unicode digits) is read line by
+line instead, which is several times slower; so is every block holding an
+error, which is how its `path:line:column` message is found.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from __future__ import annotations
 import io
 import math
 import re
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,16 +34,19 @@ from .solvers import ConvergenceTrace
 TRACE_HEADER = "algo,seed,iter,epoch,value,dist_to_min"
 
 _TOKEN = re.compile(r"\S+")
-# parse_libsvm converts about this many characters of whole lines at a
-# time.  Each block is one call of scipy's Matrix Market reader, which
-# starts a thread per CPU, so fewer, larger calls are faster: on 2 vCPUs a
-# 13.5 MB file parsed in 244 ms in 256 KiB blocks, 339 ms in 64 KiB ones
-# and 230 ms in 1 MiB ones, which hold four times the memory.  The size was
-# tuned on 2 vCPUs only; on many cores each call starts more threads, and
-# neither the gain nor the best size has been measured there
+# parse_libsvm reads the file this many bytes at a time, finished at a
+# newline, and each block is one call of scipy's Matrix Market reader on
+# one thread.  On a 2-vCPU host, the only one measured, a 13.5 MB file
+# parsed in a median of 150 ms in 128 KiB blocks, 132 ms in 256 KiB ones,
+# 129 ms in 512 KiB and 123 ms in 1 MiB ones (16 alternating rounds; the
+# quartiles from 256 KiB up overlap), and larger blocks hold more memory
 _BLOCK_BYTES = 1 << 18
 # indices (and so the feature count) must fit in int64
 _INDEX_MAX = np.iinfo(np.int64).max
+# without n_features, the feature count may reach this or the file's entry
+# count, whichever is larger: a mistyped index cannot ask for d-long
+# vectors of up to 9.2e18 entries
+_FEATURE_BOUND = 1 << 20
 
 # A tidy block is rows of tokens split by single spaces and colons, each
 # row ending in "\n".  Its bytes that are not digits are the symbols below
@@ -73,6 +80,8 @@ _INDEX_DIGITS = 15
 # followed by digits, so it is read as a leading zero instead
 _ONE_PER_LINE = bytes.maketrans(b" :+", b"\n\n0")
 _MM_HEADER = b"%%%%MatrixMarket matrix array real general\n%d 1\n"
+# held while _read_numbers has changed the reader's thread count
+_READER_LOCK = threading.Lock()
 
 
 class ParseError(ValueError):
@@ -113,53 +122,85 @@ def parse_libsvm(path, n_features: int | None = None) -> Dataset:
     """Read `<label> <idx>:<val> ...` lines; 1-based strictly ascending
     indices, `#` starts a comment.  Stored indices are 0-based; the feature
     count is the largest index seen unless n_features overrides it; an
-    index above n_features, or beyond int64, is an error.
+    index above n_features, or beyond int64, is an error.  Without
+    n_features, so is an index above max(_FEATURE_BOUND, entries in the
+    file), since the matrix's d-long vectors would take that much memory.
 
-    Lines are read _BLOCK_BYTES at a time and each block is converted in
-    bulk; a block that fails a check, or spells a number outside the bulk
-    grammar, is re-read by _scan_line, which names the first bad token's
-    line and column."""
+    The file is read in binary blocks of whole lines (_read_block), each
+    converted in bulk.  A block that holds "\r" or non-ASCII bytes, fails a
+    check, or spells a number outside the bulk grammar is decoded into
+    lines as text mode reads them, tidied and converted again; failing
+    that, it is read by _scan_line, which names the first bad token's line
+    and column.  A file whose lines end in a lone "\r" is one block."""
     limit = _INDEX_MAX if n_features is None else n_features
-    blocks = [_convert_block([], limit)]  # typed empty arrays
-    first_line = 1
-    with open(path) as fh:
-        while block := fh.readlines(_BLOCK_BYTES):
-            parts = _convert_block(block, limit)
+    blocks = [_convert_tidy(b"", limit)]  # typed empty arrays
+    starts = []  # (byte offset, first line) of each block
+    offset, first_line = 0, 1
+    with open(path, "rb") as fh:
+        while block := _read_block(fh):
+            starts.append((offset, first_line))
+            offset = fh.tell()
+            # "\r" and non-ASCII bytes are outside the bulk grammar
+            parts = _convert_tidy(block, limit)
             if parts is None:
-                parts = _scan_block(path, first_line, block, n_features)
+                lines = _lines(block)
+                parts = (_convert_lines(lines, block, limit)
+                         or _scan_block(path, first_line, lines, n_features))
+                first_line += len(lines)
+            else:
+                first_line += parts[1].size  # a tidy block holds a row a line
             blocks.append(parts)
-            first_line += len(block)
-    labels, counts, indices, data = map(np.concatenate, zip(*blocks))
+        labels, counts, indices, data = map(np.concatenate, zip(*blocks))
+        if n_features is None:
+            n_features = int(indices.max()) + 1 if indices.size else 0
+            bound = max(_FEATURE_BOUND, indices.size)
+            if n_features > bound:
+                # the block holding the first entry above the bound
+                entry_ends = np.cumsum([p[2].size for p in blocks[1:]])
+                first = int(np.argmax(indices >= bound))
+                offset, line_no = starts[int(np.searchsorted(entry_ends, first, "right"))]
+                fh.seek(offset)
+                _scan_block(path, line_no, _lines(_read_block(fh)), None, bound)
     del blocks  # free the per-block copies before the matrix build
-    if n_features is None:
-        n_features = int(indices.max()) + 1 if indices.size else 0
     indptr = np.concatenate([[0], np.cumsum(counts)])
     features = SparseRowMatrix(indptr, indices, data, (counts.size, n_features))
     return Dataset(features, labels)
 
 
-def _convert_block(lines, limit):
-    """(labels, per-row entry counts, 0-based indices, values) of a block of
-    lines, or None if any token fails a check or is spelled outside the
-    bulk grammar."""
-    text = "".join(lines)
-    if not text.isascii():
+def _read_block(fh):
+    """The next _BLOCK_BYTES of a binary file, finished at a newline, or
+    b"" at its end.  The file's last line gets a newline if it has none;
+    neither a token nor its column changes."""
+    block = fh.read(_BLOCK_BYTES)
+    if block and not block.endswith(b"\n"):
+        block += fh.readline()
+        if not block.endswith(b"\n"):
+            block += b"\n"
+    return block
+
+
+def _lines(block):
+    """The lines of a block as open(path) reads them in text mode: decoded
+    with the locale's encoding, universal newlines."""
+    return io.TextIOWrapper(io.BytesIO(block)).readlines()
+
+
+def _convert_lines(lines, block, limit):
+    """_convert_tidy of a block's decoded lines with comments, blank lines
+    and runs of blanks tidied away, or None if that is not ASCII, is the
+    block's own bytes (which _convert_tidy refused), or fails."""
+    tidy = "".join(t + "\n" for raw in lines
+                   if (t := " ".join(raw.partition("#")[0].split())))
+    if not tidy.isascii():
         return None
-    parts = _convert_tidy(text, limit)
-    if parts is None:
-        tidy = "".join(t + "\n" for raw in lines
-                       if (t := " ".join(raw.partition("#")[0].split())))
-        if tidy != text:
-            parts = _convert_tidy(tidy, limit)
-    return parts
+    data = tidy.encode("ascii")
+    return None if data == block else _convert_tidy(data, limit)
 
 
-def _convert_tidy(text, limit):
-    """_convert_block of a block already joined into one ASCII string, or
-    None unless the block is tidy and in the bulk grammar."""
-    if text and not text.endswith("\n"):
-        text += "\n"
-    data = text.encode("ascii")
+def _convert_tidy(data, limit):
+    """(labels, per-row entry counts, 0-based indices, values) of a block of
+    ASCII bytes, each line ending in "\n", or None unless the block is tidy
+    and in the bulk grammar and passes every check."""
     chars = np.frombuffer(data, dtype=np.uint8)
     pos = np.flatnonzero((chars < ord("0")) | (chars > ord("9")))
     sym = _SYMBOL.take(chars.take(pos))
@@ -181,9 +222,11 @@ def _convert_tidy(text, limit):
         nums = _read_numbers(data.translate(_ONE_PER_LINE), ends.size)
     except ValueError:
         return None
-    # the reader reads -0, -0.0 and negative underflows as +0.0
-    token_starts = np.concatenate([[0], ends + 1])[:-1]
-    np.copysign(nums, -1.0, out=nums, where=chars.take(token_starts) == ord("-"))
+    # the reader reads -0, -0.0 and negative underflows as +0.0 (other
+    # negatives keep their sign): a zero whose token starts with "-" is -0.0
+    zeros = np.flatnonzero(nums == 0.0)
+    token_starts = np.where(zeros > 0, ends.take(zeros - 1) + 1, 0)
+    nums[zeros[chars.take(token_starts) == ord("-")]] = -0.0
     if not np.all(np.isfinite(nums)):
         return None
     row_ends = np.flatnonzero(seps == _NL)
@@ -198,7 +241,7 @@ def _convert_tidy(text, limit):
         return None
     # entry j + 1 must exceed entry j wherever both lie in one row
     starts = np.cumsum(counts) - counts
-    ascending = np.diff(idx) > 0
+    ascending = idx[1:] > idx[:-1]
     ascending[starts[(starts > 0) & (starts < idx.size)] - 1] = True
     if not np.all(ascending):
         return None
@@ -208,19 +251,30 @@ def _convert_tidy(text, limit):
 def _read_numbers(body, count):
     """The `count` numbers of body, one per line, as float64.  The reader
     takes the longest number that starts a line and ignores what follows,
-    so body must have been checked first.  scipy.io is imported on first
-    use, so runs that never parse do not load it."""
+    so body must have been checked first.  It runs on one thread: on a
+    256 KiB block its threads cost more to start than they save.  scipy.io
+    is imported on first use, so runs that never parse do not load it."""
     if not count:
         return np.empty(0)
-    from scipy.io import mmread
+    from scipy import io as sio
 
-    return mmread(io.BytesIO(_MM_HEADER % count + body)).ravel()
+    stream = io.BytesIO(_MM_HEADER % count + body)
+    # the reader's thread count, which threadpoolctl sets; 0 is one a CPU
+    reader = getattr(sio, "_fast_matrix_market", None)
+    if not hasattr(reader, "PARALLELISM"):
+        return sio.mmread(stream).ravel()
+    with _READER_LOCK:
+        threads, reader.PARALLELISM = reader.PARALLELISM, 1
+        try:
+            return sio.mmread(stream).ravel()
+        finally:
+            reader.PARALLELISM = threads
 
 
-def _scan_block(path, first_line, lines, n_features):
-    """_convert_block's output built one line at a time by _scan_line."""
+def _scan_block(path, first_line, lines, n_features, bound=_INDEX_MAX):
+    """_convert_tidy's output built one line at a time by _scan_line."""
     rows = [row for line_no, raw in enumerate(lines, first_line)
-            if (row := _scan_line(path, line_no, raw, n_features)) is not None]
+            if (row := _scan_line(path, line_no, raw, n_features, bound)) is not None]
     return (
         np.array([label for label, _, _ in rows], dtype=float),
         np.array([len(cols) for _, cols, _ in rows], dtype=np.int64),
@@ -229,10 +283,11 @@ def _scan_block(path, first_line, lines, n_features):
     )
 
 
-def _scan_line(path, line_no, raw, n_features):
+def _scan_line(path, line_no, raw, n_features, bound=_INDEX_MAX):
     """Parse one line token by token: None for a blank or comment-only line,
     else (label, 0-based column ids, values).  Raises ParseError naming
-    `path:line:column` of the first bad token."""
+    `path:line:column` of the first bad token; an index above bound is one
+    (parse_libsvm's feature-count bound without n_features)."""
     limit = _INDEX_MAX if n_features is None else n_features
     hash_pos = raw.find("#")
     if hash_pos >= 0:
@@ -277,6 +332,12 @@ def _scan_line(path, line_no, raw, n_features):
             raise ParseError(
                 f"{path}:{line_no}:{col_no}: index {idx} out of range "
                 f"(at most {limit})"
+            )
+        if idx > bound:
+            raise ParseError(
+                f"{path}:{line_no}:{col_no}: index {idx} is above {bound}, the "
+                f"largest feature count read without n_features; pass "
+                f"n_features to read it"
             )
         if idx <= prev_idx:
             raise ParseError(

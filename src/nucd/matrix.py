@@ -48,12 +48,12 @@ class SparseRowMatrix:
         # row norms are consumed as smoothness constants and sampling
         # weights; cache once.  A row with an entry above about 1.3e154 has
         # a squared norm that no double holds: it reads inf, and the
-        # problem builders refuse it by row
+        # problem builders refuse it by row.  bincount adds each row's
+        # squares in entry order, as a loop would
         row_of_entry = np.repeat(np.arange(self.m), np.diff(self.indptr))
-        sq = np.zeros(self.m)
         with np.errstate(over="ignore"):
-            np.add.at(sq, row_of_entry, self.data * self.data)
-        self.row_norms_sq = sq
+            self.row_norms_sq = np.bincount(row_of_entry, self.data * self.data,
+                                            minlength=self.m)
 
     def _validate(self):
         if self.indptr.shape != (self.m + 1,):
@@ -70,7 +70,7 @@ class SparseRowMatrix:
         if not np.all(np.isfinite(self.data)):
             raise ValueError("matrix values must be finite")
         # entry j + 1 must exceed entry j wherever both lie in one row
-        bad = np.diff(self.indices) <= 0
+        bad = self.indices[1:] <= self.indices[:-1]
         starts = self.indptr[1:-1]
         bad[starts[(starts > 0) & (starts < self.nnz)] - 1] = False
         if bad.any():

@@ -849,10 +849,12 @@ class _Blocks:
                 dy = -g
                 np.add.at(self.ux, idx, dy)
                 upd = dy[None, :]
+            k += size
+            if r is not None and k >= end:
+                break  # _rebuild below replaces r, so its last move is dead
             if self.div != 1.0:
                 upd = upd / self.div
             rows.add(upd)
-            k += size
         if r is not None:
             self._rebuild()
         return c

@@ -633,6 +633,57 @@ def test_gram_path_rebuilds_the_caches_at_every_record(name):
     assert calls == []
 
 
+@pytest.mark.parametrize("name", ["nu_acdm", "rcdm", "kaczmarz"])
+def test_gram_path_leaves_r_alone_in_the_last_block_of_a_segment(name):
+    """_rebuild replaces r at the end of every segment, so the last block
+    of a segment moves the points but not r: spies count one r product
+    (_GramRows.add) per block but the last of each segment.  A run whose r
+    is filled with NaN before every rebuild gives the same rebuilt r and
+    the same end point, bit for bit, so the product left out was dead."""
+    a, b = _system(200, 100, seed=3)
+    x0 = np.linspace(-0.5, 0.4, a.d if name == "kaczmarz" else a.m)
+    cfg = SolverConfig(iters=1000, seed=2, trace_stride=150)
+    init, add, rebuild = solvers._GramRows.__init__, solvers._GramRows.add, solvers._Blocks._rebuild
+
+    def run(poison):
+        seen = {"blocks": 0, "adds": 0, "rebuilt": []}
+
+        def init_spy(self, *args):
+            seen["blocks"] += 1
+            init(self, *args)
+
+        def add_spy(self, upd):
+            seen["adds"] += 1
+            add(self, upd)
+
+        def rebuild_spy(self):
+            if poison:
+                self.r.fill(np.nan)
+            rebuild(self)
+            seen["rebuilt"].append(self.r.copy())
+
+        with contextlib.ExitStack() as stack:
+            for attr, spy in (("__init__", init_spy), ("add", add_spy)):
+                stack.enter_context(mock.patch.object(solvers._GramRows, attr, spy))
+            stack.enter_context(mock.patch.object(solvers._Blocks, "_rebuild", rebuild_spy))
+            if name == "kaczmarz":
+                x, trace = solvers.kaczmarz(a, b, x0, cfg)
+            else:
+                oracle, prof = build_kaczmarz(a, b)
+                x, trace = _SOLVERS[name](oracle, prof, x0, cfg)
+        return x, trace, seen
+
+    x, trace, seen = run(poison=False)
+    segments = len(seen["rebuilt"])
+    assert segments == len(trace.iters) - 1 == 7
+    # 150-step segments run as blocks of 80 and 70 steps, the last 100 as one
+    assert seen["blocks"] == 2 * 6 + 1
+    assert seen["adds"] == seen["blocks"] - segments
+    x_poisoned, _, poisoned = run(poison=True)
+    assert x_poisoned.tobytes() == x.tobytes()
+    assert all(r.tobytes() == q.tobytes() for r, q in zip(seen["rebuilt"], poisoned["rebuilt"]))
+
+
 @pytest.mark.parametrize("gram_bytes", [0, solvers._GRAM_BYTES], ids=["rows", "gram"])
 def test_blocked_runs_leave_no_reference_cycles(gram_bytes):
     """With the cyclic collector off, a blocked run frees everything it

@@ -158,11 +158,18 @@ def test_libsvm_round_trip_bitwise(tmp_path_factory, data):
 
 
 def _scan_file(path, n_features=None):
-    """Reference parse: _scan_line on every line, rows stacked into CSR."""
+    """Reference parse: _scan_line on every line, rows stacked into CSR.
+    Without n_features, an index above max(2**20, entries in the file)
+    raises the ParseError _scan_line gives the first one at that bound."""
     with open(path) as fh:
-        rows = [row for line_no, raw in enumerate(fh, 1)
-                if (row := _scan_line(path, line_no, raw, n_features)) is not None]
+        lines = list(enumerate(fh, 1))
+    rows = [row for line_no, raw in lines
+            if (row := _scan_line(path, line_no, raw, n_features)) is not None]
     cols = [c for _, row_cols, _ in rows for c in row_cols]
+    bound = max(2**20, len(cols))
+    if n_features is None and max(cols, default=-1) >= bound:
+        for line_no, raw in lines:
+            _scan_line(path, line_no, raw, None, bound)
     indptr = np.cumsum([0] + [len(row_cols) for _, row_cols, _ in rows])
     d = n_features if n_features is not None else max(cols, default=-1) + 1
     return (indptr, np.array(cols, dtype=np.int64),
@@ -422,6 +429,111 @@ def test_error_in_third_block_names_its_line(tmp_path, monkeypatch):
     assert str(err.value) == f"{p}:{first + 1}:9: bad value 'zzzzz'"
     # only the failing block is rescanned, up to the bad line
     assert scanned == [first, first + 1]
+
+
+# rows of bulk spellings, among them signed zeros and a negative underflow
+_SIGNED_ROWS = ["-0 3:-0.0 7:5e-324 8:1e5", "+1 1:+2.5 4:-1 6:+0",
+                "1E+5 2:0000012.5 9:-4.9406564584124654e-324", "2.5 1:-1e-400 2:3"]
+
+
+def _binary_reader_cases():
+    """(name, file text) pairs: line ends and bytes the binary blocks must
+    decode as text mode does, and a line longer than a block."""
+    rows = _SIGNED_ROWS * 3
+    long_row = "1 " + " ".join(f"{i}:{i / 7!r}" for i in range(1, 30_001))
+    assert len(long_row) > data_io._BLOCK_BYTES
+    return [
+        ("crlf", "\r\n".join(rows) + "\r\n"),
+        ("lone-cr", "".join(row + ("\r" if i % 3 else "\n") for i, row in enumerate(rows))),
+        ("utf8-comment", "# données: é\n" + "\n".join(rows) + "  # naïve\n"),
+        ("no-final-newline", "\n".join(rows)),
+        ("long-line", "\n".join(_SIGNED_ROWS + [long_row] + _SIGNED_ROWS) + "\n"),
+    ]
+
+
+@pytest.mark.parametrize("block_bytes", [1, 64, data_io._BLOCK_BYTES])
+@pytest.mark.parametrize("name, text", _binary_reader_cases(),
+                         ids=[name for name, _ in _binary_reader_cases()])
+def test_binary_blocks_parse_like_line_scanner(tmp_path, monkeypatch, name, text, block_bytes):
+    """Each file equals the _scan_line build of text mode's lines, sign
+    bits included; with a bad value on its last row it raises _scan_line's
+    error, so every block before it counted its lines as text mode does."""
+    monkeypatch.setattr(data_io, "_BLOCK_BYTES", block_bytes)
+    p = tmp_path / "data.libsvm"
+    p.write_bytes(text.encode("utf-8"))
+    _assert_same_parse(parse_libsvm(p), _scan_file(p))
+    last = text.rstrip("\r\n").rfind("1:")
+    bad = tmp_path / "bad.libsvm"
+    bad.write_bytes((text[:last] + "1:zz" + text[last + 3:]).encode("utf-8"))
+    with pytest.raises(ParseError, match="bad value 'zz") as err:
+        _scan_file(bad)
+    with pytest.raises(ParseError) as got:
+        parse_libsvm(bad)
+    assert str(got.value) == str(err.value)
+
+
+def test_reader_runs_on_one_thread_and_restores_its_setting(monkeypatch):
+    """_read_numbers sets the reader's thread count to 1 for its call and
+    puts the old value back, also when the reader raises; without the
+    setting, or without the module holding it, it makes the plain call."""
+    from scipy import io as sio
+
+    fmm = sio._fast_matrix_market
+    mmread = sio.mmread
+    monkeypatch.setattr(fmm, "PARALLELISM", 3)
+    seen = []
+    monkeypatch.setattr(sio, "mmread", lambda src: seen.append(fmm.PARALLELISM) or mmread(src))
+    assert data_io._read_numbers(b"1.5\n-2\n", 2).tolist() == [1.5, -2.0]
+    assert seen == [1] and fmm.PARALLELISM == 3
+
+    def fails(src):
+        raise ValueError("reader failed")
+
+    monkeypatch.setattr(sio, "mmread", fails)
+    with pytest.raises(ValueError, match="reader failed"):
+        data_io._read_numbers(b"1\n", 1)
+    assert fmm.PARALLELISM == 3
+    # the real reader reads its module's PARALLELISM, so stand in for it
+    monkeypatch.setattr(sio, "mmread", lambda src: np.loadtxt(src, skiprows=2)[:, None])
+    monkeypatch.delattr(fmm, "PARALLELISM")
+    assert data_io._read_numbers(b"4\n5e-1\n", 2).tolist() == [4.0, 0.5]
+    assert not hasattr(fmm, "PARALLELISM")
+    monkeypatch.undo()
+    monkeypatch.delattr(sio, "_fast_matrix_market")
+    assert data_io._read_numbers(b"4\n5e-1\n", 2).tolist() == [4.0, 0.5]
+
+
+def test_feature_count_is_bounded_without_n_features(tmp_path):
+    """A mistyped index above 2**20 (and above the file's entry count) is an
+    error naming its line and column and suggesting n_features, which
+    accepts it."""
+    p = _write(tmp_path, "1 1:1\n# note\n0 1:1 9007199254740999:2\n2 3:4 99999999:1\n")
+    with pytest.raises(ParseError) as err:
+        parse_libsvm(p)
+    assert str(err.value) == (
+        f"{p}:3:7: index 9007199254740999 is above 1048576, the largest feature "
+        "count read without n_features; pass n_features to read it")
+    assert parse_libsvm(p, n_features=2**53 + 7).d == 2**53 + 7
+    assert parse_libsvm(_write(tmp_path, "1 1048576:1\n")).d == 2**20
+
+
+def test_feature_bound_grows_with_the_entry_count(tmp_path, monkeypatch):
+    """The bound is max(_FEATURE_BOUND, entries in the file); the first
+    index above it is named, in whichever block holds it."""
+    monkeypatch.setattr(data_io, "_FEATURE_BOUND", 4)
+    monkeypatch.setattr(data_io, "_BLOCK_BYTES", 8)
+    lines = [f"{i % 2} 1:0.5 2:-1.25 3:2" for i in range(12)]  # 36 entries
+    p = _write(tmp_path, "\n".join(lines + ["1 36:1"]) + "\n")
+    assert parse_libsvm(p).d == 36
+    # 36 entries, so the bound is 36; a block is a line, and the first
+    # index above the bound is its block's first entry
+    lines[7] = "1 40:1 41:2"
+    lines[9] += " 42:1"
+    p = _write(tmp_path, "\n".join(lines) + "\n")
+    assert len(_blocks(p)) == len(lines)
+    with pytest.raises(ParseError) as err:
+        parse_libsvm(p)
+    assert str(err.value).startswith(f"{p}:8:3: index 40 is above 36, ")
 
 
 # --- generators ---

@@ -39,12 +39,14 @@ def test_two_runs_print_identical_digests():
     assert ("fold-2x2-stride1", "nu_acdm", "full") in names
     assert ("fold-2x2-stride997", "nu_acdm_ns", "off") in names
     # then the drivers: 3 algos x 2 seeds, 2 x 2, 3 x 1 and 3 betas; then
-    # one parsed LibSVM file
+    # one parsed LibSVM file, with "\n" and with "\r\n" line ends, which
+    # read the same
     drivers = [tuple(cell[:3]) for cell in cells[len(solver_cells):]]
     assert [d[0] for d in drivers] == (["kaczmarz-race"] * 6 + ["erm-race-ridge"] * 4
                                        + ["erm-race-lasso"] * 3 + ["beta-sweep"] * 3
-                                       + ["parse-libsvm"])
-    assert drivers[-1] == ("parse-libsvm", "parse_libsvm", "rows=48")
+                                       + ["parse-libsvm", "parse-libsvm-crlf"])
+    assert drivers[-2] == ("parse-libsvm", "parse_libsvm", "rows=48")
+    assert cells[-1][1:] == cells[-2][1:]
     assert ("erm-race-ridge", "gd", "seed=1") in drivers
     assert ("beta-sweep", "nu-acdm-ns", "beta=0.5") in drivers
     for *_cell, digest, iters_digest in cells:

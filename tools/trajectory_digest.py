@@ -34,11 +34,16 @@ on its Kaczmarz quadratic, unchecked at a stride of 50 steps
 rounding may depend on the BLAS thread count, so compare digests taken
 at one fixed thread count (OPENBLAS_NUM_THREADS=1, as CI does).
 
-The last line, `parse-libsvm parse_libsvm rows=R sha1 structure_sha1`,
-digests what parse_libsvm reads from one generated LibSVM file holding
-signed zeros, "+"-signed numbers, subnormals, exponents, 17-digit values
-and comments: the labels, indptr, indices and data, then indptr and
-indices alone.
+The line `parse-libsvm parse_libsvm rows=R sha1 structure_sha1` digests
+what parse_libsvm reads from one generated LibSVM file holding signed
+zeros, "+"-signed numbers, subnormals, exponents, 17-digit values and
+comments: the labels, indptr, indices and data, then indptr and indices
+alone.  The last line, `parse-libsvm-crlf ...`, digests the same file
+written with "\r\n" line ends, which parse_libsvm decodes as text mode
+does before its bulk reader: the two lines' digests agree unless the
+decoding of line ends drifts.  (The comments already send the "\n"
+file's one block through the same decoding; tests/test_data_io.py
+compares blocks read straight from their bytes with the line scanner.)
 
 An experiment line is `experiment algo seed=S sha1 iters_sha1` for each
 trace of a run_kaczmarz_race, a ridge run_erm_race (gd and nu-acdm; the digest
@@ -254,7 +259,7 @@ def driver_cells(epochs: int):
 
 def parse_cells():
     """Yield (name, reader, rows, sha1, structure_sha1) for one generated
-    LibSVM file."""
+    LibSVM file, with "\n" and then with "\r\n" line ends."""
     from nucd.data_io import parse_libsvm
 
     rng = np.random.default_rng(8)
@@ -269,15 +274,16 @@ def parse_cells():
                 for j in rng.integers(0, 99, size=cols.size + 1)]
         line = " ".join([nums[0]] + [f"{c}:{v}" for c, v in zip(cols, nums[1:])])
         lines.append(line + ("  # row %d" % i if i % 11 == 0 else ""))
-    with tempfile.TemporaryDirectory() as tmp:
-        path = pathlib.Path(tmp) / "digest.libsvm"
-        path.write_text("\n".join(lines) + "\n")
-        ds = parse_libsvm(path)
-    f = ds.features
-    yield ("parse-libsvm", "parse_libsvm", f"rows={ds.n}",
-           _sha1((ds.labels, np.float64), (f.indptr, np.int64), (f.indices, np.int64),
-                 (f.data, np.float64)),
-           _sha1((f.indptr, np.int64), (f.indices, np.int64)))
+    for name, line_end in (("parse-libsvm", "\n"), ("parse-libsvm-crlf", "\r\n")):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = pathlib.Path(tmp) / "digest.libsvm"
+            path.write_bytes((line_end.join(lines) + line_end).encode("ascii"))
+            ds = parse_libsvm(path)
+        f = ds.features
+        yield (name, "parse_libsvm", f"rows={ds.n}",
+               _sha1((ds.labels, np.float64), (f.indptr, np.int64), (f.indices, np.int64),
+                     (f.data, np.float64)),
+               _sha1((f.indptr, np.int64), (f.indices, np.int64)))
 
 
 def main(argv=None) -> int:
