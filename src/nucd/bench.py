@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 
 import numpy as np
@@ -322,7 +322,7 @@ def beta_sweep(
         raise ValueError("need at least one seed")
     if not beta_list:
         raise ValueError("need at least one beta")
-    oracle, _ = problems.build_penalty_dual(dataset.features, dataset.labels, lam)
+    oracle, base = problems.build_penalty_dual(dataset.features, dataset.labels, lam)
     ref = problems.reference_minimum(oracle)
     x0 = np.zeros(oracle.n)
     run = dict(algo="nu-acdm-ns", epochs=epochs, dist_fn=GapTo(ref.value),
@@ -333,9 +333,8 @@ def beta_sweep(
     # repeated beta stays its own entry
     bounds, cells = [], []
     for pos, beta in enumerate(beta_list):
-        _, profile = problems.build_penalty_dual(
-            dataset.features, dataset.labels, lam, beta=beta
-        )
+        # the constants L_i do not depend on beta, nor does sigma = 0
+        profile = replace(base, beta=beta)
         s_sq = s_alpha(profile, profile.alpha) ** 2
         bounds.append(
             2.0 * lbeta_norm_sq(x0 - ref.minimizer, profile) * s_sq

@@ -42,6 +42,7 @@ from .solvers import (
     nu_acdm,
     nu_acdm_ns,
     nu_probabilities,
+    ns_schedule,
     rcdm,
 )
 
@@ -153,10 +154,7 @@ def check_per_step_descent() -> CheckResult:
     """Single-coordinate descent guarantee f(y+) <= f(x+) - g^2/(2 L_i) at
     every iteration of the full-check battery, 1e-12 relative slack."""
     started = time.perf_counter()
-    try:
-        runs = _fully_checked_runs()
-    except InvariantViolation as err:
-        return _result("per-step-descent", started, False, str(err))
+    runs = _fully_checked_runs()
     worst = max(t.max_descent_violation for _n, t in runs)
     detail = f"{len(runs)} runs, worst relative violation {worst:.3e}"
     return _result("per-step-descent", started, worst <= DESCENT_SLACK, detail)
@@ -166,35 +164,31 @@ def check_mirror_step_residuals() -> CheckResult:
     """First-order condition of every z-step in the battery holds to 1e-9
     in the weighted norm."""
     started = time.perf_counter()
-    try:
-        runs = _fully_checked_runs()
-    except InvariantViolation as err:
-        return _result("mirror-step-residual", started, False, str(err))
+    runs = _fully_checked_runs()
     residuals = [t.max_mirror_residual for _n, t in runs
                  if not math.isnan(t.max_mirror_residual)]
     worst = max(residuals)
     detail = f"{len(residuals)} accelerated runs, worst residual {worst:.3e}"
     return _result(
-        "mirror-step-residual", started, worst <= MIRROR_RESIDUAL_TOL, detail
+        "mirror-step-residuals", started, worst <= MIRROR_RESIDUAL_TOL, detail
     )
 
 
 def check_schedule_identities(count=10_000) -> CheckResult:
     """Both step-size identities hold to 1e-12 over `count` random
-    parameterizations: (1+eta*sigma)(1-tau) = 1 and the eta recurrence."""
+    parameterizations: (1+eta*sigma)(1-tau) = 1 for accel_schedule and the
+    eta recurrence between consecutive ns_schedule steps."""
     started = time.perf_counter()
     rng = np.random.default_rng(7)
     m = 10.0 ** rng.uniform(-4.0, 8.0, count)
     sigma = m * 10.0 ** rng.uniform(-12.0, 0.0, count)
-    q = np.sqrt(4.0 * m / sigma + 1.0)
-    tau = 2.0 / (1.0 + q)
-    eta = 1.0 / (tau * m)
+    tau, eta = np.array([accel_schedule(*ms) for ms in zip(m.tolist(), sigma.tolist())]).T
     err1 = float(np.max(np.abs((1.0 + eta * sigma) * (1.0 - tau) - 1.0)))
 
     s_sq = 10.0 ** rng.uniform(-4.0, 8.0, count)
-    k = rng.integers(0, 10**6, count).astype(float)
-    eta_next = (k + 2.0) / (2.0 * s_sq)
-    eta_k = (k + 1.0) / (2.0 * s_sq)
+    k = rng.integers(0, 10**6, count)
+    eta_k, eta_next = np.array([(ns_schedule(ki - 1, si)[0], ns_schedule(ki, si)[0])
+                                for ki, si in zip(k.tolist(), s_sq.tolist())]).T
     lhs = eta_k * eta_k * s_sq
     rhs = eta_next * eta_next * s_sq - eta_next + 1.0 / (4.0 * s_sq)
     err2 = float(np.max(np.abs(lhs - rhs) / np.maximum(1.0, np.abs(lhs))))
@@ -501,13 +495,18 @@ ALL_CHECKS = (
 
 
 def run_all(jobs: int = 1, report=print) -> list[CheckResult]:
-    """Execute every check, print one PASS/FAIL line each, return results."""
+    """Execute every check, print one PASS/FAIL line each, return results.
+
+    A check whose solver run raises a violated guarantee or a convergence
+    failure fails, named by its function, and the next check runs."""
     results = []
     for fn in ALL_CHECKS:
-        if fn in (check_kaczmarz_race, check_beta_sweep):
-            res = fn(jobs=jobs)
-        else:
-            res = fn()
+        started = time.perf_counter()
+        try:
+            res = fn(jobs=jobs) if fn in (check_kaczmarz_race, check_beta_sweep) else fn()
+        except (InvariantViolation, problems.ConvergenceError) as err:
+            name = fn.__name__.removeprefix("check_").replace("_", "-")
+            res = _result(name, started, False, f"{type(err).__name__}: {err}")
         results.append(res)
         if report is not None:
             report(res.line())

@@ -181,8 +181,10 @@ def _read_block(fh):
 
 def _lines(block):
     """The lines of a block as open(path) reads them in text mode: decoded
-    with the locale's encoding, universal newlines."""
-    return io.TextIOWrapper(io.BytesIO(block)).readlines()
+    with the locale's encoding, universal newlines.  A byte the encoding
+    refuses becomes a backslash escape, which no number or index spells:
+    a comment drops it, and in a token it is that token's ParseError."""
+    return io.TextIOWrapper(io.BytesIO(block), errors="backslashreplace").readlines()
 
 
 def _convert_lines(lines, block, limit):

@@ -123,6 +123,10 @@ class SolverConfig:
     on_record: Callable | None = None
 
     def __post_init__(self):
+        for name in ("iters", "seed", "trace_stride"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise TypeError(f"{name} must be an integer, not {value!r}")
         if self.iters < 0:
             raise ValueError("iters must be nonnegative")
         if self.trace_stride < 1:
@@ -318,15 +322,13 @@ class _StronglyConvex:
         self.r = -(1.0 - self.tau)
         self.rho = (1.0 - self.tau) ** 2
         shrink = 1.0 / (1.0 + self.eta * self.sigma)
-        # a step on coordinate i moves z_i by -z_scale(z_coef[i], eta) * g
         self.z_coef = shrink * self.eta / (p * profile.l ** profile.beta)
 
-    def steps(self, k: int, count: int):
-        """(rho, eta) of steps k .. k + count - 1 as arrays."""
-        return np.full(count, self.rho), np.full(count, self.eta)
-
-    def z_scale(self, coef, eta):
-        return coef
+    def steps(self, k: int, idx: np.ndarray):
+        """(rho, eta, z coefficient) of steps k .. k + idx.size - 1 on
+        coordinates idx, as arrays: step t moves z_{idx[t]} by -(its z
+        coefficient) g."""
+        return np.full(idx.size, self.rho), np.full(idx.size, self.eta), self.z_coef[idx]
 
     def check_start(self, algo: str):
         # a failure here means a corrupted profile
@@ -349,24 +351,19 @@ class _Growing:
     def __init__(self, profile: SmoothnessProfile, p: np.ndarray, s_alpha_sq: float):
         ns_schedule(0, s_alpha_sq)  # validates s_alpha_sq
         self.s_sq = s_alpha_sq
-        self.two_s_sq = 2.0 * s_alpha_sq
         self.z_coef = 1.0 / (p * profile.l ** profile.beta)
 
-    def steps(self, k: int, count: int):
-        # ns_schedule(k, s_sq) for each step, the same operations
-        k2 = np.arange(k, k + count) + 2.0
-        return 1.0 - 2.0 / k2, k2 / self.two_s_sq
-
-    def z_scale(self, coef, eta):
-        return eta * coef
+    def steps(self, k: int, idx: np.ndarray):
+        """As _StronglyConvex.steps, from ns_schedule over the steps."""
+        eta, tau = ns_schedule(np.arange(k, k + idx.size), self.s_sq)
+        return 1.0 - tau, eta, eta * self.z_coef[idx]
 
     def check_start(self, algo: str):
         pass
 
     def check_step(self, algo: str, k: int, eta: float):
         # eta recurrence linking consecutive steps
-        s_sq = self.s_sq
-        e_prev = (k + 1.0) / (2.0 * s_sq)
+        s_sq, e_prev = self.s_sq, ns_schedule(k - 1, self.s_sq)[0]
         lhs = e_prev * e_prev * s_sq
         rhs = eta * eta * s_sq - eta + 1.0 / (4.0 * s_sq)
         if abs(lhs - rhs) > 1e-12 * max(1.0, abs(lhs)):
@@ -420,7 +417,7 @@ class _StepPlan:
             if schedule is None:
                 coefs.append(il)
             else:
-                rho, eta = schedule.steps(k, count)
+                rho, eta, zc = schedule.steps(k, idx[-1])
                 rho[0] *= self.c
                 cs = np.cumprod(rho)
                 # c only falls between folds: the steps below FOLD_BELOW are
@@ -431,7 +428,6 @@ class _StepPlan:
                     rho[t] = 1.0
                     cs[t:] = np.cumprod(rho[t:])
                 self.c = float(cs[-1])
-                zc = schedule.z_scale(schedule.z_coef[idx[-1]], eta)
                 if self.blocks:
                     r = schedule.r
                     kappa = (r * il - zc) / (1.0 - r)

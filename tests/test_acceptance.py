@@ -18,3 +18,5 @@ def test_acceptance(check_fn):
     result = check_fn()
     print(result.line())
     assert result.passed, result.line()
+    # run_all names a check that raises after its function
+    assert result.name == check_fn.__name__.removeprefix("check_").replace("_", "-")

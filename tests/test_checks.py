@@ -1,0 +1,84 @@
+"""The check suite's plumbing: run_all reports every check even when one
+raises, and check_schedule_identities tests the schedules the solvers
+run, not a copy of their formulas."""
+
+import pytest
+
+from nucd import checks, solvers
+from nucd.cli import main
+from nucd.problems import ConvergenceError
+
+
+def check_passing():
+    return checks.CheckResult("passing", True, "fine", 0.0)
+
+
+def check_violated_guarantee():
+    raise solvers.InvariantViolation("nu-acdm: z-step residual 1e-03 at iteration 4")
+
+
+def check_not_converged():
+    raise ConvergenceError("no record settled within 20000 epochs")
+
+
+_SUITE = (check_passing, check_violated_guarantee, check_passing,
+          check_not_converged, check_passing)
+
+
+def test_run_all_fails_a_raising_check_and_runs_the_rest(monkeypatch):
+    monkeypatch.setattr(checks, "ALL_CHECKS", _SUITE)
+    lines = []
+    results = checks.run_all(report=lines.append)
+    assert [r.passed for r in results] == [True, False, True, False, True]
+    assert [r.name for r in results] == [
+        "passing", "violated-guarantee", "passing", "not-converged", "passing"]
+    assert results[1].detail == (
+        "InvariantViolation: nu-acdm: z-step residual 1e-03 at iteration 4")
+    assert results[3].detail == (
+        "ConvergenceError: no record settled within 20000 epochs")
+    assert lines == [r.line() for r in results]
+
+
+def test_check_command_prints_every_line_and_the_summary(monkeypatch, capsys):
+    monkeypatch.setattr(checks, "ALL_CHECKS", _SUITE)
+    assert main(["check"]) == 2
+    out = capsys.readouterr().out.splitlines()
+    assert [line.split()[:2] for line in out[:-1]] == [
+        ["PASS", "passing"], ["FAIL", "violated-guarantee"], ["PASS", "passing"],
+        ["FAIL", "not-converged"], ["PASS", "passing"]]
+    assert out[-1] == "3/5 checks passed"
+
+
+def test_battery_checks_fail_by_name_when_the_battery_raises(monkeypatch):
+    """Both checks that read the fully checked battery fail, each under
+    its own name, when a run in it violates a guarantee."""
+    def battery():
+        raise solvers.InvariantViolation("rcdm: coordinate descent guarantee violated")
+
+    monkeypatch.setattr(checks, "_fully_checked_runs", battery)
+    monkeypatch.setattr(checks, "ALL_CHECKS", (checks.check_per_step_descent,
+                                               checks.check_mirror_step_residuals))
+    results = checks.run_all(report=None)
+    assert [(r.name, r.passed) for r in results] == [
+        ("per-step-descent", False), ("mirror-step-residuals", False)]
+    assert all("coordinate descent guarantee violated" in r.detail for r in results)
+
+
+def _accel_eta_off(rate, sigma):
+    tau, eta = solvers.accel_schedule(rate, sigma)
+    return tau, eta * (1.0 + 1e-6)
+
+
+def _ns_eta_off(k, s_sq):
+    eta, tau = solvers.ns_schedule(k, s_sq)
+    return eta * (1.0 + 1e-6), tau
+
+
+@pytest.mark.parametrize("name, broken", [("accel_schedule", _accel_eta_off),
+                                          ("ns_schedule", _ns_eta_off)])
+def test_schedule_identities_check_reads_the_solvers_schedules(monkeypatch, name, broken):
+    """An eta off by one part in a million in either schedule fails the check."""
+    assert checks.check_schedule_identities().passed
+    monkeypatch.setattr(checks, name, broken)
+    result = checks.check_schedule_identities()
+    assert not result.passed, result.line()

@@ -135,6 +135,21 @@ def test_overflowing_index_exits_three(tmp_path, capsys):
     assert f"parse error: {bad}:1:3: index 99999999999999999999 out of range" in err
 
 
+def test_undecodable_byte_exits_three(tmp_path, capsys):
+    """A Latin-1 byte in a comment is ignored; in a token it is a parse
+    error naming its position."""
+    data = tmp_path / "latin.libsvm"
+    data.write_bytes(b"1 1:2 # caf\xe9\n2 2:3\n")
+    code, *_ = run(capsys, "solve", "--problem", "kaczmarz", "--algo", "kaczmarz",
+                   "--data", str(data), "--epochs", "1")
+    assert code == 0
+    data.write_bytes(b"1 1:2\n2 2:3\xe9\n")
+    code, _out, err = run(capsys, "solve", "--problem", "kaczmarz", "--algo", "kaczmarz",
+                          "--data", str(data), "--epochs", "1")
+    assert code == 3
+    assert f"parse error: {data}:2:3: bad value '3" in err
+
+
 def test_missing_output_dir_exits_three(tmp_path, capsys):
     target = tmp_path / "nope" / "sys.libsvm"
     code, _out, err = run(capsys, "gen", "--kind", "linsys", "--m", "5", "--n", "2",

@@ -2,6 +2,7 @@ import io
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 from unittest import mock
@@ -470,6 +471,21 @@ def test_binary_blocks_parse_like_line_scanner(tmp_path, monkeypatch, name, text
     with pytest.raises(ParseError) as got:
         parse_libsvm(bad)
     assert str(got.value) == str(err.value)
+
+
+@pytest.mark.parametrize("block_bytes", [1, data_io._BLOCK_BYTES])
+def test_undecodable_bytes_are_dropped_in_comments_and_named_in_tokens(
+        tmp_path, monkeypatch, block_bytes):
+    """A Latin-1 byte, which UTF-8 refuses, is ignored in a comment; in a
+    token it is that token's ParseError at path:line:column."""
+    monkeypatch.setattr(data_io, "_BLOCK_BYTES", block_bytes)
+    p = tmp_path / "comment.libsvm"
+    p.write_bytes(b"1 1:2 # caf\xe9\n2 2:3\n")
+    _assert_same_parse(parse_libsvm(p), _scan_file(_write(tmp_path, "1 1:2\n2 2:3\n")))
+    bad = tmp_path / "token.libsvm"
+    bad.write_bytes(b"1 1:2\n2 2:3\xe9 3:1\n")
+    with pytest.raises(ParseError, match=rf"^{re.escape(str(bad))}:2:3: bad value '3"):
+        parse_libsvm(bad)
 
 
 def test_reader_runs_on_one_thread_and_restores_its_setting(monkeypatch):

@@ -67,9 +67,13 @@ def test_ns_schedule_recurrence(k, s_sq):
 @given(st.integers(min_value=0, max_value=10**9), st.floats(min_value=1e-6, max_value=1e9))
 def test_growing_step_is_ns_schedule_bit_for_bit(k, s_sq):
     _, prof = build_separable_quadratic(np.array([1.0, 4.0]))
-    eta, tau = ns_schedule(k, s_sq)
-    rho, etas = solvers._Growing(prof, nu_probabilities(prof), s_sq).steps(k, 1)
-    assert (rho[0], etas[0]) == (1.0 - tau, eta)
+    p = nu_probabilities(prof)
+    idx = np.array([1, 0, 1])
+    rho, etas, z_steps = solvers._Growing(prof, p, s_sq).steps(k, idx)
+    for t, i in enumerate(idx):
+        eta, tau = ns_schedule(k + t, s_sq)
+        assert (rho[t], etas[t]) == (1.0 - tau, eta)
+        assert z_steps[t] == eta * (1.0 / (p[i] * prof.l[i] ** prof.beta))
 
 
 def test_schedule_rejects_degenerate_inputs():

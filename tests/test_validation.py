@@ -1,4 +1,5 @@
-"""Input checks raise ValueError, so they hold under python -O as well."""
+"""Input checks raise ValueError (TypeError for a count that is not an
+integer), not AssertionError, so they hold under python -O as well."""
 
 import numpy as np
 import pytest
@@ -108,3 +109,28 @@ def test_overflowing_row_norm_is_refused_by_row(call):
     finite, instead of failing later on the smoothness constants."""
     with pytest.raises(ValueError, match=r"^row 0: squared norm"):
         call(SparseRowMatrix(*_HUGE_ROW))
+
+
+@pytest.mark.parametrize(
+    "kwargs, name",
+    [
+        (dict(iters=100.0), "iters"),
+        (dict(iters=True), "iters"),
+        (dict(iters=10, trace_stride=20.0), "trace_stride"),
+        (dict(iters=10, trace_stride=np.float64(2.0)), "trace_stride"),
+        (dict(iters=10, seed=1.5), "seed"),
+        (dict(iters=10, seed=False), "seed"),
+        (dict(iters=10, seed=np.True_), "seed"),
+    ],
+    ids=["iters-float", "iters-bool", "stride-float", "stride-numpy-float",
+         "seed-float", "seed-bool", "seed-numpy-bool"],
+)
+def test_solver_config_counts_must_be_integers(kwargs, name):
+    with pytest.raises(TypeError, match=rf"^{name} must be an integer"):
+        SolverConfig(**kwargs)
+
+
+def test_solver_config_accepts_numpy_integers():
+    cfg = SolverConfig(iters=np.int64(5), seed=np.uint32(3), trace_stride=np.int32(2))
+    _y, trace = nu_acdm(*_QUADRATIC, np.zeros(3), cfg)
+    assert trace.iters.tolist() == [0, 2, 4, 5]
