@@ -25,22 +25,26 @@ residual form and the ridge, smoothed-Lasso and penalty duals), an
 unchecked run with a trace stride of at least _BLOCK_MIN steps
 (_CSR_SEGMENT_MIN on rows of scattered columns) takes block Gauss-Seidel
 steps: B steps of the plan, the B x B weighted Gram matrix of their rows
-and one triangular solve for all B gradients (see _Blocks).  The Lasso's
-model holds only while no entry of the aggregate crosses +-lam, and the
-penalty's only while no step's coordinate crosses +-1; a block that
-crosses applies the steps before the crossing and restarts there.  A
-linear system (the Kaczmarz quadratic, kaczmarz's residual form) of rows
-of all d columns, with m at most 4 d and an m x m Gram under 8 MiB, where
-row blocks would be shorter than 80 steps, takes the Gram path instead:
-its blocks read the matrix's cached A A^T and the products r of the
-caches with every row, move r alone, and the caches are rebuilt from the
-points at each trace record and at return (_GramRows).  Blocks are exact
-in arithmetic, so records and stops are those of single steps, but they
-round differently: such a run agrees with a checked run (always single
-steps) to rounding, not bit for bit.  Either way a run is
-bit-reproducible from its parameters and seed, for a fixed BLAS library
-and thread count: the cached Gram is one BLAS syrk, whose rounding can
-change with the thread count.
+and one triangular solve for all B gradients (see _Blocks).  On rows of
+scattered columns the structure that depends only on the blocks' rows
+(their entries and column pairs) is built once for a window of
+consecutive blocks, and each block reads slices of it
+(_ScatteredWindow).  The Lasso's model holds only while no entry of the
+aggregate crosses +-lam, and the penalty's only while no step's
+coordinate crosses +-1; a block that crosses applies the steps before
+the crossing and restarts there.  A linear system (the Kaczmarz
+quadratic, kaczmarz's residual form) of rows of all d columns, with m at
+most 4 d and an m x m Gram under 8 MiB, where row blocks would be
+shorter than 80 steps, takes the Gram path instead: its blocks read the
+matrix's cached A A^T and the products r of the caches with every row,
+move r alone, and the caches are rebuilt from the points at each trace
+record and at return (_GramRows).  Blocks are exact in arithmetic, so
+records and stops are those of single steps, but they round differently:
+such a run agrees with a checked run (always single steps) to rounding,
+not bit for bit.  Either way a run is bit-reproducible from its
+parameters and seed, for a fixed BLAS library and thread count: the
+cached Gram is one BLAS syrk, whose rounding can change with the thread
+count.
 
 Iteration cost is honest: no solver ever forms a full gradient except
 full_gd, which exists as a reference baseline.
@@ -75,12 +79,23 @@ FOLD_BELOW = 2.0 ** -300
 # them on rows of all d columns when its trace stride is at least
 # _BLOCK_MIN, and on any other rows when it is at least _CSR_SEGMENT_MIN: a
 # block of those pays a sort of its entries by column (a radix sort when
-# d <= 2^16, see _ScatteredRows) and some dozen numpy calls whatever its
+# d <= 2^16, see _ScatteredWindow) and some dozen numpy calls whatever its
 # length.  The thresholds are where blocks began to beat single steps on
-# 300 x 100 dense and 50000 x 2500, 10 nnz per row systems.
+# 300 x 100 dense rows and, on rows of few columns, on a 2000 x 5000 Lasso
+# and ridge dual of 20 nnz per row and a 20000 x 1000 system of 10
+# (single/block wall time 0.8-1.8 at stride 16, 1.2-1.7 at 32).
 _BLOCK_MIN = 16
 _BLOCK_WORK = 2 ** 18
-_CSR_SEGMENT_MIN = 64
+_CSR_SEGMENT_MIN = 32
+# a window of blocks on rows of few columns (_ScatteredWindow) holds the
+# blocks from its first on while those before hold fewer entries than
+# this.  Larger windows share their fixed cost over more blocks, but their
+# temporaries (some 20 arrays the window's length) outgrow the heap the
+# allocator keeps and page-fault anew in every window: at 2^18 entries
+# 2 500-4 000 faults a window, and a blocked run 1.3-2 times as long as
+# one of blocks built alone; at 2^15 under 200, and none once the process
+# had freed an 8 MB array, as parsing a large file does
+_WINDOW_WORK = 2 ** 15
 # the Gram path of the linear-system oracles (_GramRows) costs O(B m) per
 # block, not O(B^2 d), and runs blocks of _GRAM_BLOCK steps.  It takes rows
 # of all d columns whose m x m Gram fits _GRAM_BYTES, with m at most
@@ -388,8 +403,10 @@ class _StepPlan:
     steps, which solve with it on their diagonal.  take(size) returns
     (idx, fold, coefs) for at most size next steps: a fold's factor to
     apply before the first (or None; a request ends before the next fold)
-    and a view of their rows of the table.  give_back(count) returns the last count steps taken, never
-    all of a request.  Planning 4096 steps at a time makes a short request
+    and a view of their rows of the table.  ahead(size) shows the
+    coordinates and folds of the next size steps without taking them, and
+    give_back(count) returns the last count steps taken, never all of a
+    request.  Planning 4096 steps at a time makes a short request
     a slice; draws continue one stream and c one product, so that changes
     no step."""
 
@@ -447,6 +464,15 @@ class _StepPlan:
             size = min(size, folds[0][0] - k)
         self.pos = pos + size
         return self.idx[pos:self.pos], fold, self.coefs[pos:self.pos]
+
+    def ahead(self, size: int):
+        """(idx, fold steps): the coordinates of the next size steps, not
+        taken, and the steps of the folds not yet taken among them,
+        ascending."""
+        if self.pos + size > self.idx.size:
+            self._plan(size)
+        end = self.base + self.pos + size
+        return self.idx[self.pos:self.pos + size], [t for t, _ in self.folds if t < end]
 
     def give_back(self, count: int):
         self.pos -= count
@@ -517,25 +543,113 @@ class _FullRows(_BlockRows):
         self.aggs += upd @ rows
 
 
-class _ScatteredRows(_BlockRows):
-    """The rows of a SparseRowMatrix as flat entries (block row, column,
-    value) read from its indptr, indices and data.  The Gram matrix, the
-    products with the caches, the moves of the entries and the scatter
-    into the caches cost O(entries and column collisions) plus one sort of
-    the entries by column, whatever d is: a radix sort, O(entries), when
-    d <= 2^16, and a comparison sort of int64 keys on wider matrices."""
+class _ScatteredWindow:
+    """The structure of consecutive blocks of rows of a SparseRowMatrix,
+    built once for them all and read by each block as slices
+    (_ScatteredRows): the blocks' coordinates idx in step order, block b
+    being steps ends[b - 1] .. ends[b] - 1 (ends[-1] = idx.size).  Over
+    the window's entries, in step order, it holds each entry's column,
+    value and row within its block, and each row's first entry within its
+    block; and its column pairs, block by block, as the pair's entries
+    within its block (later, earlier).
 
-    def __init__(self, mat: SparseRowMatrix, idx: np.ndarray, *state):
-        super().__init__(idx, *state)
+    A block's pairs are every pair of entries of two of its rows on one
+    column, the later row's entry first, in ascending column order.  Each
+    block's entries are sorted stably by column (ids under 2^16 as
+    uint16, which numpy radix-sorts in O(entries); wider ones as int64
+    keys (column, entry)), so that the window's entries fall into runs of
+    equal columns, one block after another, and each entry after a run's
+    first pairs with the entries before it in its run.  Past the sorts,
+    the work is whole-window array passes; one sort of the whole window
+    would cost as much as the blocks' sorts, and the pairs would then
+    need a second sort to group them by block."""
+
+    def __init__(self, mat: SparseRowMatrix, idx: np.ndarray, ends):
+        # in-place arithmetic below keeps the window's temporaries few
         lo = mat.indptr[idx]
         lens = mat.indptr[idx + 1] - lo
-        self.starts = np.cumsum(lens) - lens
-        self.empty = None if lens.all() else lens == 0
-        flat = np.arange(int(lens.sum())) + np.repeat(lo - self.starts, lens)
-        self.row = np.repeat(np.arange(idx.size), lens)
+        starts = np.cumsum(lens) - lens
+        size = int(lens.sum())
+        flat = np.repeat(lo - starts, lens)
+        flat += np.arange(size)
+        self.idx, self.lens = idx, lens
         self.cols, self.vals = mat.indices[flat], mat.data[flat]
-        self.narrow = mat.d <= 2 ** 16
-        self.pairs = None
+        cols = self.cols
+        if mat.d <= 2 ** 16:
+            ids = cols.astype(np.uint16)
+            sort = lambda lo, hi: np.argsort(ids[lo:hi], kind="stable")
+        else:
+            ids = cols
+            sort = lambda lo, hi: np.argsort(ids[lo:hi] * (hi - lo) + np.arange(hi - lo))
+        # block b is steps step_at[b] .. step_at[b + 1] - 1, entries
+        # entry_at[b] .. and pairs pair_at[b] ..
+        self.step_at = [0, *ends]
+        blocks = len(ends)
+        if blocks == 1:
+            self.entry_at, self.starts = [0, size], starts
+            self.row = np.repeat(np.arange(idx.size), lens)
+            order = sort(0, size)
+        else:
+            counts = np.diff(self.step_at)
+            at = starts[self.step_at[:-1]]  # each block's first entry
+            self.entry_at = [*at.tolist(), size]
+            self.starts = starts - np.repeat(at, counts)
+            self.row = np.repeat(np.arange(idx.size) - np.repeat(self.step_at[:-1], counts),
+                                 lens)
+            order = np.concatenate([sort(lo, hi) + lo for lo, hi in
+                                    zip(self.entry_at[:-1], self.entry_at[1:])])
+        sorted_ids = ids[order]
+        # the sorted positions that repeat the previous column of their
+        # block: a run's repeats are consecutive, and its start is just
+        # before them
+        same = sorted_ids[1:] == sorted_ids[:-1]
+        if blocks > 1:
+            # a block's first entry starts a run
+            cut = at[1:] - 1
+            same[cut[(cut >= 0) & (cut < size - 1)]] = False
+        rep = np.flatnonzero(same) + 1
+        run_first = np.empty(rep.size, bool)
+        run_first[:1] = True
+        np.not_equal(rep[1:], rep[:-1] + 1, out=run_first[1:])
+        run_start = np.maximum.accumulate(np.where(run_first, rep - 1, 0))
+        a = rep - run_start
+        later = np.repeat(rep, a)
+        earlier = np.repeat(run_start - np.cumsum(a) + a, a)
+        earlier += np.arange(later.size)
+        # later ascends, so each block's pairs are one run of it
+        self.pair_at = ([0, later.size] if blocks == 1 else
+                        [0, *np.searchsorted(later, at[1:]).tolist(), later.size])
+        later, earlier = order[later], order[earlier]
+        if blocks > 1:
+            pairs = np.diff(self.pair_at)
+            at = np.repeat(at, pairs)
+            later -= at
+            earlier -= at
+        self.later, self.earlier = later, earlier
+
+    def rows(self, b: int, *state) -> _ScatteredRows:
+        """Block b, with the stored points and caches (ux, vx, aggs, cs)."""
+        return _ScatteredRows(self, b, *state)
+
+
+class _ScatteredRows(_BlockRows):
+    """The rows of a block of a SparseRowMatrix as flat entries (block row,
+    column, value), sliced from its _ScatteredWindow.  The Gram matrix, the
+    products with the caches, the moves of the entries and the scatter
+    into the caches cost O(entries and column pairs), whatever d is; the
+    window finds the pairs."""
+
+    def __init__(self, window: _ScatteredWindow, b: int, *state):
+        s0, s1 = window.step_at[b], window.step_at[b + 1]
+        e0, e1 = window.entry_at[b], window.entry_at[b + 1]
+        p0, p1 = window.pair_at[b], window.pair_at[b + 1]
+        super().__init__(window.idx[s0:s1], *state)
+        self.starts = window.starts[s0:s1]
+        lens = window.lens[s0:s1]
+        self.empty = None if np.count_nonzero(lens) == lens.size else lens == 0
+        self.row, self.cols, self.vals = (window.row[e0:e1], window.cols[e0:e1],
+                                          window.vals[e0:e1])
+        self.later, self.earlier = window.later[p0:p1], window.earlier[p0:p1]
 
     def _row_sums(self, x: np.ndarray) -> np.ndarray:
         """The sums of x over each row's entries, along x's last axis."""
@@ -561,39 +675,11 @@ class _ScatteredRows(_BlockRows):
     def sums(self, w: np.ndarray) -> np.ndarray:
         return self._row_sums(self.vals * w)
 
-    def _later_earlier(self):
-        """(later, earlier): every pair of entries of two rows on one
-        column, the later row's entry first, in ascending column order.
-        Sorted stably by column, the entries form runs of equal columns,
-        and each entry after a run's first pairs with the entries before
-        it in its run.  Column ids under 2^16 sort as uint16, which numpy
-        radix-sorts in O(entries); wider ones sort as int64 keys (column,
-        entry)."""
-        if self.pairs is None:
-            cols = self.cols
-            if self.narrow:
-                order = np.argsort(cols.astype(np.uint16), kind="stable")
-            else:
-                order = np.argsort(cols * cols.size + np.arange(cols.size))
-            sorted_cols = cols[order]
-            # the sorted positions that repeat the previous column: a run's
-            # repeats are consecutive, and its start is just before them
-            rep = np.flatnonzero(sorted_cols[1:] == sorted_cols[:-1]) + 1
-            first = np.empty(rep.size, bool)
-            first[:1] = True
-            np.not_equal(rep[1:], rep[:-1] + 1, out=first[1:])
-            run_start = np.maximum.accumulate(np.where(first, rep - 1, 0))
-            a = rep - run_start
-            later = np.repeat(rep, a)
-            earlier = np.repeat(run_start - np.cumsum(a) + a, a) + np.arange(later.size)
-            self.pairs = order[later], order[earlier]
-        return self.pairs
-
     def gram(self, weights) -> np.ndarray:
         """The strict lower triangle of A_I A_I^T (the rest is 0), each
         product weighted by the weight of the later row's entry; weights
         is a float or one per entry."""
-        later, earlier = self._later_earlier()
+        later, earlier = self.later, self.earlier
         prod = self.vals[later] * self.vals[earlier]
         scalar = isinstance(weights, float)
         if not scalar:
@@ -609,7 +695,7 @@ class _ScatteredRows(_BlockRows):
     def moves(self, steps: np.ndarray) -> np.ndarray:
         """The sum over s < t of steps[t, s] * a_s on each entry of row
         t, flat."""
-        later, earlier = self._later_earlier()
+        later, earlier = self.later, self.earlier
         return np.bincount(later, minlength=self.cols.size, weights=self.vals[earlier]
                            * steps[self.row[later], self.row[earlier]]).astype(float, copy=False)
 
@@ -723,21 +809,40 @@ class _Blocks:
     fold, nor a trace record (run steps one segment).  A segment runs as
     blocks of block_len until less than 1.5 block_len steps are left, which
     run as one block, so no block is a short remainder.
+
+    On rows of few columns the blocks are planned a window at a time
+    (_window): from the plan's coordinates and folds ahead, by the same
+    rule, the blocks from the current step on, up to the segment's end and
+    while those before hold fewer than _WINDOW_WORK entries.  One
+    _ScatteredWindow holds their entries and column pairs, and each block
+    takes its slices, which equal, bit for bit, a window of that block
+    alone.  A restart moves every later block, so the window is built again
+    from the restart step; after a restart the window holds one block, and
+    each window that runs out holds twice as many as the last, so restarts
+    that come every few blocks waste no more structure than the blocks
+    take.  A segment's last block (less than 1.5 block_len) is taken from
+    the plan first and built alone, as a window of one.
     """
 
     def __init__(self, oracle, plan, ux, vx, aggs, algo):
         mat = oracle.row_matrix
         self.plan, self.model, self.div = plan, oracle.block_model, oracle.agg_div
         self.r, self.dense = None, mat.dense
-        if self.dense is not None:
-            self.rows_of = partial(_FullRows, self.dense)
+        if self.dense is None:
+            # rows of few columns: blocks are read from windows (_window)
+            self.mat, self.rows_of = mat, None
         else:
-            self.rows_of = partial(_ScatteredRows, mat)
+            self.mat, self.rows_of = None, partial(_FullRows, self.dense)
         # the Gram product grows with block_len^2 * nnz per row, while the
         # per-block overhead it amortizes does not; counting an empty row
         # as one entry keeps the block at most sqrt(_BLOCK_WORK) steps
-        self.block_len = max(_BLOCK_MIN,
-                             math.isqrt(_BLOCK_WORK * mat.m // max(mat.nnz, mat.m)))
+        weight = max(mat.nnz, mat.m)
+        self.block_len = max(_BLOCK_MIN, math.isqrt(_BLOCK_WORK * mat.m // weight))
+        # a window's first look ahead: its budget at the mean row weight,
+        # and room for its last block
+        self.window_steps = _WINDOW_WORK * mat.m // weight + 2 * self.block_len
+        # a window's most blocks: no limit until a block restarts
+        self.window_blocks = math.inf
         if _takes_gram(oracle, self.block_len):
             # the caches are affine in the points: the aggregate at 0 plus
             # A^T x / agg_div
@@ -757,6 +862,47 @@ class _Blocks:
             agg[:] = self.at_zero + (x @ self.dense) / self.div
         self.r[...] = self.aggs @ self.dense.T
 
+    def _size(self, left: int) -> int:
+        """The next block's length, left steps before the segment's end
+        and none before a fold: block_len, or all left when fewer than 1.5
+        block_len are."""
+        return self.block_len if 2 * left >= 3 * self.block_len else left
+
+    def _window(self, k: int, end: int) -> _ScatteredWindow:
+        """The window of the blocks that run takes from step k on, up to
+        end: at most window_blocks of them, while the blocks before hold
+        fewer than _WINDOW_WORK entries (an empty row counting as one), so
+        at most that plus one block.  The plan is looked ahead of,
+        doubling from window_steps steps, until it covers them."""
+        ptr, plan, left = self.mat.indptr, self.plan, end - k
+        ahead = min(left, self.window_steps)
+        while True:
+            idx, folds = plan.ahead(ahead)
+            # the blocks inside the look-ahead, each cut at the next fold
+            ends, j = [], k
+            folds = iter([t for t in folds if t > k] + [end])
+            fold = next(folds)
+            while j < end and len(ends) < self.window_blocks:
+                stop = min(j + self._size(end - j), fold)
+                if stop > k + ahead:
+                    break
+                ends.append(stop - k)
+                j = stop
+                if j == fold < end:
+                    fold = next(folds)
+            whole = j == end or len(ends) == self.window_blocks
+            if ends:
+                # the blocks whose earlier blocks weigh under the budget
+                count = len(ends)
+                if count > 1 or not whole:
+                    steps = idx[:ends[-1]]
+                    weight = np.cumsum(np.maximum(ptr[steps + 1] - ptr[steps], 1))
+                    count = int(np.searchsorted(weight[np.array(ends) - 1], _WINDOW_WORK)) + 1
+                if count <= len(ends) or whole:
+                    ends = ends[:count]
+                    return _ScatteredWindow(self.mat, idx[:ends[-1]], ends)
+            ahead = min(left, 2 * ahead)
+
     def _below(self, size: int) -> np.ndarray:
         """The (size, size) mask of the strict lower triangle, a view of
         the largest one made so far."""
@@ -767,10 +913,19 @@ class _Blocks:
     def run(self, k: int, end: int) -> float:
         """Steps k .. end - 1; returns the last step's c."""
         accel, aggs, r, c = self.accel, self.aggs, self.r, 1.0
+        window = None  # on scattered rows: the window and its next block b
         while k < end:
-            size = end - k
-            if 2 * size >= 3 * self.block_len:
-                size = self.block_len
+            if self.mat is not None and (window is None or b + 1 == len(window.step_at)):
+                if window is not None:
+                    # it ran out without a restart
+                    self.window_blocks *= 2
+                # the segment's last block is taken without one
+                window, b = (self._window(k, end) if 2 * (end - k) >= 3 * self.block_len
+                             else None), 0
+            if window is None:
+                size = self._size(end - k)
+            else:
+                size = window.step_at[b + 1] - window.step_at[b]
             idx, fold, coefs = self.plan.take(size)
             size = idx.size
             if fold is not None:
@@ -784,7 +939,15 @@ class _Blocks:
                 neg_k -= kappa
             else:
                 cs = None
-            rows = self.rows_of(idx, self.ux, self.vx, aggs, cs)
+            if window is not None:
+                rows = window.rows(b, self.ux, self.vx, aggs, cs)
+                b += 1
+            elif self.mat is not None:
+                # the segment's last block, or its steps before a fold
+                rows = _ScatteredWindow(self.mat, idx, [size]).rows(
+                    0, self.ux, self.vx, aggs, cs)
+            else:
+                rows = self.rows_of(idx, self.ux, self.vx, aggs, cs)
             model = self.model(rows)
             # A = delta E + G, then tri = A o (-K) or, without a schedule,
             # A with L on its diagonal, in place
@@ -827,6 +990,10 @@ class _Blocks:
                     size = max(1, first)
                     self.plan.give_back(idx.size - size)
                     idx, g, coefs = idx[:size], g[:size], coefs[:size]
+                    # the later blocks start elsewhere, so the window is
+                    # built again from here: as one block, and then as
+                    # twice as many blocks each time one runs out
+                    window, self.window_blocks = None, 1
             # a finite sum needs finite terms
             if not math.isfinite(np.add.reduce(g)):
                 finite = np.isfinite(g)

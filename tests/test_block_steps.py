@@ -416,11 +416,12 @@ def _pairs_by_brute_force(mat, idx):
 @settings(deadline=None, max_examples=60)
 @given(data=st.data())
 def test_column_pairs_match_a_brute_force_listing(width, data):
-    """_ScatteredRows' column pairs, Gram triangle (weights 1.0, a scalar
-    and one per entry) and moves equal, bit for bit, sums over the pairs
-    listed by brute force and taken in that order: on narrow matrices,
-    those of 2^16 columns and ones of 2^17 + 5, with empty rows, rows drawn
-    more than once in a block and one-row blocks."""
+    """The column pairs, Gram triangle (weights 1.0, a scalar and one per
+    entry) and moves of a window of one block (_ScatteredRows) equal, bit
+    for bit, sums over the pairs listed by brute force and taken in that
+    order: on narrow matrices, those of 2^16 columns and ones of 2^17 + 5,
+    with empty rows, rows drawn more than once in a block and one-row
+    blocks."""
     d = _PAIR_WIDTHS[width] or data.draw(st.integers(1, 6))
     pool = _PAIR_COLUMNS[width](d)
     m = data.draw(st.integers(1, 6))
@@ -431,12 +432,13 @@ def test_column_pairs_match_a_brute_force_listing(width, data):
     mat = SparseRowMatrix(np.concatenate(([0], np.cumsum(lens))),
                           np.array([c for r in rows for c in r], dtype=np.int64),
                           rng.standard_normal(sum(lens)), (m, d))
-    block = solvers._ScatteredRows(mat, idx, None, None, np.zeros((1, d)), None)
+    block = solvers._ScatteredWindow(mat, idx, [idx.size]).rows(
+        0, None, None, np.zeros((1, d)), None)
     entries, pairs = _pairs_by_brute_force(mat, idx)
     step = np.array([e[0] for e in entries], dtype=np.int64)
     vals = np.array([e[2] for e in entries])
     assert np.array_equal(block.cols, [e[1] for e in entries])
-    later, earlier = block._later_earlier()
+    later, earlier = block.later, block.earlier
     assert np.array_equal(later, [p for p, _ in pairs])
     assert np.array_equal(earlier, [q for _, q in pairs])
 

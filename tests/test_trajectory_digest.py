@@ -23,17 +23,20 @@ def test_two_runs_print_identical_digests():
     # 12 problems: 9 strongly convex with 5 solvers, 3 penalty duals with 2,
     # plus kaczmarz on 3 systems; each at 3 check levels; then, unchecked at
     # a stride of 64, kaczmarz on 2 systems, 5 solvers on 4 ridge and Lasso
-    # duals and 2 on 2 penalty duals; then, unchecked on the Gram path of a
-    # 100 x 48 system, kaczmarz and 3 solvers on its quadratic; then 4
-    # solvers on the folding 2 x 2 system at a stride of 1 at 3 check
-    # levels and unchecked at strides of 64 and 997
+    # duals and 2 on 2 penalty duals; then, unchecked with several blocks
+    # per segment, kaczmarz and nu_acdm on a Lasso dual; then, unchecked on
+    # the Gram path of a 100 x 48 system, kaczmarz and 3 solvers on its
+    # quadratic; then 4 solvers on the folding 2 x 2 system at a stride of
+    # 1 at 3 check levels and unchecked at strides of 64 and 997
     assert len(solver_cells) == ((9 * 5 + 3 * 2 + 3) * 3 + 2 + 4 * 5 + 2 * 2
-                                 + 1 + 3 + 4 * (3 + 2))
+                                 + 2 + 1 + 3 + 4 * (3 + 2))
     names = {tuple(cell[:3]) for cell in solver_cells}
     assert ("linsys-scattered-stride64", "kaczmarz", "off") in names
     assert ("lasso-mixed-stride64", "nu_acdm", "off") in names
     assert ("ridge-scattered-stride64", "rcdm", "off") in names
     assert ("penalty-mixed-stride64", "nu_acdm_ns", "off") in names
+    assert ("linsys-scattered64-stride1000", "kaczmarz", "off") in names
+    assert ("lasso-scattered64-stride1000", "nu_acdm", "off") in names
     assert ("linsys-gram-100x48", "kaczmarz", "off") in names
     assert ("kaczmarz-gram-100x48", "rcdm", "off") in names
     assert ("fold-2x2-stride1", "nu_acdm", "full") in names

@@ -14,10 +14,18 @@ all-but-one rows ("mixed"); the solvers are nu_acdm, acdm_baseline,
 generalized_accel, nu_acdm_ns and rcdm, plus kaczmarz on the three linear
 systems.  Every cell above has a trace stride of 20 steps.  That is at
 least _BLOCK_MIN (16), so the dense cells at check level "off" take block
-steps, but below the 64 at which rows of a few columns take them, so the
+steps, but below the 32 at which rows of a few columns take them, so the
 scattered and mixed Kaczmarz systems (kaczmarz), ridge and Lasso duals
 (all five solvers) and penalty duals (nu_acdm_ns and rcdm) are digested
 once more, unchecked and with a trace stride of 64 steps.
+Those segments are one block each, apart from restarts, so two cells run
+several blocks per segment on rows of 64 of 1000 columns (blocks of
+isqrt(2^18 / 64) = 64 steps), for a fixed WINDOW_STEPS steps at a stride
+of 1000: kaczmarz on a 300-row system, and nu_acdm on the Lasso dual of
+the same rows at lam = 0.07, where blocks restart at kink crossings
+("scattered64-stride1000").  A segment's 64 000 entries are more than a
+window of blocks holds (solvers._WINDOW_WORK), so windows of several
+blocks end at that budget, at restarts and at segment ends.
 None of those runs folds the strongly convex implicit coefficient c (that
 takes some 13 000 steps there), so the last solver cells run a 2 x 2
 Kaczmarz quadratic whose c folds about every 338 steps: nu_acdm,
@@ -75,6 +83,8 @@ import numpy as np
 CHECK_LEVELS = ("off", "cheap", "full")
 # steps of each fold cell: 8 folds of c at tau = 0.264
 FOLD_STEPS = 3000
+# steps of each cell of several blocks per segment: three segments
+WINDOW_STEPS = 3000
 ROW_KINDS = ("dense", "scattered", "mixed")
 
 
@@ -145,7 +155,7 @@ def cells(epochs: int):
     cell."""
     from nucd import solvers
     from nucd.matrix import SparseRowMatrix
-    from nucd.problems import build_kaczmarz
+    from nucd.problems import build_kaczmarz, build_lasso_dual
 
     def norm_sq(x, agg, value):
         return float(np.dot(x, x))
@@ -195,6 +205,20 @@ def cells(epochs: int):
                                        dist_fn=norm_sq)
             yield (f"{name}-stride64", solver, "off",
                    *_digest(*run(oracle, prof, start(n), cfg)))
+    # rows of 64 of 1000 columns, every 4th row norm 10 times the rest
+    rng = np.random.default_rng(10)
+    wide = np.zeros((300, 1000))
+    for i in range(300):
+        wide[i, rng.choice(1000, size=64, replace=False)] = rng.standard_normal(64)
+    wide[::4] *= 10.0
+    a = SparseRowMatrix.from_dense(wide)
+    b = a.matvec(rng.standard_normal(1000))
+    cfg = solvers.SolverConfig(iters=WINDOW_STEPS, seed=3, trace_stride=1000, dist_fn=norm_sq)
+    yield ("linsys-scattered64-stride1000", "kaczmarz", "off",
+           *_digest(*solvers.kaczmarz(a, b, start(a.d), cfg)))
+    oracle, prof = build_lasso_dual(a, rng.standard_normal(300), 0.07, 0.01, beta=0.3)
+    yield ("lasso-scattered64-stride1000", "nu_acdm", "off",
+           *_digest(*solvers.nu_acdm(oracle, prof, start(a.m), cfg)))
     # a dense system on the Gram path, every 4th row norm 10 times the rest
     rng = np.random.default_rng(9)
     a = SparseRowMatrix.from_dense(_rows("dense", 100, 48, rng))
