@@ -268,6 +268,10 @@ def run_erm_race(
         raise ValueError("need at least one seed")
     if not algos:
         raise ValueError("need at least one algorithm")
+    allowed = (*COORD_SOLVERS, "gd")
+    if not set(algos) <= set(allowed) or len(set(algos)) < len(algos):
+        raise ValueError(f"algos must be distinct names from {', '.join(allowed)}; "
+                         f"got {', '.join(algos)}")
     oracle, profile = build_erm(dataset, variant, lam, lam2, 0.0)
     ref = problems.reference_minimum(oracle)
     run = dict(epochs=epochs, dist_fn=GapTo(ref.value), eps=eps, oracle=oracle,

@@ -2,14 +2,17 @@
 
 Each check builds its own fixed instance (so a failure is reproducible),
 runs the relevant solver family, and compares against the claimed bound or
-oracle with the tolerance stated in its docstring.  `run_all` powers both
-the `check` CLI subcommand and the acceptance test module, so users and CI
-execute the same suite.
+oracle with the tolerance stated in its docstring.  A check returns
+(passed, detail), takes `jobs` only if it runs a worker pool, and is marked
+`@_check`; `run_check` times it and names it after its function.  `run_all`
+powers both the `check` CLI subcommand and the acceptance test module, so
+users and CI execute the same suite.
 """
 
 from __future__ import annotations
 
 import functools
+import inspect
 import math
 import time
 from dataclasses import dataclass
@@ -59,25 +62,31 @@ class CheckResult:
         return f"{status} {self.name} ({self.seconds:.2f}s): {self.detail}"
 
 
-def _result(name, started, passed, detail) -> CheckResult:
-    return CheckResult(name, bool(passed), detail, time.perf_counter() - started)
+# every @_check function, in definition order
+ALL_CHECKS = []
 
 
-def _log_uniform_instance(n=20, seed=1234):
-    """The standard synthetic family: diagonal quadratic with smoothness
-    spread over four orders of magnitude, random target and start."""
-    rng = np.random.default_rng(seed)
-    l = 10.0 ** rng.uniform(-2.0, 2.0, n)
-    target = rng.standard_normal(n)
-    x0 = rng.standard_normal(n)
+def _check(fn):
+    ALL_CHECKS.append(fn)
+    return fn
+
+
+def _log_uniform_instance():
+    """The standard synthetic family: diagonal quadratic of 20 coordinates
+    with smoothness spread over four orders of magnitude, random target
+    and start."""
+    rng = np.random.default_rng(1234)
+    l = 10.0 ** rng.uniform(-2.0, 2.0, 20)
+    target = rng.standard_normal(20)
+    x0 = rng.standard_normal(20)
     return l, target, x0
 
 
-def check_ns_convergence_bound(seeds=200) -> CheckResult:
+@_check
+def check_ns_convergence_bound():
     """Non-strongly-convex guarantee: for T in {10, 100, 1000} the mean
-    final gap over `seeds` runs stays within 1.2x of
+    final gap over 200 runs stays within 1.2x of
     2 ||x0 - x*||^2 (sum sqrt(L_i))^2 / (T+1)^2."""
-    started = time.perf_counter()
     l, target, x0 = _log_uniform_instance()
     oracle, profile = build_separable_quadratic(l, target, beta=0.0)
     s_sq = s_alpha(profile, 0.5) ** 2
@@ -86,7 +95,7 @@ def check_ns_convergence_bound(seeds=200) -> CheckResult:
     ok = True
     for t in (10, 100, 1000):
         finals = []
-        for seed in range(seeds):
+        for seed in range(200):
             cfg = SolverConfig(iters=t, seed=seed, trace_stride=t)
             y, _ = nu_acdm_ns(oracle, profile, x0, cfg)
             finals.append(oracle.value(y))
@@ -94,20 +103,20 @@ def check_ns_convergence_bound(seeds=200) -> CheckResult:
         bound = 2.0 * dist_sq * s_sq / (t + 1.0) ** 2
         ok = ok and mean <= 1.2 * bound
         parts.append(f"T={t}: mean {mean:.3e} vs bound {bound:.3e}")
-    return _result("ns-convergence-bound", started, ok, "; ".join(parts))
+    return ok, "; ".join(parts)
 
 
-def check_sc_convergence_decay(seeds=200) -> CheckResult:
+@_check
+def check_sc_convergence_decay():
     """Strongly convex guarantee: after T = ceil(6/tau) iterations the mean
-    gap is within 1.2x of 2 (1-tau)^T (f(x0) - f*)."""
-    started = time.perf_counter()
+    gap over 200 runs is within 1.2x of 2 (1-tau)^T (f(x0) - f*)."""
     l, target, x0 = _log_uniform_instance()
     oracle, profile = build_separable_quadratic(l, target, beta=0.0)
     tau, _eta = accel_schedule(s_alpha(profile, 0.5) ** 2, profile.sigma_beta)
     t = math.ceil(6.0 / tau)
     f0 = oracle.value(x0)
     finals = []
-    for seed in range(seeds):
+    for seed in range(200):
         cfg = SolverConfig(iters=t, seed=seed, trace_stride=t)
         y, _ = nu_acdm(oracle, profile, x0, cfg)
         finals.append(oracle.value(y))
@@ -115,7 +124,7 @@ def check_sc_convergence_decay(seeds=200) -> CheckResult:
     bound = 2.0 * (1.0 - tau) ** t * f0
     ok = mean <= 1.2 * bound
     detail = f"T={t}, tau={tau:.3e}: mean {mean:.3e} vs bound {bound:.3e}"
-    return _result("sc-convergence-decay", started, ok, detail)
+    return ok, detail
 
 
 @functools.cache
@@ -150,35 +159,34 @@ def _fully_checked_runs():
     return tuple(runs)
 
 
-def check_per_step_descent() -> CheckResult:
+@_check
+def check_per_step_descent():
     """Single-coordinate descent guarantee f(y+) <= f(x+) - g^2/(2 L_i) at
     every iteration of the full-check battery, 1e-12 relative slack."""
-    started = time.perf_counter()
     runs = _fully_checked_runs()
     worst = max(t.max_descent_violation for _n, t in runs)
     detail = f"{len(runs)} runs, worst relative violation {worst:.3e}"
-    return _result("per-step-descent", started, worst <= DESCENT_SLACK, detail)
+    return worst <= DESCENT_SLACK, detail
 
 
-def check_mirror_step_residuals() -> CheckResult:
+@_check
+def check_mirror_step_residuals():
     """First-order condition of every z-step in the battery holds to 1e-9
     in the weighted norm."""
-    started = time.perf_counter()
     runs = _fully_checked_runs()
     residuals = [t.max_mirror_residual for _n, t in runs
                  if not math.isnan(t.max_mirror_residual)]
     worst = max(residuals)
     detail = f"{len(residuals)} accelerated runs, worst residual {worst:.3e}"
-    return _result(
-        "mirror-step-residuals", started, worst <= MIRROR_RESIDUAL_TOL, detail
-    )
+    return worst <= MIRROR_RESIDUAL_TOL, detail
 
 
-def check_schedule_identities(count=10_000) -> CheckResult:
-    """Both step-size identities hold to 1e-12 over `count` random
+@_check
+def check_schedule_identities():
+    """Both step-size identities hold to 1e-12 over 10 000 random
     parameterizations: (1+eta*sigma)(1-tau) = 1 for accel_schedule and the
     eta recurrence between consecutive ns_schedule steps."""
-    started = time.perf_counter()
+    count = 10_000
     rng = np.random.default_rng(7)
     m = 10.0 ** rng.uniform(-4.0, 8.0, count)
     sigma = m * 10.0 ** rng.uniform(-12.0, 0.0, count)
@@ -195,7 +203,7 @@ def check_schedule_identities(count=10_000) -> CheckResult:
 
     ok = err1 <= 1e-12 and err2 <= 1e-12
     detail = f"coupling error {err1:.3e}, recurrence error {err2:.3e} ({count} draws)"
-    return _result("schedule-identities", started, ok, detail)
+    return ok, detail
 
 
 PRINTED_SPEEDUPS = {
@@ -208,10 +216,10 @@ PRINTED_SPEEDUPS = {
 }
 
 
-def check_speedup_table() -> CheckResult:
+@_check
+def check_speedup_table():
     """Predicted speed-up factors on the two-norm-level family match the
     published six-value table within 3%."""
-    started = time.perf_counter()
     table = bench.speedup_table(sorted(PRINTED_SPEEDUPS, reverse=True))
     worst = 0.0
     parts = []
@@ -221,14 +229,14 @@ def check_speedup_table() -> CheckResult:
         worst = max(worst, dev)
         parts.append(f"r={r:g}: {factor:.4f} vs {expected:g}")
     detail = f"worst deviation {100 * worst:.2f}%; " + "; ".join(parts)
-    return _result("speedup-table", started, worst <= 0.03, detail)
+    return worst <= 0.03, detail
 
 
-def check_kaczmarz_race(jobs=1) -> CheckResult:
+@_check
+def check_kaczmarz_race(jobs):
     """300x100 race at r=0.1 to relative error 1e-8 over 10 seeds: median
     epochs must order non-uniform < uniform-rate < row projection, with at
     least a 1.3x advantage for the non-uniform schedule."""
-    started = time.perf_counter()
     result = bench.run_kaczmarz_race(
         300, 100, 0.1, seeds=range(10), eps=1e-8, jobs=jobs
     )
@@ -243,19 +251,19 @@ def check_kaczmarz_race(jobs=1) -> CheckResult:
         f"kaczmarz {med['kaczmarz']:.0f}; advantage {ratio:.2f}x "
         f"(theory {result.speedup:.2f}x)"
     )
-    return _result("kaczmarz-race", started, ok, detail)
+    return ok, detail
 
 
 def _clear_of_kinks(y, kinks, margin):
     return min(abs(abs(v) - k) for v in y for k in kinks) > margin
 
 
-def check_gradients_and_conjugates() -> CheckResult:
+@_check
+def check_gradients_and_conjugates():
     """Every problem's coordinate gradient agrees with central differences
     to 1e-6 at 20 generic points, and the hand-derived conjugates of both
     losses and of the Lasso regularizer match brute-force grid suprema
     (step 1e-3 on [-3, 3], tolerance 1e-6)."""
-    started = time.perf_counter()
     failures = []
 
     a, b, _x = gen_linear_system(25, 8, 0.3, seed=11)
@@ -311,14 +319,14 @@ def check_gradients_and_conjugates() -> CheckResult:
         f"worst gradient error {worst:.3e}, regularizer conjugate error "
         f"{reg_err:.3e}" + ("; " + "; ".join(failures) if failures else "")
     )
-    return _result("gradients-and-conjugates", started, ok, detail)
+    return ok, detail
 
 
-def check_ridge_duality() -> CheckResult:
+@_check
+def check_ridge_duality():
     """Along a converged ridge run: P(w(y)) + D(y) >= -1e-10 at every
     record, <= 1e-8 at termination, and the recovered primal lands within
     1e-8 (relative) of P*."""
-    started = time.perf_counter()
     ds = gen_skewed_dataset(60, 20, two_level_norms(60, 0.5), seed=21)
     oracle, profile = build_ridge_dual(ds.features, ds.labels, lam=0.1)
     ref = problems.reference_minimum(oracle)
@@ -347,30 +355,30 @@ def check_ridge_duality() -> CheckResult:
         f"{gaps.min():.2e}, final gap {gaps[-1]:.2e}, final primal gap "
         f"{primal[-1]:.2e} (P* {p_star:.4f})"
     )
-    return _result("ridge-duality", started, ok, detail)
+    return ok, detail
 
 
-def check_beta_sweep(jobs=1, seeds=200) -> CheckResult:
+@_check
+def check_beta_sweep(jobs):
     """The 1/(T+1)^2 guarantee holds at every exponent in
-    {0, .2, .4, .6, .8, 1} on the penalty dual, `seeds` runs each."""
-    started = time.perf_counter()
+    {0, .2, .4, .6, .8, 1} on the penalty dual, 200 runs each."""
     ds = gen_skewed_dataset(30, 8, two_level_norms(30, 0.3), seed=31)
     entries = bench.beta_sweep(
-        ds, lam=0.1, seeds=range(seeds), epochs=20, enforce=False, jobs=jobs
+        ds, lam=0.1, seeds=range(200), epochs=20, enforce=False, jobs=jobs
     )
     ok = all(e.ok for e in entries)
     parts = [
         f"beta={e.beta:g}: mean {e.mean_final_gap:.2e} vs bound {e.bound:.2e}"
         for e in entries
     ]
-    return _result("beta-sweep", started, ok, "; ".join(parts))
+    return ok, "; ".join(parts)
 
 
-def check_specialization_and_determinism() -> CheckResult:
+@_check
+def check_specialization_and_determinism():
     """The generalized solver run at the non-uniform distribution is
     trace-identical to the specialized one, and every solver is
     bit-reproducible from (parameters, seed)."""
-    started = time.perf_counter()
     failures = []
 
     rng = np.random.default_rng(17)
@@ -418,12 +426,11 @@ def check_specialization_and_determinism() -> CheckResult:
     detail = "; ".join(failures) if failures else (
         "specialized and generalized runs identical; all solvers reproducible"
     )
-    return _result(
-        "specialization-and-determinism", started, not failures, detail
-    )
+    return not failures, detail
 
 
-def check_kaczmarz_rate(seeds=10) -> CheckResult:
+@_check
+def check_kaczmarz_rate():
     """Fitted geometric decay of E||x_k - x*||^2 on a consistent 300x100
     system stays within a factor 2 of 1 - sigma_min(A)^2/||A||_F^2.
 
@@ -437,7 +444,6 @@ def check_kaczmarz_rate(seeds=10) -> CheckResult:
     about twice the worst-direction rate and the fit would sit on the
     band edge.
     """
-    started = time.perf_counter()
     rng = np.random.default_rng(41)
     blocks = [
         scale * np.linalg.qr(rng.standard_normal((100, 100)))[0]
@@ -457,7 +463,7 @@ def check_kaczmarz_rate(seeds=10) -> CheckResult:
     dist = bench.RelErrToSolution(x_star, float(np.dot(x_star, x_star)))
 
     rows = []
-    for seed in range(seeds):
+    for seed in range(10):
         cfg = SolverConfig(
             iters=t, seed=seed, trace_stride=max(1, t // 400), dist_fn=dist
         )
@@ -473,40 +479,32 @@ def check_kaczmarz_rate(seeds=10) -> CheckResult:
     ok = 0.5 <= ratio <= 2.0 and decayed <= 1e-6
     detail = (
         f"theory rate 1-{sig_min_sq / frob_sq:.3e}; mean-trace fitted/theory "
-        f"ratio {ratio:.3f} over {seeds} seeds; final mean dist {decayed:.2e}"
+        f"ratio {ratio:.3f} over 10 seeds; final mean dist {decayed:.2e}"
     )
-    return _result("kaczmarz-rate", started, ok, detail)
+    return ok, detail
 
 
-ALL_CHECKS = (
-    check_ns_convergence_bound,
-    check_sc_convergence_decay,
-    check_per_step_descent,
-    check_mirror_step_residuals,
-    check_schedule_identities,
-    check_speedup_table,
-    check_kaczmarz_race,
-    check_gradients_and_conjugates,
-    check_ridge_duality,
-    check_beta_sweep,
-    check_specialization_and_determinism,
-    check_kaczmarz_rate,
-)
+def run_check(fn, jobs: int = 1) -> CheckResult:
+    """Run one check, timed, and name its result after its function
+    (check_beta_sweep is beta-sweep); jobs reaches a check that takes it.
+    A check whose solver run raises a violated guarantee or a convergence
+    failure fails with that error."""
+    kwargs = {"jobs": jobs} if "jobs" in inspect.signature(fn).parameters else {}
+    started = time.perf_counter()
+    try:
+        passed, detail = fn(**kwargs)
+    except (InvariantViolation, problems.ConvergenceError) as err:
+        passed, detail = False, f"{type(err).__name__}: {err}"
+    name = fn.__name__.removeprefix("check_").replace("_", "-")
+    return CheckResult(name, bool(passed), detail, time.perf_counter() - started)
 
 
 def run_all(jobs: int = 1, report=print) -> list[CheckResult]:
-    """Execute every check, print one PASS/FAIL line each, return results.
-
-    A check whose solver run raises a violated guarantee or a convergence
-    failure fails, named by its function, and the next check runs."""
+    """Run every check, print one PASS/FAIL line each, return results.
+    A check that fails by raising does not stop the next."""
     results = []
     for fn in ALL_CHECKS:
-        started = time.perf_counter()
-        try:
-            res = fn(jobs=jobs) if fn in (check_kaczmarz_race, check_beta_sweep) else fn()
-        except (InvariantViolation, problems.ConvergenceError) as err:
-            name = fn.__name__.removeprefix("check_").replace("_", "-")
-            res = _result(name, started, False, f"{type(err).__name__}: {err}")
+        res = run_check(fn, jobs)
         results.append(res)
         if report is not None:
             report(res.line())

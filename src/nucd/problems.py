@@ -25,14 +25,14 @@ class ConvergenceError(RuntimeError):
     """An iterative reference computation missed its stationarity target."""
 
 
-def smallest_positive_eigenvalue(gram: np.ndarray, rel_tol: float = 1e-10) -> float:
+def smallest_positive_eigenvalue(gram: np.ndarray) -> float:
     """Smallest eigenvalue of a PSD matrix above the zero threshold
-    rel_tol * lambda_max."""
+    1e-10 * lambda_max."""
     vals = np.linalg.eigvalsh(gram)
     lam_max = float(vals[-1])
     if lam_max <= 0.0:
         raise ValueError("matrix has no positive eigenvalue")
-    positive = vals[vals > rel_tol * lam_max]
+    positive = vals[vals > 1e-10 * lam_max]
     return float(positive[0])
 
 
@@ -554,16 +554,16 @@ def _strongly_convex_reference(problem: ErmDual, max_epochs=20000) -> ReferenceM
     return ReferenceMinimum(value, y, 0.5 * n * float(np.dot(g, g)), "iterative")
 
 
-def _penalty_reference(problem: ErmDual, max_rounds=60) -> ReferenceMinimum:
+def _penalty_reference(problem: ErmDual) -> ReferenceMinimum:
     """Exact minimization of the piecewise-quadratic penalty dual.
 
     The conjugate loss is quadratic on each of the regions y_i < -1,
     |y_i| <= 1, y_i > 1, so once the region pattern of the minimizer is
     known the stationarity condition is linear.  A smooth solver supplies
-    the starting pattern; pattern updates then alternate with least-squares
-    solves of the linearized condition.  (A pure long run of the
-    non-strongly-convex solver cannot certify stationarity here: with a
-    1/T^2 rate the tail improvements stay far above resolvable levels at
+    the starting pattern; up to 60 pattern updates then alternate with
+    least-squares solves of the linearized condition.  (A pure long run of
+    the non-strongly-convex solver cannot certify stationarity here: with
+    a 1/T^2 rate the tail improvements stay far above resolvable levels at
     any desk-scale budget.)
     """
     # imported here, its one use: loading it costs about 19 MB resident
@@ -589,7 +589,7 @@ def _penalty_reference(problem: ErmDual, max_rounds=60) -> ReferenceMinimum:
     best_y, best_val = y.copy(), problem.value(y)
 
     pattern = None
-    for _ in range(max_rounds):
+    for _ in range(60):
         upper = y > 1.0
         lower = y < -1.0
         new_pattern = (upper, lower)

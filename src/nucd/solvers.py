@@ -78,12 +78,13 @@ FOLD_BELOW = 2.0 ** -300
 # sqrt(_BLOCK_WORK / nnz per row) steps on rows of few columns.  A run takes
 # them on rows of all d columns when its trace stride is at least
 # _BLOCK_MIN, and on any other rows when it is at least _CSR_SEGMENT_MIN: a
-# block of those pays a sort of its entries by column (a radix sort when
-# d <= 2^16, see _ScatteredWindow) and some dozen numpy calls whatever its
-# length.  The thresholds are where blocks began to beat single steps on
-# 300 x 100 dense rows and, on rows of few columns, on a 2000 x 5000 Lasso
-# and ridge dual of 20 nnz per row and a 20000 x 1000 system of 10
-# (single/block wall time 0.8-1.8 at stride 16, 1.2-1.7 at 32).
+# block of those pays a stable sort of its entries by column (numpy's radix
+# sort when d <= 2^16, its timsort above; see _ScatteredWindow) and some
+# dozen numpy calls whatever its length.  The thresholds are where blocks
+# began to beat single steps on 300 x 100 dense rows and, on rows of few
+# columns, on a 2000 x 5000 Lasso and ridge dual of 20 nnz per row and a
+# 20000 x 1000 system of 10 (single/block wall time 0.8-1.8 at stride 16,
+# 1.2-1.7 at 32).
 _BLOCK_MIN = 16
 _BLOCK_WORK = 2 ** 18
 _CSR_SEGMENT_MIN = 32
@@ -556,13 +557,12 @@ class _ScatteredWindow:
     A block's pairs are every pair of entries of two of its rows on one
     column, the later row's entry first, in ascending column order.  Each
     block's entries are sorted stably by column (ids under 2^16 as
-    uint16, which numpy radix-sorts in O(entries); wider ones as int64
-    keys (column, entry)), so that the window's entries fall into runs of
-    equal columns, one block after another, and each entry after a run's
-    first pairs with the entries before it in its run.  Past the sorts,
-    the work is whole-window array passes; one sort of the whole window
-    would cost as much as the blocks' sorts, and the pairs would then
-    need a second sort to group them by block."""
+    uint16, which numpy radix-sorts in O(entries)), so that the window's
+    entries fall into runs of equal columns, one block after another, and
+    each entry after a run's first pairs with the entries before it in its
+    run.  Past the sorts, the work is whole-window array passes; one sort
+    of the whole window would cost as much as the blocks' sorts, and the
+    pairs would then need a second sort to group them by block."""
 
     def __init__(self, mat: SparseRowMatrix, idx: np.ndarray, ends):
         # in-place arithmetic below keeps the window's temporaries few
@@ -574,13 +574,9 @@ class _ScatteredWindow:
         flat += np.arange(size)
         self.idx, self.lens = idx, lens
         self.cols, self.vals = mat.indices[flat], mat.data[flat]
-        cols = self.cols
-        if mat.d <= 2 ** 16:
-            ids = cols.astype(np.uint16)
-            sort = lambda lo, hi: np.argsort(ids[lo:hi], kind="stable")
-        else:
-            ids = cols
-            sort = lambda lo, hi: np.argsort(ids[lo:hi] * (hi - lo) + np.arange(hi - lo))
+        # numpy radix-sorts uint16 ids
+        ids = self.cols.astype(np.uint16) if mat.d <= 2 ** 16 else self.cols
+        sort = lambda lo, hi: np.argsort(ids[lo:hi], kind="stable")
         # block b is steps step_at[b] .. step_at[b + 1] - 1, entries
         # entry_at[b] .. and pairs pair_at[b] ..
         self.step_at = [0, *ends]

@@ -209,6 +209,24 @@ def test_erm_race_computes_the_global_constant_once(monkeypatch):
     assert len(calls) == 1  # a race without gd needs no global constant
 
 
+@pytest.mark.parametrize("algos", [("foo",), ("kaczmarz",), ("nu-acdm", "nu-acdm")],
+                         ids=["unknown", "kaczmarz", "repeated"])
+def test_erm_race_rejects_bad_algorithm_names_before_any_work(monkeypatch, algos):
+    """kaczmarz projects rows of a linear system, not an ERM dual, and a
+    repeated name would run its cells twice and keep one trace per key."""
+    calls = []
+    real = problems.reference_minimum
+
+    def spy(problem):
+        calls.append(problem)
+        return real(problem)
+
+    monkeypatch.setattr(problems, "reference_minimum", spy)
+    with pytest.raises(ValueError, match="names from nu-acdm, nu-acdm-ns, acdm, rcdm, gd;"):
+        run_erm_race(_dataset(n=12, d=5), algos=algos, seeds=[0], epochs=2)
+    assert calls == []
+
+
 def test_race_rejects_empty_seeds():
     with pytest.raises(ValueError):
         run_kaczmarz_race(10, 5, 0.5, seeds=[], eps=1e-6)

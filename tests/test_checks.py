@@ -1,6 +1,9 @@
-"""The check suite's plumbing: run_all reports every check even when one
-raises, and check_schedule_identities tests the schedules the solvers
-run, not a copy of their formulas."""
+"""The check suite's plumbing: run_all reports every check, under the
+names `nucd check` prints, even when one raises, and
+check_schedule_identities tests the schedules the solvers run, not a copy
+of their formulas."""
+
+import inspect
 
 import pytest
 
@@ -10,7 +13,7 @@ from nucd.problems import ConvergenceError
 
 
 def check_passing():
-    return checks.CheckResult("passing", True, "fine", 0.0)
+    return True, "fine"
 
 
 def check_violated_guarantee():
@@ -64,6 +67,37 @@ def test_battery_checks_fail_by_name_when_the_battery_raises(monkeypatch):
     assert all("coordinate descent guarantee violated" in r.detail for r in results)
 
 
+# what `nucd check` prints: a check's name comes from its function, so
+# renaming the function renames the line
+SUITE = ("ns-convergence-bound", "sc-convergence-decay", "per-step-descent",
+         "mirror-step-residuals", "schedule-identities", "speedup-table",
+         "kaczmarz-race", "gradients-and-conjugates", "ridge-duality",
+         "beta-sweep", "specialization-and-determinism", "kaczmarz-rate")
+
+
+def test_the_suite_is_the_twelve_checks_in_order(monkeypatch):
+    assert [fn.__name__ for fn in checks.ALL_CHECKS] == [
+        "check_" + name.replace("-", "_") for name in SUITE]
+    assert set(checks.ALL_CHECKS) == {
+        fn for name, fn in vars(checks).items() if name.startswith("check_")}
+
+    # stand-ins named and signed as the checks, which pass at once and
+    # record what reached them
+    given = {}
+
+    def stand_in(fn):
+        def quick(**kwargs):
+            given[fn.__name__] = kwargs
+            return True, ""
+        quick.__name__, quick.__signature__ = fn.__name__, inspect.signature(fn)
+        return quick
+
+    monkeypatch.setattr(checks, "ALL_CHECKS", [stand_in(fn) for fn in checks.ALL_CHECKS])
+    assert [r.name for r in checks.run_all(jobs=3, report=None)] == list(SUITE)
+    assert {k: v for k, v in given.items() if v} == {
+        "check_kaczmarz_race": {"jobs": 3}, "check_beta_sweep": {"jobs": 3}}
+
+
 def _accel_eta_off(rate, sigma):
     tau, eta = solvers.accel_schedule(rate, sigma)
     return tau, eta * (1.0 + 1e-6)
@@ -78,7 +112,7 @@ def _ns_eta_off(k, s_sq):
                                           ("ns_schedule", _ns_eta_off)])
 def test_schedule_identities_check_reads_the_solvers_schedules(monkeypatch, name, broken):
     """An eta off by one part in a million in either schedule fails the check."""
-    assert checks.check_schedule_identities().passed
+    assert checks.check_schedule_identities()[0]
     monkeypatch.setattr(checks, name, broken)
-    result = checks.check_schedule_identities()
-    assert not result.passed, result.line()
+    passed, detail = checks.check_schedule_identities()
+    assert not passed, detail

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from nucd import bench
+from nucd import bench, problems
 from nucd.cli import main
 from nucd.data_io import (gen_skewed_dataset, parse_libsvm, read_solution, read_trace,
                           two_level_norms)
@@ -241,6 +241,25 @@ def test_bench_rejects_flags_the_experiment_ignores(tmp_path, capsys, experiment
     assert code == 1
     assert flag in err
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("algos", ["foo", "kaczmarz", "nu-acdm,nu-acdm"])
+def test_bench_rejects_bad_erm_race_algos_before_any_work(monkeypatch, capsys, algos):
+    calls = []
+    real = problems.reference_minimum
+
+    def spy(problem):
+        calls.append(problem)
+        return real(problem)
+
+    monkeypatch.setattr(problems, "reference_minimum", spy)
+    code, out, err = run(capsys, "bench", "--experiment", "erm-race", "--seeds", "1",
+                         "--n", "12", "--d", "5", "--epochs", "2", "--algos", algos)
+    assert code == 1
+    assert out == ""
+    assert err.splitlines()[-1].startswith(
+        "invalid value: algos must be distinct names from nu-acdm, nu-acdm-ns, acdm, rcdm, gd;")
+    assert calls == []
 
 
 class _Called(Exception):
