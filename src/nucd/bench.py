@@ -12,6 +12,7 @@ fixed BLAS library and thread count.
 
 from __future__ import annotations
 
+import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -185,6 +186,25 @@ def _collect(description, eps, speedup, results) -> RaceResult:
 # --- experiments ---
 
 
+def _distinct_seeds(seeds) -> list:
+    """seeds as a list: a race keeps one trace per (algorithm, seed), so a
+    repeated seed would run its cells again and drop their traces."""
+    seeds = list(seeds)
+    if not seeds:
+        raise ValueError("need at least one seed")
+    if len(set(seeds)) < len(seeds):
+        raise ValueError(f"seeds must be distinct; got {seeds}")
+    return seeds
+
+
+def _check_eps(eps) -> None:
+    """A race target is a finite distance of at least 0.  No record meets
+    NaN or a negative target; 0 is met only at dist exactly 0, so it asks
+    for the whole epoch budget."""
+    if not 0.0 <= eps < math.inf:
+        raise ValueError(f"eps must be finite and nonnegative; got {eps}")
+
+
 def run_kaczmarz_race(
     m: int = 300,
     n: int = 100,
@@ -198,9 +218,8 @@ def run_kaczmarz_race(
     """Race row projection against the two accelerated dual runs on one
     generated system, measuring relative error ||x_k - x*||^2/||x0 - x*||^2
     of the recovered solution, to first passage below eps."""
-    seeds = list(seeds)
-    if not seeds:
-        raise ValueError("need at least one seed")
+    seeds = _distinct_seeds(seeds)
+    _check_eps(eps)
     a, b, x_star = gen_linear_system(m, n, r, seed=instance_seed)
     oracle, profile = problems.build_kaczmarz(a, b)
     # ||x0 - x*||^2 with x0 = 0 on the primal side
@@ -263,9 +282,9 @@ def run_erm_race(
     """Dual suboptimality D(y_k) - D* per epoch for each algorithm; ridge
     runs also record the primal gap P(w(y_k)) - P*.  Every algorithm runs
     at beta = 0."""
-    seeds = list(seeds)
-    if not seeds:
-        raise ValueError("need at least one seed")
+    seeds = _distinct_seeds(seeds)
+    if eps is not None:
+        _check_eps(eps)
     if not algos:
         raise ValueError("need at least one algorithm")
     allowed = (*COORD_SOLVERS, "gd")

@@ -2,15 +2,17 @@
 
 Subcommands: gen (write instances), solve (one run, trace to CSV), bench
 (experiment drivers), speedup (theory table), check (full invariant suite).
-Every invocation prints a one-line JSON metadata record to stderr; data goes
-to files or stdout.  Exit codes: 0 success, 1 usage error, 2 failed
-guarantee or acceptance check, 3 I/O error.
+Every invocation whose values parse prints a one-line JSON metadata record
+to stderr, strict JSON: a value that is not a finite number is refused
+first.  Data goes to files or stdout.  Exit codes: 0 success, 1 usage error
+or invalid value, 2 failed guarantee or acceptance check, 3 I/O error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -143,17 +145,24 @@ def build_parser() -> _Parser:
 
 
 def _emit_metadata(args) -> None:
+    """The run's metadata record, as strict JSON: a parameter that is not a
+    finite number (NaN or inf) raises ValueError first, since JSON has no
+    such number."""
     params = {
         k: v for k, v in sorted(vars(args).items())
         if k not in ("func", "subcommand")
     }
+    for k, v in params.items():
+        if any(isinstance(x, float) and not math.isfinite(x)
+               for x in (v if isinstance(v, (list, tuple)) else (v,))):
+            raise ValueError(f"{k} must be finite; got {v}")
     record = {
         "cmd": args.subcommand,
         "rng": RNG_NAME,
         "seed": params.get("seed"),
         "params": params,
     }
-    print(json.dumps(record, default=str), file=sys.stderr)
+    print(json.dumps(record, default=str, allow_nan=False), file=sys.stderr)
 
 
 def cmd_gen(args) -> int:
@@ -328,8 +337,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # --help
         return 0 if exc.code in (0, None) else 1
 
-    _emit_metadata(args)
     try:
+        _emit_metadata(args)
         return args.func(args)
     except _UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)

@@ -29,22 +29,24 @@ and one triangular solve for all B gradients (see _Blocks).  On rows of
 scattered columns the structure that depends only on the blocks' rows
 (their entries and column pairs) is built once for a window of
 consecutive blocks, and each block reads slices of it
-(_ScatteredWindow).  The Lasso's model holds only while no entry of the
-aggregate crosses +-lam, and the penalty's only while no step's
-coordinate crosses +-1; a block that crosses applies the steps before
-the crossing and restarts there.  A linear system (the Kaczmarz
-quadratic, kaczmarz's residual form) of rows of all d columns, with m at
-most 4 d and an m x m Gram under 8 MiB, where row blocks would be
-shorter than 80 steps, takes the Gram path instead: its blocks read the
-matrix's cached A A^T and the products r of the caches with every row,
-move r alone, and the caches are rebuilt from the points at each trace
-record and at return (_GramRows).  Blocks are exact in arithmetic, so
-records and stops are those of single steps, but they round differently:
-such a run agrees with a checked run (always single steps) to rounding,
-not bit for bit.  Either way a run is bit-reproducible from its
-parameters and seed, for a fixed BLAS library and thread count: the
-cached Gram is one BLAS syrk, whose rounding can change with the thread
-count.
+(_ScatteredWindow).  Such a block's Gram is mostly zero, so the weights
+its solve reads are formed at its column pairs and at its pairs of steps
+on one coordinate alone, not as B x B arrays (_ScatteredRows).  The
+Lasso's model holds only while no entry of the aggregate crosses +-lam,
+and the penalty's only while no step's coordinate crosses +-1; a block
+that crosses applies the steps before the crossing and restarts there.
+A linear system (the Kaczmarz quadratic, kaczmarz's residual form) of
+rows of all d columns, with m at most 4 d and an m x m Gram under 8 MiB,
+where row blocks would be shorter than 80 steps, takes the Gram path
+instead: its blocks read the matrix's cached A A^T and the products r of
+the caches with every row, move r alone, and the caches are rebuilt from
+the points at each trace record and at return (_GramRows).  Blocks are
+exact in arithmetic, so records and stops are those of single steps, but
+they round differently: such a run agrees with a checked run (always
+single steps) to rounding, not bit for bit.  Either way a run is
+bit-reproducible from its parameters and seed, for a fixed BLAS library
+and thread count: the cached Gram is one BLAS syrk, whose rounding can
+change with the thread count.
 
 Iteration cost is honest: no solver ever forms a full gradient except
 full_gd, which exists as a reference baseline.
@@ -495,8 +497,75 @@ class _BlockRows:
             return self.ux[self.idx]
         return self.ux[self.idx] + self.cs * self.vx[self.idx]
 
+    def first_failing(self, model, g: np.ndarray, div: float) -> int:
+        """The first step whose model fails once the solve's g moves the
+        block, or B when none does: each entry's move (moves) against
+        model.keeps, and each step's move of x_{i_t} (x_moves) against
+        keeps_x, which triangle left None when no coordinate repeats."""
+        keeps, keeps_x = model.keeps, self.keeps_x
+        first = g.size
+        if keeps is None and keeps_x is None:
+            return first
+        steps = self.steps(g)
+        with np.errstate(invalid="ignore", over="ignore"):
+            if keeps is not None:
+                left = ~keeps(self.moves(steps) / div)
+                if left.any():
+                    first = self.first_step(left)
+            if keeps_x is not None:
+                left = ~keeps_x(self.x_moves(steps))
+                if left.any():
+                    first = min(first, int(np.argmax(left)))
+        return first
 
-class _FullRows(_BlockRows):
+
+class _DenseRows(_BlockRows):
+    """A block whose Gram is a dense B x B array (_FullRows, _GramRows):
+    its repeat term, -K and steps are B x B arrays too."""
+
+    def triangle(self, model, coefs: np.ndarray, below) -> np.ndarray:
+        """The array whose lower triangle the solve reads: A o (-K), A =
+        delta E + G, or, without a schedule, A with the plan's L (coefs)
+        on its diagonal.  E is the repeat mask, from below(B), the strict
+        lower mask, and -K_ts = -(kappa_s + c_t w_s)."""
+        size = self.idx.size
+        tri = self.gram(model.weights)
+        delta, self.keeps_x = model.delta, model.keeps_x
+        scalar = isinstance(delta, float)
+        if self.keeps_x is not None or not scalar or delta:
+            # E below the diagonal, the only part of tri the solve reads:
+            # rep[t, s] = [i_s = i_t] for s < t
+            rep = self.idx[:, None] == self.idx
+            rep &= below(size)
+            if rep.any():
+                np.add(tri, delta if scalar else delta[:, None], out=tri, where=rep)
+                self.rep = rep
+            else:
+                # no step moves its own coordinate before it
+                self.keeps_x = None
+        if self.cs is None:
+            tri.flat[::size + 1] = coefs
+        else:
+            _cs, kappa, w = coefs.T
+            self.neg_k = np.multiply.outer(self.cs, -w)
+            self.neg_k -= kappa
+            tri *= self.neg_k
+        return tri
+
+    def steps(self, g: np.ndarray) -> np.ndarray:
+        """steps[t, s] = K_ts g_s, the move of x_{i_s} step t sees (-h_s
+        without a schedule)."""
+        if self.cs is None:
+            return np.broadcast_to(-g, (g.size, g.size))
+        return self.neg_k * -g
+
+    def x_moves(self, steps: np.ndarray) -> np.ndarray:
+        """(B,): each step's move of x_{i_t}, the sum of its steps on
+        earlier steps on i_t."""
+        return steps.sum(axis=1, where=self.rep)
+
+
+class _FullRows(_DenseRows):
     """The rows of a matrix whose rows all have d columns."""
 
     def __init__(self, dense: np.ndarray, idx: np.ndarray, *state):
@@ -542,6 +611,32 @@ class _FullRows(_BlockRows):
         if upd.shape[1] < len(rows):
             rows = rows[:upd.shape[1]]
         self.aggs += upd @ rows
+
+
+def _run_pairs(same: np.ndarray):
+    """(later, earlier): every pair of positions p > q of a sorted sequence
+    that hold equal keys, ordered by p, then q, given same[j], whether
+    position j + 1 repeats the key of position j.  A run's repeats are
+    consecutive in same, and its start is just before them."""
+    rep = np.flatnonzero(same) + 1
+    run_first = np.empty(rep.size, bool)
+    run_first[:1] = True
+    np.not_equal(rep[1:], rep[:-1] + 1, out=run_first[1:])
+    run_start = np.maximum.accumulate(np.where(run_first, rep - 1, 0))
+    a = rep - run_start
+    later = np.repeat(rep, a)
+    earlier = np.repeat(run_start - np.cumsum(a) + a, a)
+    earlier += np.arange(later.size)
+    return later, earlier
+
+
+def _repeat_pairs(idx: np.ndarray):
+    """(t, s): every pair of steps s < t with idx[s] = idx[t], each t's
+    pairs together and in ascending s."""
+    order = np.argsort(idx, kind="stable")
+    sorted_idx = idx[order]
+    later, earlier = _run_pairs(sorted_idx[1:] == sorted_idx[:-1])
+    return order[later], order[earlier]
 
 
 class _ScatteredWindow:
@@ -603,15 +698,7 @@ class _ScatteredWindow:
             # a block's first entry starts a run
             cut = at[1:] - 1
             same[cut[(cut >= 0) & (cut < size - 1)]] = False
-        rep = np.flatnonzero(same) + 1
-        run_first = np.empty(rep.size, bool)
-        run_first[:1] = True
-        np.not_equal(rep[1:], rep[:-1] + 1, out=run_first[1:])
-        run_start = np.maximum.accumulate(np.where(run_first, rep - 1, 0))
-        a = rep - run_start
-        later = np.repeat(rep, a)
-        earlier = np.repeat(run_start - np.cumsum(a) + a, a)
-        earlier += np.arange(later.size)
+        later, earlier = _run_pairs(same)
         # later ascends, so each block's pairs are one run of it
         self.pair_at = ([0, later.size] if blocks == 1 else
                         [0, *np.searchsorted(later, at[1:]).tolist(), later.size])
@@ -633,7 +720,17 @@ class _ScatteredRows(_BlockRows):
     column, value), sliced from its _ScatteredWindow.  The Gram matrix, the
     products with the caches, the moves of the entries and the scatter
     into the caches cost O(entries and column pairs), whatever d is; the
-    window finds the pairs."""
+    window finds the pairs.
+
+    Its Gram is mostly zero, so the solve's weights are formed at its
+    pairs alone (triangle): the column pairs, and the repeat pairs (t, s),
+    s < t with i_s = i_t, when the model has a repeat term or a keeps_x
+    test.  Those are found from idx, except that a block with no empty row
+    and no keeps_x test finds them among its column pairs.  delta is added
+    at the repeat pairs, and -K and the steps K_ts g_s that moves and
+    x_moves read are formed at both, each entry by the operations the
+    dense rows take, in their order; the one B x B array is the triangle
+    the solve reads, 0 off the pairs."""
 
     def __init__(self, window: _ScatteredWindow, b: int, *state):
         s0, s1 = window.step_at[b], window.step_at[b + 1]
@@ -646,6 +743,9 @@ class _ScatteredRows(_BlockRows):
         self.row, self.cols, self.vals = (window.row[e0:e1], window.cols[e0:e1],
                                           window.vals[e0:e1])
         self.later, self.earlier = window.later[p0:p1], window.earlier[p0:p1]
+        # the steps (t, s) of the column pairs and their flat keys t B + s
+        self.pair_t, self.pair_s = self.row[self.later], self.row[self.earlier]
+        self.keys = self.pair_t * (s1 - s0) + self.pair_s
 
     def _row_sums(self, x: np.ndarray) -> np.ndarray:
         """The sums of x over each row's entries, along x's last axis."""
@@ -682,18 +782,89 @@ class _ScatteredRows(_BlockRows):
             prod *= weights[later]
         n = len(self.starts)
         # with no pairs, bincount returns integer zeros
-        gram = np.bincount(self.row[later] * n + self.row[earlier], weights=prod,
-                           minlength=n * n).reshape(n, n).astype(float, copy=False)
+        gram = np.bincount(self.keys, weights=prod, minlength=n * n).astype(float, copy=False)
         if scalar and weights != 1.0:
-            gram *= weights
-        return gram
+            # a key's duplicates each write the same product
+            gram[self.keys] *= weights
+        return gram.reshape(n, n)
+
+    def triangle(self, model, coefs: np.ndarray, below=None) -> np.ndarray:
+        """The array whose lower triangle the solve reads, as the dense
+        rows form it (below is theirs) but at the pairs alone: A o (-K)
+        there and 0 elsewhere, or, without a schedule, A with the plan's L
+        (coefs) on its diagonal."""
+        n = self.idx.size
+        tri = self.gram(model.weights)
+        flat = tri.reshape(-1)
+        delta, self.keeps_x = model.delta, model.keeps_x
+        scalar = isinstance(delta, float)
+        # the pairs whose steps are formed: the column pairs, then the
+        # repeat pairs
+        keys, self.step_t, self.step_s = self.keys, self.pair_t, self.pair_s
+        if scalar and delta and self.keeps_x is None and self.empty is None:
+            # a row of entries shares every column with itself, so without
+            # empty rows the repeat pairs are among the column pairs
+            # (repeated): delta goes there, and -K covers them already
+            flat[keys[self.idx[self.pair_t] == self.idx[self.pair_s]]] += delta
+        elif self.keeps_x is not None or not scalar or delta:
+            t, s = _repeat_pairs(self.idx)
+            if t.size:
+                rep_keys = t * n + s
+                flat[rep_keys] += delta if scalar else delta[t]
+                self.repeats = t, s
+                keys = np.concatenate((keys, rep_keys))
+                self.step_t = np.concatenate((self.pair_t, t))
+                self.step_s = np.concatenate((self.pair_s, s))
+            else:
+                # no step moves its own coordinate before it
+                self.keeps_x = None
+        if self.cs is None:
+            tri.flat[::n + 1] = coefs
+        else:
+            _cs, kappa, w = coefs.T
+            # -K_ts = -(kappa_s + c_t w_s); a key's duplicates each write
+            # the same product
+            self.neg_k = self.cs[self.step_t] * -w[self.step_s]
+            self.neg_k -= kappa[self.step_s]
+            flat[keys] *= self.neg_k
+        return tri
+
+    def steps(self, g: np.ndarray) -> np.ndarray:
+        """K_ts g_s at the column pairs, then the repeat pairs (-h_s
+        without a schedule)."""
+        neg_g = (-g)[self.step_s]
+        return neg_g if self.cs is None else self.neg_k * neg_g
 
     def moves(self, steps: np.ndarray) -> np.ndarray:
-        """The sum over s < t of steps[t, s] * a_s on each entry of row
-        t, flat."""
+        """The sum over s < t of K_ts g_s * a_s on each entry of row t,
+        flat, from steps at the column pairs first (steps)."""
         later, earlier = self.later, self.earlier
         return np.bincount(later, minlength=self.cols.size, weights=self.vals[earlier]
-                           * steps[self.row[later], self.row[earlier]]).astype(float, copy=False)
+                           * steps[:later.size]).astype(float, copy=False)
+
+    def x_moves(self, steps: np.ndarray) -> np.ndarray:
+        """(B,): each step's move of x_{i_t}, from steps at the repeat pairs
+        after the column pairs (steps), summed as the dense rows' masked
+        sum over row t of a B x B array: numpy adds each run of
+        consecutive True entries on its own (pairwise), then the runs in
+        order, from 0.  Here row t is t's pairs alone, with one False entry
+        between two runs, in an array of one row per step with repeats."""
+        t, s = self.repeats
+        first = np.empty(t.size, bool)
+        first[0] = True
+        np.not_equal(t[1:], t[:-1], out=first[1:])
+        col = np.ones(t.size, np.int64)
+        col[1:] += s[1:] != s[:-1] + 1
+        col = np.cumsum(col)
+        row = np.cumsum(first) - 1
+        col -= col[first][row]
+        shape = (int(row[-1]) + 1, int(col.max()) + 1)
+        grid, mask = np.zeros(shape), np.zeros(shape, bool)
+        grid[row, col] = steps[self.later.size:]
+        mask[row, col] = True
+        out = np.zeros(self.idx.size)
+        out[t[first]] = grid.sum(axis=1, where=mask)
+        return out
 
     def first_step(self, entries: np.ndarray) -> int:
         """The first step with a True entry; entries are in step order."""
@@ -709,7 +880,7 @@ class _ScatteredRows(_BlockRows):
             np.add.at(agg, cols, w[wrow] * vals)
 
 
-class _GramRows(_BlockRows):
+class _GramRows(_DenseRows):
     """The rows of a linear system read through the matrix's m x m Gram
     G = A A^T (SparseRowMatrix.row_gram) and r = aggs A^T, the products of
     the caches with every row: a block gathers its B rows of G once, which
@@ -794,10 +965,14 @@ class _Blocks:
     rows stays where it held at the block's start (the Lasso's side of
     +-lam); one with a keeps_x test, only while each step's own coordinate
     does (the penalty's side of +-1).  The solve's moves of every entry
-    (one bincount over the Gram's column pairs) are checked with keeps,
-    and each step's move of x_{i_t}, the sum of K_ts g_s over the earlier
-    steps s on i_t, with keeps_x (skipped when no coordinate repeats).
-    When either fails, the steps before the first failing step are exact
+    are checked with keeps, and each step's move of x_{i_t}, the sum of
+    K_ts g_s over the earlier steps s on i_t, with keeps_x (skipped when
+    no coordinate repeats); a block that has neither test forms no steps.
+    Each kind of rows forms the triangle, the steps and these moves
+    itself (triangle, steps, moves, x_moves): _FullRows and _GramRows as
+    B x B arrays, _ScatteredRows at its column pairs and its repeat pairs
+    (t, s), s < t with i_s = i_t, alone, entry by entry as the dense
+    arithmetic rounds.  When either fails, the steps before the first failing step are exact
     and are applied, and the block gives its later steps back to the
     plan.  Step 0 has not moved, so a block always advances.
 
@@ -928,13 +1103,7 @@ class _Blocks:
                 self.vx *= fold
                 # the caches, or on the Gram path their products with the rows
                 (aggs if r is None else r)[1] *= fold
-            if accel:
-                cs, kappa, w = coefs.T
-                # -K_ts = -(kappa_s + c_t w_s)
-                neg_k = np.multiply.outer(cs, -w)
-                neg_k -= kappa
-            else:
-                cs = None
+            cs = coefs[:, 0] if accel else None
             if window is not None:
                 rows = window.rows(b, self.ux, self.vx, aggs, cs)
                 b += 1
@@ -945,51 +1114,20 @@ class _Blocks:
             else:
                 rows = self.rows_of(idx, self.ux, self.vx, aggs, cs)
             model = self.model(rows)
-            # A = delta E + G, then tri = A o (-K) or, without a schedule,
-            # A with L on its diagonal, in place
-            tri = rows.gram(model.weights)
-            delta, keeps_x = model.delta, model.keeps_x
-            scalar = isinstance(delta, float)
-            if keeps_x is not None or not scalar or delta:
-                # E below the diagonal, the only part of tri the solve reads:
-                # rep[t, s] = [i_s = i_t] for s < t
-                rep = idx[:, None] == idx
-                rep &= self._below(size)
-                if rep.any():
-                    np.add(tri, delta if scalar else delta[:, None], out=tri, where=rep)
-                else:
-                    # no step moves its own coordinate before it
-                    keeps_x = None
-            if accel:
-                tri *= neg_k
-            else:
-                tri.flat[::size + 1] = coefs
+            tri = rows.triangle(model, coefs, self._below)
             # solves with tri's lower triangle, its diagonal taken as unit
             # under a schedule; without one g is the steps h = g / L.
             # tri.T is Fortran-ordered, so BLAS reads it without a copy
             g = _dtrsv(tri.T, model.grad, overwrite_x=1, trans=1, diag=int(accel))
-            if model.keeps is not None or keeps_x is not None:
-                # steps[t, s] = K_ts g_s, the move of x_{i_s} step t sees
-                # (-h_s without a schedule)
-                steps = neg_k * -g if accel else np.broadcast_to(-g, tri.shape)
-                first = size  # the first step whose model fails
-                with np.errstate(invalid="ignore", over="ignore"):
-                    if model.keeps is not None:
-                        left = ~model.keeps(rows.moves(steps) / self.div)
-                        if left.any():
-                            first = rows.first_step(left)
-                    if keeps_x is not None:
-                        left = ~keeps_x(steps.sum(axis=1, where=rep))
-                        if left.any():
-                            first = min(first, int(np.argmax(left)))
-                if first < size:
-                    size = max(1, first)
-                    self.plan.give_back(idx.size - size)
-                    idx, g, coefs = idx[:size], g[:size], coefs[:size]
-                    # the later blocks start elsewhere, so the window is
-                    # built again from here: as one block, and then as
-                    # twice as many blocks each time one runs out
-                    window, self.window_blocks = None, 1
+            first = rows.first_failing(model, g, self.div)
+            if first < size:
+                size = max(1, first)
+                self.plan.give_back(idx.size - size)
+                idx, g, coefs = idx[:size], g[:size], coefs[:size]
+                # the later blocks start elsewhere, so the window is
+                # built again from here: as one block, and then as
+                # twice as many blocks each time one runs out
+                window, self.window_blocks = None, 1
             # a finite sum needs finite terms
             if not math.isfinite(np.add.reduce(g)):
                 finite = np.isfinite(g)

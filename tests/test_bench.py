@@ -227,6 +227,51 @@ def test_erm_race_rejects_bad_algorithm_names_before_any_work(monkeypatch, algos
     assert calls == []
 
 
+def _spy_setup(monkeypatch):
+    """The calls to each race's first pieces of work: the system, the
+    problem and the reference minimum."""
+    calls = []
+
+    def spy(name, real):
+        def called(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return called
+
+    for owner, name in ((bench, "gen_linear_system"), (bench, "build_erm"),
+                        (problems, "reference_minimum")):
+        monkeypatch.setattr(owner, name, spy(name, getattr(owner, name)))
+    return calls
+
+
+_RACES = {
+    "kaczmarz": lambda **kw: run_kaczmarz_race(20, 8, 0.5, max_epochs=2, **kw),
+    "erm": lambda **kw: run_erm_race(_dataset(n=12, d=5), algos=("nu-acdm",), epochs=2,
+                                     **kw),
+}
+
+
+@pytest.mark.parametrize("race", list(_RACES))
+def test_races_reject_repeated_seeds_before_any_work(monkeypatch, race):
+    """A race keeps one trace per (algorithm, seed): a repeated seed would
+    run its cells again and drop their traces."""
+    calls = _spy_setup(monkeypatch)
+    with pytest.raises(ValueError, match="seeds must be distinct; got \\[1, 1\\]"):
+        _RACES[race](seeds=[1, 1])
+    assert calls == []
+
+
+@pytest.mark.parametrize("eps", [math.nan, -1e-8, -math.inf, math.inf])
+@pytest.mark.parametrize("race", list(_RACES))
+def test_races_reject_a_bad_eps_before_any_work(monkeypatch, race, eps):
+    """No record meets a NaN or negative target, so the race would run its
+    whole budget and report NaN epochs."""
+    calls = _spy_setup(monkeypatch)
+    with pytest.raises(ValueError, match="eps must be finite and nonnegative"):
+        _RACES[race](seeds=[0], eps=eps)
+    assert calls == []
+
+
 def test_race_rejects_empty_seeds():
     with pytest.raises(ValueError):
         run_kaczmarz_race(10, 5, 0.5, seeds=[], eps=1e-6)

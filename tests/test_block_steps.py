@@ -453,10 +453,12 @@ def test_column_pairs_match_a_brute_force_listing(width, data):
         if isinstance(weight, float) and weight != 1.0:
             want *= weight
         assert np.array_equal(block.gram(weight).view(np.int64), want.view(np.int64))
+    assert np.array_equal(block.pair_t, step[later]) and np.array_equal(block.pair_s, step[earlier])
     want = np.zeros(vals.size)
     for p, q in pairs:
         want[p] += vals[q] * steps[step[p], step[q]]
-    assert np.array_equal(block.moves(steps).view(np.int64), want.view(np.int64))
+    got = block.moves(steps[block.pair_t, block.pair_s])
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_build_kaczmarz_on_a_wide_system():

@@ -262,6 +262,39 @@ def test_bench_rejects_bad_erm_race_algos_before_any_work(monkeypatch, capsys, a
     assert calls == []
 
 
+@pytest.mark.parametrize("eps", ["nan", "inf", "-1e-8"])
+@pytest.mark.parametrize("experiment", ["kaczmarz-race", "erm-race"])
+def test_bench_rejects_a_bad_eps_before_any_work(monkeypatch, capsys, experiment, eps):
+    """A NaN target used to run the race's whole budget and report NaN
+    epochs.  A value that is not finite is refused before the metadata
+    record, which is strict JSON, and a negative one by the race."""
+    calls = []
+    monkeypatch.setattr(bench, "_execute", lambda *args: calls.append(args))
+    code, out, err = run(capsys, "bench", "--experiment", experiment, "--seeds", "1",
+                         f"--eps={eps}")
+    assert code == 1 and out == "" and calls == []
+    if eps in ("nan", "inf"):
+        assert err == f"invalid value: eps must be finite; got {eps}\n"
+    else:
+        assert err.splitlines()[-1] == ("invalid value: eps must be finite and nonnegative; "
+                                        "got -1e-08")
+    assert "Traceback" not in err
+
+
+def test_metadata_is_strict_json(capsys):
+    """The metadata record parses with NaN and inf refused, and a list
+    flag holding a value that is not finite is refused."""
+    def refuse(constant):
+        raise ValueError(constant)
+
+    code, _out, err = run(capsys, "speedup", "--r-list", "0.1", "0.5")
+    assert code == 0
+    assert json.loads(err.splitlines()[0], parse_constant=refuse)["params"]["r_list"] == [0.1, 0.5]
+    code, out, err = run(capsys, "speedup", "--r-list", "0.1", "nan")
+    assert (code, out) == (1, "")
+    assert err == "invalid value: r_list must be finite; got [0.1, nan]\n"
+
+
 class _Called(Exception):
     pass
 

@@ -568,6 +568,23 @@ def test_two_level_norms_counts():
     assert np.sum(out == 5.0) == 3 and np.sum(out == 0.5) == 7
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("r", [2.0, -1.0, 1.0 + 1e-12, float("nan")])
+def test_two_level_norms_rejects_r_outside_the_unit_interval(r):
+    """r is a fraction of rows, as in gen_linear_system: r = 2 used to give
+    all-high norms and r = -1 all-low ones."""
+    with pytest.raises(ValueError, match=r"r must lie in \[0, 1\]"):
+        two_level_norms(10, r)
+
+
+@pytest.mark.filterwarnings("error")
+def test_gen_skewed_dataset_needs_a_feature():
+    """d = 0 used to return a 10 x 0 dataset after a divide-by-zero
+    warning."""
+    with pytest.raises(ValueError, match="need d >= 1 features"):
+        gen_skewed_dataset(10, 0, np.ones(10))
+
+
 def test_gen_linear_system_contract():
     m, n, r = 40, 12, 0.3
     a, b, x_star = gen_linear_system(m, n, r, seed=11)

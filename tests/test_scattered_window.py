@@ -21,7 +21,8 @@ from hypothesis import strategies as st
 
 from nucd import solvers
 from nucd.matrix import SparseRowMatrix
-from nucd.problems import build_kaczmarz, build_lasso_dual
+from nucd.problems import (build_kaczmarz, build_lasso_dual, build_penalty_dual,
+                           build_ridge_dual)
 from nucd.solvers import SolverConfig
 from test_block_steps import _block_len
 
@@ -41,7 +42,8 @@ def _compare(window, b, state, rng):
     got = solvers._ScatteredRows(window, b, *state)
     alone_window = solvers._ScatteredWindow(window.mat_for_tests, got.idx, [got.idx.size])
     want = solvers._ScatteredRows(alone_window, 0, *state)
-    for name in ("idx", "starts", "row", "cols", "vals", "later", "earlier"):
+    for name in ("idx", "starts", "row", "cols", "vals", "later", "earlier", "pair_t",
+                 "pair_s", "keys"):
         assert _bitwise(getattr(got, name), getattr(want, name)), name
     assert (got.empty is None) == (want.empty is None)
     if got.empty is not None:
@@ -51,7 +53,8 @@ def _compare(window, b, state, rng):
     for weights in (1.0, 0.75, rng.uniform(0.5, 2.0, entries)):
         assert _bitwise(got.gram(weights), want.gram(weights))
     steps = rng.standard_normal((size, size))
-    assert _bitwise(got.moves(steps), want.moves(steps))
+    assert _bitwise(got.moves(steps[got.pair_t, got.pair_s]),
+                    want.moves(steps[want.pair_t, want.pair_s]))
     assert _bitwise(got.dots(), want.dots())
     assert _bitwise(got.entries(), want.entries())
     w = rng.standard_normal(entries)
@@ -149,8 +152,10 @@ def _matrix(m, d, per_row, seed, empty_every=0, wide=False):
 
 def _run(kind, a, iters, stride, seed):
     """One unchecked run on rows a: kaczmarz on A x = b, nu_acdm on the
-    Kaczmarz quadratic, or nu_acdm and rcdm on a Lasso dual whose lam, a
-    tenth of lam_max, makes blocks restart."""
+    Kaczmarz quadratic, or, on a dual, nu_acdm (nu_acdm_ns on the penalty)
+    or with "-rcdm" rcdm: the Lasso's lam, a tenth of lam_max, makes
+    blocks restart, and so do the penalty's labels, normals times 3, which
+    move y across +-1."""
     rng = np.random.default_rng(seed)
     cfg = SolverConfig(iters=iters, seed=seed, trace_stride=stride)
     if kind == "kaczmarz":
@@ -159,9 +164,16 @@ def _run(kind, a, iters, stride, seed):
         oracle, prof = build_kaczmarz(a, rng.standard_normal(a.m))
         return solvers.nu_acdm(oracle, prof, np.linspace(-0.5, 0.4, a.m), cfg)
     labels = rng.standard_normal(a.m)
-    lam = 0.1 * float(np.max(np.abs(a.rmatvec(labels)))) / a.m
-    oracle, prof = build_lasso_dual(a, labels, lam, 0.05)
-    solver = solvers.nu_acdm if kind == "lasso" else solvers.rcdm
+    problem, _, plain = kind.partition("-")
+    if problem == "lasso":
+        lam = 0.1 * float(np.max(np.abs(a.rmatvec(labels)))) / a.m
+        oracle, prof = build_lasso_dual(a, labels, lam, 0.05)
+    elif problem == "ridge":
+        oracle, prof = build_ridge_dual(a, labels, 0.1)
+    else:
+        oracle, prof = build_penalty_dual(a, 3.0 * labels, 0.1)
+    solver = (solvers.rcdm if plain else
+              solvers.nu_acdm_ns if problem == "penalty" else solvers.nu_acdm)
     return solver(oracle, prof, np.zeros(a.m), cfg)
 
 

@@ -2,9 +2,15 @@
 print the same full and iterations digests for every (problem, solver,
 check level) cell and for every trace of the bench experiments."""
 
+import importlib.util
 import pathlib
 import subprocess
 import sys
+from unittest import mock
+
+import numpy as np
+
+from nucd import solvers
 
 TOOL = pathlib.Path(__file__).resolve().parents[1] / "tools" / "trajectory_digest.py"
 
@@ -58,3 +64,33 @@ def test_two_runs_print_identical_digests():
     # the iterations digest covers the record schedule alone, which many
     # cells share
     assert len({cell[4] for cell in solver_cells}) < len({cell[3] for cell in solver_cells})
+
+
+def test_digests_cover_the_edge_cases_of_the_pair_path():
+    """Scattered-row blocks form their repeat term at the repeat pairs,
+    which an empty row has without any column pair, and the penalty's
+    keeps_x sums there too: a spy over the solver cells at --epochs 2
+    sees blocks that repeat an empty row and penalty blocks with repeats
+    (20 and 8 of 248 when this test was written)."""
+    spec = importlib.util.spec_from_file_location("trajectory_digest", TOOL)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    seen = {"blocks": 0, "repeated empty row": 0, "penalty with repeats": 0}
+    triangle = solvers._ScatteredRows.triangle
+
+    def spy(self, model, coefs, below=None):
+        tri = triangle(self, model, coefs, below)
+        seen["blocks"] += 1
+        step = np.arange(self.idx.size)
+        t, _s = np.nonzero((self.idx[:, None] == self.idx) & (step[:, None] > step))
+        if t.size:
+            if self.empty is not None and self.empty[t].any():
+                seen["repeated empty row"] += 1
+            if model.keeps_x is not None:
+                seen["penalty with repeats"] += 1
+        return tri
+
+    with mock.patch.object(solvers._ScatteredRows, "triangle", spy):
+        for _cell in tool.cells(2):
+            pass
+    assert all(seen.values()), seen
