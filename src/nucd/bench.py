@@ -292,6 +292,10 @@ def run_erm_race(
         raise ValueError(f"algos must be distinct names from {', '.join(allowed)}; "
                          f"got {', '.join(algos)}")
     oracle, profile = build_erm(dataset, variant, lam, lam2, 0.0)
+    strong = [algo for algo in algos if algo in ("nu-acdm", "acdm")]
+    if strong and profile.sigma_beta <= 0.0:
+        raise ValueError(f"{', '.join(strong)} need a strongly convex dual, and the "
+                         f"{variant} dual has sigma_beta = 0; nu-acdm-ns, rcdm and gd run on it")
     ref = problems.reference_minimum(oracle)
     run = dict(epochs=epochs, dist_fn=GapTo(ref.value), eps=eps, oracle=oracle,
                profile=profile, x0=np.zeros(oracle.n))

@@ -668,12 +668,21 @@ def global_smoothness(problem) -> float:
     if isinstance(problem, SeparableQuadratic):
         return float(np.max(problem.l))
     if isinstance(problem, KaczmarzQuadratic):
-        dense = problem.a.to_dense()
-        return float(np.linalg.eigvalsh(dense.T @ dense)[-1])
+        return _gram_top(problem.a)
     if isinstance(problem, ErmDual):
-        dense = problem.data.to_dense()
         n = problem.n
-        gram_top = float(np.linalg.eigvalsh(dense.T @ dense)[-1])
         # conjugate-loss curvature is at most 1 for every variant here
-        return 1.0 / n + gram_top / (problem.lam_smooth * n * n)
+        return 1.0 / n + _gram_top(problem.data) / (problem.lam_smooth * n * n)
     raise TypeError(f"no smoothness rule for {type(problem).__name__}")
+
+
+def _gram_top(a_matrix: SparseRowMatrix) -> float:
+    """The largest eigenvalue of A^T A, from the m x m A A^T when m < d
+    (as build_kaczmarz's sigma0): no d x d array on wide rows."""
+    if a_matrix.m < a_matrix.d:
+        csr = a_matrix._csr
+        gram = (csr @ csr.T).toarray()
+    else:
+        dense = a_matrix.to_dense()
+        gram = dense.T @ dense
+    return float(np.linalg.eigvalsh(gram)[-1])

@@ -29,12 +29,14 @@ and one triangular solve for all B gradients (see _Blocks).  On rows of
 scattered columns the structure that depends only on the blocks' rows
 (their entries and column pairs) is built once for a window of
 consecutive blocks, and each block reads slices of it
-(_ScatteredWindow).  Such a block's Gram is mostly zero, so the weights
-its solve reads are formed at its column pairs and at its pairs of steps
-on one coordinate alone, not as B x B arrays (_ScatteredRows).  The
-Lasso's model holds only while no entry of the aggregate crosses +-lam,
-and the penalty's only while no step's coordinate crosses +-1; a block
-that crosses applies the steps before the crossing and restarts there.
+(_ScatteredWindow).  Every kind of rows reads one triangle and one
+keeps_x sum (_BlockRows) and supplies its Gram, repeat term and -K.  A
+scattered block's Gram is mostly zero, so it forms these at its column
+pairs and at its pairs of steps on one coordinate alone, not as B x B
+arrays (_ScatteredRows).  The Lasso's model holds only while no entry
+of the aggregate crosses +-lam, and the penalty's only while no step's
+coordinate crosses +-1; a block that crosses applies the steps before
+the crossing and restarts there.
 A linear system (the Kaczmarz quadratic, kaczmarz's residual form) of
 rows of all d columns, with m at most 4 d and an m x m Gram under 8 MiB,
 where row blocks would be shorter than 80 steps, takes the Gram path
@@ -486,10 +488,39 @@ class _BlockRows:
     coordinates idx in step order and their rows, with the stored points
     (ux, vx) and their caches aggs read at the step coefficients cs (None
     without a schedule), so that step t sees x = ux + cs[t] vx and the
-    aggregate aggs[0] + cs[t] aggs[1]."""
+    aggregate aggs[0] + cs[t] aggs[1].  The triangle the solve reads and
+    the keeps_x sums are written here once (triangle, x_moves); each kind
+    of rows supplies its Gram (gram), its repeat term (add_delta), its -K
+    (times_neg_k) and its steps on repeat pairs (repeat_grid)."""
 
     def __init__(self, idx: np.ndarray, ux, vx, aggs, cs):
         self.idx, self.ux, self.vx, self.aggs, self.cs = idx, ux, vx, aggs, cs
+
+    def triangle(self, model, coefs: np.ndarray, below) -> np.ndarray:
+        """The array whose lower triangle the solve reads: A o (-K), A =
+        delta E + G, or, without a schedule, A with the plan's L (coefs)
+        on its diagonal.  The rows give G (gram), add delta where E holds
+        (add_delta) and multiply -K in (times_neg_k), -K_ts = -(kappa_s +
+        c_t w_s); below(B) is the strict lower mask."""
+        tri = self.gram(model.weights)
+        delta, self.keeps_x = model.delta, model.keeps_x
+        if self.keeps_x is not None or not isinstance(delta, float) or delta:
+            if not self.add_delta(tri, delta, below):
+                # no step moves its own coordinate before it
+                self.keeps_x = None
+        if self.cs is None:
+            tri.flat[::self.idx.size + 1] = coefs
+        else:
+            _cs, kappa, w = coefs.T
+            self.times_neg_k(tri, kappa, w)
+        return tri
+
+    def x_moves(self, steps: np.ndarray) -> np.ndarray:
+        """(B,): each step's move of x_{i_t}, the sum of its steps on
+        earlier steps on i_t: row t of a B x B grid of steps summed where
+        the repeat mask holds (repeat_grid)."""
+        grid, rep = self.repeat_grid(steps)
+        return grid.sum(axis=1, where=rep)
 
     def x(self) -> np.ndarray:
         """(B,): x_{i_t} at each step t."""
@@ -523,34 +554,22 @@ class _DenseRows(_BlockRows):
     """A block whose Gram is a dense B x B array (_FullRows, _GramRows):
     its repeat term, -K and steps are B x B arrays too."""
 
-    def triangle(self, model, coefs: np.ndarray, below) -> np.ndarray:
-        """The array whose lower triangle the solve reads: A o (-K), A =
-        delta E + G, or, without a schedule, A with the plan's L (coefs)
-        on its diagonal.  E is the repeat mask, from below(B), the strict
-        lower mask, and -K_ts = -(kappa_s + c_t w_s)."""
-        size = self.idx.size
-        tri = self.gram(model.weights)
-        delta, self.keeps_x = model.delta, model.keeps_x
-        scalar = isinstance(delta, float)
-        if self.keeps_x is not None or not scalar or delta:
-            # E below the diagonal, the only part of tri the solve reads:
-            # rep[t, s] = [i_s = i_t] for s < t
-            rep = self.idx[:, None] == self.idx
-            rep &= below(size)
-            if rep.any():
-                np.add(tri, delta if scalar else delta[:, None], out=tri, where=rep)
-                self.rep = rep
-            else:
-                # no step moves its own coordinate before it
-                self.keeps_x = None
-        if self.cs is None:
-            tri.flat[::size + 1] = coefs
-        else:
-            _cs, kappa, w = coefs.T
-            self.neg_k = np.multiply.outer(self.cs, -w)
-            self.neg_k -= kappa
-            tri *= self.neg_k
-        return tri
+    def add_delta(self, tri: np.ndarray, delta, below) -> bool:
+        """tri += delta E below the diagonal, the only part of tri the solve
+        reads: E is the repeat mask rep[t, s] = [i_s = i_t] for s < t.
+        False when E is 0."""
+        rep = self.idx[:, None] == self.idx
+        rep &= below(self.idx.size)
+        if not rep.any():
+            return False
+        np.add(tri, delta if isinstance(delta, float) else delta[:, None], out=tri, where=rep)
+        self.rep = rep
+        return True
+
+    def times_neg_k(self, tri: np.ndarray, kappa: np.ndarray, w: np.ndarray):
+        self.neg_k = np.multiply.outer(self.cs, -w)
+        self.neg_k -= kappa
+        tri *= self.neg_k
 
     def steps(self, g: np.ndarray) -> np.ndarray:
         """steps[t, s] = K_ts g_s, the move of x_{i_s} step t sees (-h_s
@@ -559,10 +578,8 @@ class _DenseRows(_BlockRows):
             return np.broadcast_to(-g, (g.size, g.size))
         return self.neg_k * -g
 
-    def x_moves(self, steps: np.ndarray) -> np.ndarray:
-        """(B,): each step's move of x_{i_t}, the sum of its steps on
-        earlier steps on i_t."""
-        return steps.sum(axis=1, where=self.rep)
+    def repeat_grid(self, steps: np.ndarray):
+        return steps, self.rep
 
 
 class _FullRows(_DenseRows):
@@ -722,15 +739,15 @@ class _ScatteredRows(_BlockRows):
     into the caches cost O(entries and column pairs), whatever d is; the
     window finds the pairs.
 
-    Its Gram is mostly zero, so the solve's weights are formed at its
-    pairs alone (triangle): the column pairs, and the repeat pairs (t, s),
-    s < t with i_s = i_t, when the model has a repeat term or a keeps_x
-    test.  Those are found from idx, except that a block with no empty row
-    and no keeps_x test finds them among its column pairs.  delta is added
-    at the repeat pairs, and -K and the steps K_ts g_s that moves and
-    x_moves read are formed at both, each entry by the operations the
-    dense rows take, in their order; the one B x B array is the triangle
-    the solve reads, 0 off the pairs."""
+    Its Gram is mostly zero, so what it supplies to _BlockRows.triangle
+    is formed at its pairs alone: the column pairs, and the repeat pairs
+    (t, s), s < t with i_s = i_t, when the model has a repeat term or a
+    keeps_x test.  Those are found from idx, except that a block with no
+    empty row and no keeps_x test finds them among its column pairs.
+    delta is added at the repeat pairs, and -K and the steps K_ts g_s are
+    formed at both, each entry by the operations the dense rows take, in
+    their order.  The triangle is 0 off the pairs, and the keeps_x sum
+    reads the steps at the repeat pairs in a zero B x B grid."""
 
     def __init__(self, window: _ScatteredWindow, b: int, *state):
         s0, s1 = window.step_at[b], window.step_at[b + 1]
@@ -746,6 +763,9 @@ class _ScatteredRows(_BlockRows):
         # the steps (t, s) of the column pairs and their flat keys t B + s
         self.pair_t, self.pair_s = self.row[self.later], self.row[self.earlier]
         self.keys = self.pair_t * (s1 - s0) + self.pair_s
+        # the pairs whose steps are formed: the column pairs, then the
+        # repeat pairs that add_delta finds outside them
+        self.step_keys, self.step_t, self.step_s = self.keys, self.pair_t, self.pair_s
 
     def _row_sums(self, x: np.ndarray) -> np.ndarray:
         """The sums of x over each row's entries, along x's last axis."""
@@ -788,46 +808,33 @@ class _ScatteredRows(_BlockRows):
             gram[self.keys] *= weights
         return gram.reshape(n, n)
 
-    def triangle(self, model, coefs: np.ndarray, below=None) -> np.ndarray:
-        """The array whose lower triangle the solve reads, as the dense
-        rows form it (below is theirs) but at the pairs alone: A o (-K)
-        there and 0 elsewhere, or, without a schedule, A with the plan's L
-        (coefs) on its diagonal."""
-        n = self.idx.size
-        tri = self.gram(model.weights)
+    def add_delta(self, tri: np.ndarray, delta, below) -> bool:
+        """delta at the repeat pairs of tri, which from then on are formed
+        after the column pairs; False when there are none."""
         flat = tri.reshape(-1)
-        delta, self.keeps_x = model.delta, model.keeps_x
         scalar = isinstance(delta, float)
-        # the pairs whose steps are formed: the column pairs, then the
-        # repeat pairs
-        keys, self.step_t, self.step_s = self.keys, self.pair_t, self.pair_s
-        if scalar and delta and self.keeps_x is None and self.empty is None:
+        if scalar and self.keeps_x is None and self.empty is None:
             # a row of entries shares every column with itself, so without
             # empty rows the repeat pairs are among the column pairs
             # (repeated): delta goes there, and -K covers them already
-            flat[keys[self.idx[self.pair_t] == self.idx[self.pair_s]]] += delta
-        elif self.keeps_x is not None or not scalar or delta:
-            t, s = _repeat_pairs(self.idx)
-            if t.size:
-                rep_keys = t * n + s
-                flat[rep_keys] += delta if scalar else delta[t]
-                self.repeats = t, s
-                keys = np.concatenate((keys, rep_keys))
-                self.step_t = np.concatenate((self.pair_t, t))
-                self.step_s = np.concatenate((self.pair_s, s))
-            else:
-                # no step moves its own coordinate before it
-                self.keeps_x = None
-        if self.cs is None:
-            tri.flat[::n + 1] = coefs
-        else:
-            _cs, kappa, w = coefs.T
-            # -K_ts = -(kappa_s + c_t w_s); a key's duplicates each write
-            # the same product
-            self.neg_k = self.cs[self.step_t] * -w[self.step_s]
-            self.neg_k -= kappa[self.step_s]
-            flat[keys] *= self.neg_k
-        return tri
+            flat[self.keys[self.idx[self.pair_t] == self.idx[self.pair_s]]] += delta
+            return True
+        t, s = _repeat_pairs(self.idx)
+        if not t.size:
+            return False
+        rep_keys = t * self.idx.size + s
+        flat[rep_keys] += delta if scalar else delta[t]
+        self.repeats = t, s
+        self.step_keys = np.concatenate((self.keys, rep_keys))
+        self.step_t = np.concatenate((self.pair_t, t))
+        self.step_s = np.concatenate((self.pair_s, s))
+        return True
+
+    def times_neg_k(self, tri: np.ndarray, kappa: np.ndarray, w: np.ndarray):
+        # a key's duplicates each write the same product
+        self.neg_k = self.cs[self.step_t] * -w[self.step_s]
+        self.neg_k -= kappa[self.step_s]
+        tri.reshape(-1)[self.step_keys] *= self.neg_k
 
     def steps(self, g: np.ndarray) -> np.ndarray:
         """K_ts g_s at the column pairs, then the repeat pairs (-h_s
@@ -842,29 +849,13 @@ class _ScatteredRows(_BlockRows):
         return np.bincount(later, minlength=self.cols.size, weights=self.vals[earlier]
                            * steps[:later.size]).astype(float, copy=False)
 
-    def x_moves(self, steps: np.ndarray) -> np.ndarray:
-        """(B,): each step's move of x_{i_t}, from steps at the repeat pairs
-        after the column pairs (steps), summed as the dense rows' masked
-        sum over row t of a B x B array: numpy adds each run of
-        consecutive True entries on its own (pairwise), then the runs in
-        order, from 0.  Here row t is t's pairs alone, with one False entry
-        between two runs, in an array of one row per step with repeats."""
-        t, s = self.repeats
-        first = np.empty(t.size, bool)
-        first[0] = True
-        np.not_equal(t[1:], t[:-1], out=first[1:])
-        col = np.ones(t.size, np.int64)
-        col[1:] += s[1:] != s[:-1] + 1
-        col = np.cumsum(col)
-        row = np.cumsum(first) - 1
-        col -= col[first][row]
-        shape = (int(row[-1]) + 1, int(col.max()) + 1)
-        grid, mask = np.zeros(shape), np.zeros(shape, bool)
-        grid[row, col] = steps[self.later.size:]
-        mask[row, col] = True
-        out = np.zeros(self.idx.size)
-        out[t[first]] = grid.sum(axis=1, where=mask)
-        return out
+    def repeat_grid(self, steps: np.ndarray):
+        """The steps at the repeat pairs in a zero B x B grid, and the mask
+        of those pairs."""
+        n, keys = self.idx.size, self.step_keys[self.keys.size:]
+        grid, rep = np.zeros(n * n), np.zeros(n * n, bool)
+        grid[keys], rep[keys] = steps[self.keys.size:], True
+        return grid.reshape(n, n), rep.reshape(n, n)
 
     def first_step(self, entries: np.ndarray) -> int:
         """The first step with a True entry; entries are in step order."""
@@ -968,13 +959,14 @@ class _Blocks:
     are checked with keeps, and each step's move of x_{i_t}, the sum of
     K_ts g_s over the earlier steps s on i_t, with keeps_x (skipped when
     no coordinate repeats); a block that has neither test forms no steps.
-    Each kind of rows forms the triangle, the steps and these moves
-    itself (triangle, steps, moves, x_moves): _FullRows and _GramRows as
-    B x B arrays, _ScatteredRows at its column pairs and its repeat pairs
-    (t, s), s < t with i_s = i_t, alone, entry by entry as the dense
-    arithmetic rounds.  When either fails, the steps before the first failing step are exact
-    and are applied, and the block gives its later steps back to the
-    plan.  Step 0 has not moved, so a block always advances.
+    The triangle and the keeps_x sums are written once
+    (_BlockRows.triangle, x_moves); each kind of rows supplies its Gram,
+    repeat term, -K, steps and moves: _FullRows and _GramRows as B x B
+    arrays, _ScatteredRows at its column pairs and its repeat pairs (t, s),
+    s < t with i_s = i_t, alone, entry by entry as the dense arithmetic
+    rounds.  When either test fails, the steps before the first failing
+    step are exact and are applied, and the block gives its later steps
+    back to the plan.  Step 0 has not moved, so a block always advances.
 
     A block's steps come from the run's _StepPlan, so no block crosses a
     fold, nor a trace record (run steps one segment).  A segment runs as
@@ -1368,6 +1360,9 @@ def generalized_accel(
 
 def _accel(oracle, profile, x0, cfg, p, rate_constant, algo):
     """generalized_accel's run, its trace and errors labelled algo."""
+    if profile.sigma_beta <= 0.0:
+        raise ValueError(f"{algo} needs a strongly convex profile (sigma_beta > 0); "
+                         "nu-acdm-ns, rcdm and gd run at sigma_beta = 0")
     p = np.asarray(p, dtype=float)
     if p.shape != (profile.n,):
         raise ValueError("p must have one entry per coordinate")

@@ -351,3 +351,27 @@ def test_real_worker_processes_give_the_serial_runs():
             want.beta, want.bound, want.mean_final_gap)
         assert np.array_equal(got.epochs, want.epochs)
         assert np.array_equal(got.mean_gap_trace, want.mean_gap_trace)
+
+
+@pytest.mark.parametrize("algos, named", [(("nu-acdm", "acdm", "rcdm"), "nu-acdm, acdm"),
+                                          (("rcdm", "acdm"), "acdm")],
+                         ids=["defaults", "acdm"])
+def test_erm_race_refuses_strongly_convex_solvers_on_the_penalty_dual(monkeypatch, algos,
+                                                                      named):
+    """The penalty dual has sigma = 0, which the strongly convex schedules
+    cannot run on: the race names them before the reference minimum."""
+    calls = []
+    real = problems.reference_minimum
+
+    def spy(problem):
+        calls.append(problem)
+        return real(problem)
+
+    monkeypatch.setattr(problems, "reference_minimum", spy)
+    with pytest.raises(ValueError, match=f"^{named} need a strongly convex dual, and the "
+                       "penalty dual has sigma_beta = 0; nu-acdm-ns, rcdm and gd run on it$"):
+        run_erm_race(_dataset(n=12, d=5), "penalty", algos=algos, seeds=[0], epochs=2)
+    assert calls == []
+    res = run_erm_race(_dataset(n=12, d=5), "penalty", algos=("nu-acdm-ns", "rcdm", "gd"),
+                       seeds=[0], epochs=2)
+    assert len(calls) == 1 and len(res.traces) == 3

@@ -407,3 +407,28 @@ def test_solve_flags_that_are_read_reach_the_run(tmp_path, capsys, argv):
         assert code == 0
         traces.append(read_trace(out)[0].values)
     assert not np.array_equal(traces[0], traces[1])
+
+
+@pytest.mark.parametrize("algo", ["nu-acdm", "acdm"])
+def test_strongly_convex_solvers_on_the_penalty_dual_are_invalid_values(capsys, algo):
+    """sigma = 0 on the penalty dual: the solver names itself and the ones
+    that run there, and the CLI exits 1 without a traceback."""
+    code, out, err = run(capsys, "solve", "--problem", "penalty", "--algo", algo,
+                         "--epochs", "2")
+    assert code == 1 and out == ""
+    assert err.splitlines()[-1] == (f"invalid value: {algo} needs a strongly convex profile "
+                                    "(sigma_beta > 0); nu-acdm-ns, rcdm and gd run at "
+                                    "sigma_beta = 0")
+    assert "Traceback" not in err
+
+
+def test_bench_runs_the_other_solvers_on_the_penalty_dual(capsys):
+    code, out, err = run(capsys, "bench", "--experiment", "erm-race", "--variant", "penalty",
+                         "--algos", "nu-acdm-ns,rcdm", "--seeds", "2", "--epochs", "2")
+    assert code == 0
+    assert [line.split(",")[0] for line in out.splitlines()[1:]] == ["nu-acdm-ns", "rcdm"]
+    code, out, err = run(capsys, "bench", "--experiment", "erm-race", "--variant", "penalty",
+                         "--seeds", "2", "--epochs", "2")
+    assert code == 1 and out == ""
+    assert err.splitlines()[-1].startswith("invalid value: nu-acdm, acdm need a strongly "
+                                           "convex dual")

@@ -385,3 +385,32 @@ def test_erm_dual_validation():
         ErmDual(data.features, data.labels, lam=0.1, variant="elastic")
     with pytest.raises(ValueError):
         build_lasso_dual(data.features, data.labels, lam=0.1, lam2=0.0)
+
+
+@pytest.mark.parametrize("kind", ["kaczmarz", "ridge"])
+def test_global_smoothness_on_wide_rows_solves_the_small_gram(monkeypatch, kind):
+    """With fewer rows than columns the constant comes from the m x m
+    A A^T, which has the nonzero eigenvalues of A^T A: no d x d array."""
+    m, d = 12, 3000
+    rng = np.random.default_rng(41)
+    a = SparseRowMatrix.from_dense(rng.standard_normal((m, d)))
+    if kind == "kaczmarz":
+        problem = KaczmarzQuadratic(a, rng.standard_normal(m))
+    else:
+        problem, _ = build_ridge_dual(a, rng.standard_normal(m), lam=0.2)
+    x = a.to_dense()
+    want = np.linalg.eigvalsh(x @ x.T)[-1]
+    if kind == "ridge":
+        want = 1.0 / m + want / (0.2 * m * m)
+    sizes = []
+    real = np.linalg.eigvalsh
+
+    def spy(arr, *args, **kwargs):
+        sizes.append(arr.shape)
+        assert arr.shape == (m, m)
+        return real(arr, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    got = global_smoothness(problem)
+    assert sizes == [(m, m)]
+    assert abs(got - want) <= 1e-12 * want
