@@ -197,6 +197,13 @@ def _distinct_seeds(seeds) -> list:
     return seeds
 
 
+def _check_budget(name: str, epochs) -> None:
+    """An epoch budget is an integer of at least 0; a bool is not one."""
+    if (isinstance(epochs, bool) or not isinstance(epochs, (int, np.integer))
+            or epochs < 0):
+        raise ValueError(f"{name} must be an integer >= 0; got {epochs!r}")
+
+
 def _check_eps(eps) -> None:
     """A race target is a finite distance of at least 0.  No record meets
     NaN or a negative target; 0 is met only at dist exactly 0, so it asks
@@ -219,6 +226,7 @@ def run_kaczmarz_race(
     generated system, measuring relative error ||x_k - x*||^2/||x0 - x*||^2
     of the recovered solution, to first passage below eps."""
     seeds = _distinct_seeds(seeds)
+    _check_budget("max_epochs", max_epochs)
     _check_eps(eps)
     a, b, x_star = gen_linear_system(m, n, r, seed=instance_seed)
     oracle, profile = problems.build_kaczmarz(a, b)
@@ -283,6 +291,7 @@ def run_erm_race(
     runs also record the primal gap P(w(y_k)) - P*.  Every algorithm runs
     at beta = 0."""
     seeds = _distinct_seeds(seeds)
+    _check_budget("epochs", epochs)
     if eps is not None:
         _check_eps(eps)
     if not algos:
@@ -344,9 +353,8 @@ def beta_sweep(
 
     Returns one entry per beta; with enforce=True a violated bound raises.
     """
-    seeds, beta_list = list(seeds), list(beta_list)
-    if not seeds:
-        raise ValueError("need at least one seed")
+    seeds, beta_list = _distinct_seeds(seeds), list(beta_list)
+    _check_budget("epochs", epochs)
     if not beta_list:
         raise ValueError("need at least one beta")
     oracle, base = problems.build_penalty_dual(dataset.features, dataset.labels, lam)

@@ -1,4 +1,9 @@
 import math
+import os
+import pathlib
+import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -270,6 +275,63 @@ def test_races_reject_a_bad_eps_before_any_work(monkeypatch, race, eps):
     with pytest.raises(ValueError, match="eps must be finite and nonnegative"):
         _RACES[race](seeds=[0], eps=eps)
     assert calls == []
+
+
+def test_beta_sweep_rejects_repeated_seeds_before_any_work(monkeypatch):
+    """The sweep keys its cells by (beta, seed), so a repeated seed would
+    run its cells twice and count their traces twice in each mean."""
+    calls = _spy_setup(monkeypatch)
+    with pytest.raises(ValueError, match="seeds must be distinct; got \\[0, 0\\]"):
+        beta_sweep(_dataset(n=10, d=4), seeds=[0, 0], epochs=2)
+    assert calls == []
+
+
+# each driver with its epoch budget's keyword
+_BUDGETED = {
+    "kaczmarz": (lambda **kw: run_kaczmarz_race(20, 8, 0.5, seeds=[0], **kw), "max_epochs"),
+    "erm": (lambda **kw: run_erm_race(_dataset(n=12, d=5), algos=("nu-acdm",), seeds=[0],
+                                      **kw), "epochs"),
+    "beta": (lambda **kw: beta_sweep(_dataset(n=10, d=4), seeds=[0], **kw), "epochs"),
+}
+
+
+@pytest.mark.parametrize("budget", [-1, 2.5, True, False, "2", None, np.float64(2.0)])
+@pytest.mark.parametrize("driver", list(_BUDGETED))
+def test_drivers_reject_a_budget_that_is_not_a_count_before_any_work(monkeypatch, driver,
+                                                                     budget):
+    """-1 used to fail inside SolverConfig after the reference was built,
+    2.5 with a TypeError naming iters, and True ran one epoch."""
+    calls = _spy_setup(monkeypatch)
+    run, name = _BUDGETED[driver]
+    with pytest.raises(ValueError, match=f"^{name} must be an integer >= 0; "
+                       f"got {re.escape(repr(budget))}$"):
+        run(**{name: budget})
+    assert calls == []
+
+
+@pytest.mark.parametrize("driver", list(_BUDGETED))
+def test_drivers_take_a_numpy_integer_budget(driver):
+    run, name = _BUDGETED[driver]
+    run(**{name: np.int64(1)})
+
+
+def test_penalty_runs_leave_the_optimizer_unloaded():
+    """The penalty dual's reference minimum is computed with numpy alone,
+    so a sweep and a penalty race never load scipy.optimize."""
+    code = (
+        "import sys\n"
+        "from nucd import bench\n"
+        "from nucd.data_io import gen_skewed_dataset, two_level_norms\n"
+        "ds = gen_skewed_dataset(12, 5, two_level_norms(12, 0.25, hi=10.0), seed=3)\n"
+        "bench.beta_sweep(ds, seeds=[0, 1], epochs=2, enforce=False)\n"
+        "bench.run_erm_race(ds, 'penalty', algos=('nu-acdm-ns', 'rcdm'), seeds=[0],"
+        " epochs=2)\n"
+        "print('scipy.optimize' in sys.modules)\n"
+    )
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": str(src)})
+    assert out.stdout.split() == ["False"]
 
 
 def test_race_rejects_empty_seeds():

@@ -262,6 +262,25 @@ def test_bench_rejects_bad_erm_race_algos_before_any_work(monkeypatch, capsys, a
     assert calls == []
 
 
+@pytest.mark.parametrize("experiment, name", [("kaczmarz-race", "max_epochs"),
+                                              ("erm-race", "epochs"),
+                                              ("beta-sweep", "epochs")])
+def test_bench_rejects_a_negative_epoch_budget_before_any_work(monkeypatch, capsys,
+                                                              experiment, name):
+    calls = []
+    real = problems.reference_minimum
+
+    def spy(problem):
+        calls.append(problem)
+        return real(problem)
+
+    monkeypatch.setattr(problems, "reference_minimum", spy)
+    code, out, err = run(capsys, "bench", "--experiment", experiment, "--seeds", "1",
+                         "--epochs", "-1")
+    assert code == 1 and out == "" and calls == []
+    assert err.splitlines()[-1] == f"invalid value: {name} must be an integer >= 0; got -1"
+
+
 @pytest.mark.parametrize("eps", ["nan", "inf", "-1e-8"])
 @pytest.mark.parametrize("experiment", ["kaczmarz-race", "erm-race"])
 def test_bench_rejects_a_bad_eps_before_any_work(monkeypatch, capsys, experiment, eps):

@@ -376,8 +376,8 @@ def test_only_blocks_outside_the_grammar_reach_the_scanner(tmp_path, monkeypatch
 
 
 def test_import_loads_neither_optimizer_nor_reader():
-    """scipy.optimize (about 19 MB resident) and scipy.io load only when a
-    penalty reference or a parse first needs them."""
+    """scipy.optimize never loads: no part of the package imports it.
+    scipy.io loads only when a parse first needs it."""
     code = ("import sys, nucd, nucd.cli; "
             "print(sorted({'scipy.optimize', 'scipy.io'} & set(sys.modules)))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,

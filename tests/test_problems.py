@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from nucd.data_io import gen_linear_system, gen_skewed_dataset, two_level_norms
 from nucd.geometry import grad_check
@@ -28,7 +30,7 @@ from nucd.problems import (
     smallest_positive_eigenvalue,
     smoothing_term,
 )
-from nucd import solvers
+from nucd import problems, solvers
 from nucd.solvers import SolverConfig, nu_acdm
 
 from reference import soft_threshold
@@ -316,6 +318,43 @@ def test_penalty_reference_is_a_minimum():
     for _ in range(40):
         y = ref.minimizer + rng.standard_normal(10) * 0.1
         assert oracle.value(y) >= ref.value - 1e-10
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.data())
+def test_penalty_reference_is_stationary_on_generated_duals(data):
+    """Wide (n < d) and tall (n >> d) duals, lam over three decades and
+    labels scaled up to 10x: the reference is certified by its first-order
+    residual and closes the duality gap.  With n > d no w fits every label,
+    and an example that keeps a residual has |y*_i| > 1, where the
+    penalty's conjugate is quadratic."""
+    n = data.draw(st.integers(2, 60), label="n")
+    wide = data.draw(st.booleans(), label="wide")
+    d = data.draw(st.integers(n + 1, 2 * n + 20) if wide
+                  else st.integers(1, max(1, n // 5)), label="d")
+    lam = 10.0 ** data.draw(st.floats(-3.0, 0.0), label="log10 lam")
+    scale = 10.0 ** data.draw(st.floats(0.0, 1.0), label="log10 label scale")
+    r = data.draw(st.floats(0.1, 0.9), label="r")
+    seed = data.draw(st.integers(0, 2**16), label="seed")
+    ds = gen_skewed_dataset(n, d, two_level_norms(n, r, hi=10.0), seed=seed)
+    oracle, _ = build_penalty_dual(ds.features, ds.labels * scale, lam)
+    ref = reference_minimum(oracle)
+    assert np.max(np.abs(oracle.full_grad(ref.minimizer))) <= 1e-9
+    assert duality_gap(oracle, ref.minimizer) <= 1e-9 * max(1.0, abs(ref.value))
+    above = bool(np.max(np.abs(ref.minimizer)) > 1.0)
+    event(f"some |y*_i| > 1: {above}")
+    assert above or n <= d
+
+
+def test_penalty_reference_raises_above_the_residual_bound(monkeypatch):
+    """The polish alone, from y = 0, ends away from stationarity on this
+    dual; the 1e-9 residual bound turns that into ConvergenceError."""
+    data = _skewed(n=10, d=3, seed=23)
+    oracle, _ = build_penalty_dual(data.features, data.labels, lam=0.2)
+    monkeypatch.setattr(problems, "_newton_start", lambda problem, q: np.zeros(problem.n))
+    with pytest.raises(ConvergenceError,
+                       match=r"first-order residual 2\.130e-02 after pattern polish"):
+        reference_minimum(oracle)
 
 
 def test_lasso_dual_runs_and_recovers_sparse_primal():
