@@ -202,6 +202,9 @@ def _solve_reads(problem: str, algo: str) -> set:
 
 
 def cmd_solve(args) -> int:
+    for flag in ("epochs", "seed"):
+        if getattr(args, flag) < 0:
+            raise ValueError(f"--{flag} must be an integer >= 0; got {getattr(args, flag)}")
     if args.algo == "kaczmarz" and args.problem != "kaczmarz":
         raise _UsageError("--algo kaczmarz applies only to --problem kaczmarz")
     reads = _solve_reads(args.problem, args.algo)

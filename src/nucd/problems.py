@@ -564,7 +564,9 @@ _NEWTON_ITERS = 100
 # point decreases D beyond its rounding
 _ARMIJO = 1e-4
 _ARMIJO_MIN_STEP = 1e-20
-# the first-order residual max |grad D| that certifies the penalty reference
+# the first-order residual max |grad D| at which the Newton start stops, and
+# the one that certifies the penalty reference, relative to the gradient's
+# terms once they exceed 1
 _PENALTY_RESIDUAL = 1e-9
 
 
@@ -606,10 +608,11 @@ def _penalty_reference(problem: ErmDual) -> ReferenceMinimum:
     (_newton_start) supplies the starting pattern; up to 60 pattern updates
     then alternate with least-squares solves of the linearized condition.
     The answer must have a first-order residual max |grad D| of at most
-    1e-9, or ConvergenceError is raised.  (A pure long run of the
-    non-strongly-convex solver cannot certify stationarity here: with a
-    1/T^2 rate the tail improvements stay far above resolvable levels at
-    any desk-scale budget.)
+    1e-9 max(1, max_i(|l_i|/n + (|Q| |y|)_i)), relative to the size of the
+    gradient's terms, which round at their own size, or ConvergenceError
+    is raised.  (A pure long run of the non-strongly-convex solver cannot
+    certify stationarity here: with a 1/T^2 rate the tail improvements stay
+    far above resolvable levels at any desk-scale budget.)
     """
     dense = problem.data.to_dense()
     n = problem.n
@@ -648,7 +651,8 @@ def _penalty_reference(problem: ErmDual) -> ReferenceMinimum:
     if grad_norm(y) < grad_norm(best_y):
         best_y, best_val = y, problem.value(y)
     residual = grad_norm(best_y)
-    if residual > _PENALTY_RESIDUAL:
+    terms = float(np.max(np.abs(labels) / n + np.abs(q) @ np.abs(best_y)))
+    if residual > _PENALTY_RESIDUAL * max(1.0, terms):
         raise ConvergenceError(
             f"penalty reference: first-order residual {residual:.3e} "
             f"after pattern polish"

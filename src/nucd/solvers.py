@@ -36,7 +36,10 @@ pairs and at its pairs of steps on one coordinate alone, not as B x B
 arrays (_ScatteredRows).  The Lasso's model holds only while no entry
 of the aggregate crosses +-lam, and the penalty's only while no step's
 coordinate crosses +-1; a block that crosses applies the steps before
-the crossing and restarts there.
+the crossing and restarts there.  On rows of all d columns a block runs
+across trace records, which are taken from its first steps' moves, and
+ends at a record near _DENSE_BLOCK steps; on other rows every record
+ends a block.
 A linear system (the Kaczmarz quadratic, kaczmarz's residual form) of
 rows of all d columns, with m at most 4 d and an m x m Gram under 8 MiB,
 where row blocks would be shorter than 80 steps, takes the Gram path
@@ -79,7 +82,8 @@ MIRROR_RESIDUAL_TOL = 1e-9
 # strongly convex one
 FOLD_BELOW = 2.0 ** -300
 # block steps (_Blocks): a block is at least _BLOCK_MIN steps, and
-# sqrt(_BLOCK_WORK / nnz per row) steps on rows of few columns.  A run takes
+# sqrt(_BLOCK_WORK / nnz per row) steps on rows of few columns, so that its
+# Gram product takes about _BLOCK_WORK multiply-adds.  A run takes
 # them on rows of all d columns when its trace stride is at least
 # _BLOCK_MIN, and on any other rows when it is at least _CSR_SEGMENT_MIN: a
 # block of those pays a stable sort of its entries by column (numpy's radix
@@ -92,6 +96,15 @@ FOLD_BELOW = 2.0 ** -300
 _BLOCK_MIN = 16
 _BLOCK_WORK = 2 ** 18
 _CSR_SEGMENT_MIN = 32
+# on rows of all d columns off the Gram path a block also pays some ten
+# B x B passes (repeat mask, -K, triangle, solve) that the Gram product
+# rule does not count, so it aims at no more than _DENSE_BLOCK steps
+# (_Blocks._reach).  In one-segment 1200-step runs on a 30 x 8 dual, timed
+# in one process against blocks of the rule's 181 steps (see CHANGES.md),
+# a ridge dual took 0.92, 0.84, 0.80, 0.80 and 0.88 of their time at 48,
+# 64, 80, 96 and 128 steps, and a penalty dual, which restarts less in
+# shorter blocks, 0.50, 0.47, 0.48, 0.50 and 0.65
+_DENSE_BLOCK = 80
 # a window of blocks on rows of few columns (_ScatteredWindow) holds the
 # blocks from its first on while those before hold fewer entries than
 # this.  Larger windows share their fixed cost over more blocks, but their
@@ -149,6 +162,8 @@ class SolverConfig:
                 raise TypeError(f"{name} must be an integer, not {value!r}")
         if self.iters < 0:
             raise ValueError("iters must be nonnegative")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
         if self.trace_stride < 1:
             raise ValueError("trace_stride must be positive")
         if self.check_level not in _CHECK_LEVELS:
@@ -557,8 +572,10 @@ class _DenseRows(_BlockRows):
     def add_delta(self, tri: np.ndarray, delta, below) -> bool:
         """tri += delta E below the diagonal, the only part of tri the solve
         reads: E is the repeat mask rep[t, s] = [i_s = i_t] for s < t.
-        False when E is 0."""
-        rep = self.idx[:, None] == self.idx
+        False when E is 0.  Coordinates under 2^16 compare as uint16, in
+        about half the time of int64 at B = 90."""
+        ids = self.idx.astype(np.uint16) if self.ux.size <= 2 ** 16 else self.idx
+        rep = ids[:, None] == ids
         rep &= below(self.idx.size)
         if not rep.any():
             return False
@@ -587,7 +604,7 @@ class _FullRows(_DenseRows):
 
     def __init__(self, dense: np.ndarray, idx: np.ndarray, *state):
         super().__init__(idx, *state)
-        self.rows = dense[idx]
+        self.rows, self.added = dense[idx], 0
 
     def dots(self) -> np.ndarray:
         parts = self.rows @ self.aggs.T
@@ -623,10 +640,13 @@ class _FullRows(_DenseRows):
         return int(np.argmax(entries.any(axis=1)))
 
     def add(self, upd: np.ndarray):
-        """aggs += upd @ rows[:size], for a (k, size) upd."""
-        rows = self.rows
+        """aggs += upd @ the block's next size rows, for a (k, size) upd:
+        the block's moves in step order, in one piece or in pieces that
+        end at the trace records inside it."""
+        rows, start = self.rows, self.added
+        self.added += upd.shape[1]
         if upd.shape[1] < len(rows):
-            rows = rows[:upd.shape[1]]
+            rows = rows[start:self.added]
         self.aggs += upd @ rows
 
 
@@ -941,7 +961,8 @@ class _Blocks:
     (du, dv) are one (2, B) product of the plan's (kappa, w) with g, added
     to u and v in step order (repeated rows included), and
     each cache moves by one product of them with the block's rows
-    (_FullRows or _ScatteredRows).  This is the per-step loop's arithmetic
+    (_FullRows or _ScatteredRows), or one per piece when records fall
+    inside the block (below).  This is the per-step loop's arithmetic
     regrouped, so it agrees with that loop to rounding, not bit for bit.
 
     On the Gram path (_takes_gram: a linear system whose shape passes the
@@ -969,9 +990,19 @@ class _Blocks:
     back to the plan.  Step 0 has not moved, so a block always advances.
 
     A block's steps come from the run's _StepPlan, so no block crosses a
-    fold, nor a trace record (run steps one segment).  A segment runs as
-    blocks of block_len until less than 1.5 block_len steps are left, which
-    run as one block, so no block is a short remainder.
+    fold.  On rows of all d columns off the Gram path (crosses) no record
+    ends a block either: the run is one segment, and a block is about
+    block_len steps, at most _DENSE_BLOCK, ending at the record nearest
+    that length when one lies within half of it (_reach), so blocks span
+    whole segments where records are close.  Its moves are added to u, v
+    and the caches in pieces that end at the records inside it, and a
+    record after the block's first j steps sees them alone at c of step
+    j - 1, the point single steps record there; a record that meets the
+    early stop returns before the later pieces.  Elsewhere each record
+    ends a segment, which runs as blocks of block_len until less than 1.5
+    block_len steps are left, which run as one block, so no block is a
+    short remainder.  In either case a non-finite g stops the run after
+    the steps and records before it.
 
     On rows of few columns the blocks are planned a window at a time
     (_window): from the plan's coordinates and folds ahead, by the same
@@ -1014,6 +1045,11 @@ class _Blocks:
             # the partial holds arrays, not self: no reference cycle
             self.rows_of = partial(_GramRows, mat.row_gram, self.r)
             self.block_len = _GRAM_BLOCK
+        elif self.dense is not None:
+            self.block_len = min(self.block_len, _DENSE_BLOCK)
+        # blocks of rows of all d columns off the Gram path run across
+        # records; the others end at each
+        self.crosses = self.dense is not None and self.r is None
         self.algo, self.accel = algo, vx is not None
         self.ux, self.vx, self.aggs = ux, vx, aggs
         self.lower = np.zeros((0, 0), bool)
@@ -1026,10 +1062,25 @@ class _Blocks:
         self.r[...] = self.aggs @ self.dense.T
 
     def _size(self, left: int) -> int:
-        """The next block's length, left steps before the segment's end
-        and none before a fold: block_len, or all left when fewer than 1.5
-        block_len are."""
+        """The next block's length on rows whose records end segments, left
+        steps before the segment's end and none before a fold: block_len,
+        or all left when fewer than 1.5 block_len are."""
         return self.block_len if 2 * left >= 3 * self.block_len else left
+
+    def _reach(self, k: int, stride: int, iters: int) -> int:
+        """The length of a block from step k on rows that run across
+        records: to the record (a multiple of stride, or iters) nearest k +
+        block_len when one lies within block_len / 2 of it, else block_len
+        steps, or all left before iters.  A block then spans whole
+        segments where records are close, and one segment where they are
+        about block_len apart, as blocks that end at records do."""
+        target = k + self.block_len
+        end = (target + stride // 2) // stride * stride
+        if end > iters or abs(iters - target) < abs(end - target):
+            end = iters
+        if 2 * abs(end - target) > self.block_len:
+            end = min(target, iters)
+        return end - k
 
     def _window(self, k: int, end: int) -> _ScatteredWindow:
         """The window of the blocks that run takes from step k on, up to
@@ -1073,11 +1124,17 @@ class _Blocks:
             self.lower = np.tri(size, k=-1, dtype=bool)
         return self.lower[:size, :size]
 
-    def run(self, k: int, end: int) -> float:
-        """Steps k .. end - 1; returns the last step's c."""
+    def run(self, iters: int, stride: int, record) -> float:
+        """The run's steps 0 .. iters - 1, calling record(k, c) at each trace
+        record k after step 0 (every stride-th step and the last) until it
+        returns True; returns c at the last record taken."""
         accel, aggs, r, c = self.accel, self.aggs, self.r, 1.0
+        k = end = 0  # the next step and its segment's end
         window = None  # on scattered rows: the window and its next block b
-        while k < end:
+        while k < iters:
+            if k == end:
+                end = iters if self.crosses else min(k + stride, iters)
+                window = None
             if self.mat is not None and (window is None or b + 1 == len(window.step_at)):
                 if window is not None:
                     # it ran out without a restart
@@ -1086,7 +1143,7 @@ class _Blocks:
                 window, b = (self._window(k, end) if 2 * (end - k) >= 3 * self.block_len
                              else None), 0
             if window is None:
-                size = self._size(end - k)
+                size = self._reach(k, stride, iters) if self.crosses else self._size(end - k)
             else:
                 size = window.step_at[b + 1] - window.step_at[b]
             idx, fold, coefs = self.plan.take(size)
@@ -1120,32 +1177,52 @@ class _Blocks:
                 # built again from here: as one block, and then as
                 # twice as many blocks each time one runs out
                 window, self.window_blocks = None, 1
-            # a finite sum needs finite terms
+            # a finite sum needs finite terms.  The steps before a
+            # non-finite g are taken with their records, as single steps
+            # take them, and then the run stops there
+            taken = size
             if not math.isfinite(np.add.reduce(g)):
                 finite = np.isfinite(g)
                 if not finite.all():
-                    raise InvariantViolation(
-                        f"{self.algo}: non-finite gradient at iteration "
-                        f"{k + int(finite.argmin())}"
-                    )
+                    taken = int(finite.argmin())
             if accel:
                 # (du, dv) = (kappa, w) g
                 upd = coefs[:, 1:].T * g
-                np.add.at(self.ux, idx, upd[0])
-                np.add.at(self.vx, idx, upd[1])
-                c = float(coefs[-1, 0])
             else:
-                dy = -g
-                np.add.at(self.ux, idx, dy)
-                upd = dy[None, :]
+                upd = -g[None, :]
+            moves = upd / self.div if self.div != 1.0 else upd
+            # the moves in pieces, each ending at a record inside the block
+            # or at its end: a record sees the block's first hi steps
+            lo = 0
+            while lo < taken:
+                hi = min(taken, lo + stride - (k + lo) % stride)
+                if hi - lo == size:
+                    part_idx, part_upd, part_moves = idx, upd, moves
+                else:
+                    part_idx, part_upd, part_moves = idx[lo:hi], upd[:, lo:hi], moves[:, lo:hi]
+                np.add.at(self.ux, part_idx, part_upd[0])
+                if accel:
+                    np.add.at(self.vx, part_idx, part_upd[1])
+                if r is None or k + hi < end:
+                    # _rebuild replaces r at a segment's end: its move is dead
+                    rows.add(part_moves)
+                lo = hi
+                if hi == taken:
+                    # the block's arrays go before its last record, whose
+                    # temporaries then take their memory, as when each
+                    # segment's blocks returned first (sparse-lasso ran
+                    # 2-4% slower with them kept)
+                    del rows, model, tri, g
+                if (k + hi) % stride == 0 or k + hi == iters:
+                    if r is not None:
+                        self._rebuild()
+                    c = float(coefs[hi - 1, 0]) if accel else 1.0
+                    if record(k + hi, c):
+                        return c
+            if taken < size:
+                raise InvariantViolation(
+                    f"{self.algo}: non-finite gradient at iteration {k + taken}")
             k += size
-            if r is not None and k >= end:
-                break  # _rebuild below replaces r, so its last move is dead
-            if self.div != 1.0:
-                upd = upd / self.div
-            rows.add(upd)
-        if r is not None:
-            self._rebuild()
         return c
 
 
@@ -1234,13 +1311,14 @@ def _coordinate_loop(oracle, profile, x0, cfg, p, algo, schedule=None):
         schedule.check_start(algo)
 
     stopped = rec.record(0, *value_at(c))
+    if blocks is not None and not stopped:
+        # _Blocks takes every step and calls the recorder at each record
+        c = blocks.run(iters, stride, lambda k, c: rec.record(k, *value_at(c)))
     k = 0
-    while k < iters and not stopped:
+    while blocks is None and k < iters and not stopped:
         # one segment of steps up to the next trace record
         end = min(k + stride, iters)
-        if blocks is not None:
-            c = blocks.run(k, end)
-        while blocks is None and k < end:
+        while k < end:
             # a checked step comes alone, so that its z_prev predates a fold
             check_now = check_all or (checking and k + 1 == end)
             idx, fold, coefs = plan.take(1 if check_now else end - k - checking)

@@ -32,6 +32,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nucd import solvers
+from nucd.data_io import gen_skewed_dataset, two_level_norms
 from nucd.geometry import SmoothnessProfile
 from nucd.matrix import SparseRowMatrix
 from nucd.problems import (KaczmarzResidual, build_kaczmarz, build_lasso_dual,
@@ -368,6 +369,146 @@ def test_nu_acdm_ns_blocks_fold_at_step_zero():
              40, 16, seed=1)
 
 
+@contextlib.contextmanager
+def _record_crossings():
+    """Counts the trace records that blocks of rows of all d columns ran
+    across: a record after which the block it was taken in (the last
+    _FullRows made) moves the caches again."""
+    seen = {"rows": None, "recorded": None, "crossed": 0}
+    init, add, record = (solvers._FullRows.__init__, solvers._FullRows.add,
+                         solvers._Recorder.record)
+
+    def init_spy(self, *args):
+        init(self, *args)
+        seen["rows"] = self
+
+    def add_spy(self, upd):
+        if seen["recorded"] is self:
+            seen["crossed"] += 1
+        seen["recorded"] = None
+        add(self, upd)
+
+    def record_spy(self, *args):
+        seen["recorded"] = seen["rows"]
+        return record(self, *args)
+
+    with contextlib.ExitStack() as stack:
+        for cls, attr, spy in ((solvers._FullRows, "__init__", init_spy),
+                               (solvers._FullRows, "add", add_spy),
+                               (solvers._Recorder, "record", record_spy)):
+            stack.enter_context(mock.patch.object(cls, attr, spy))
+        yield seen
+
+
+@pytest.mark.parametrize("name", [*_SOLVERS, "kaczmarz"])
+@settings(deadline=None, max_examples=30)
+@given(data=st.data())
+def test_dense_blocks_run_across_records(name, data):
+    """Rows of all d columns at strides of 16 and up, in blocks two to five
+    strides long: records fall inside blocks, which run on across them (a
+    spy counts the records crossed), and an early stop at one of the first
+    six records mostly falls inside a block.  The strongly convex runs may
+    take orthogonal rows of equal norm, where c folds every few hundred
+    steps (nu_acdm_ns folds at step 0), and nu_acdm_ns and rcdm the
+    penalty dual with labels scaled so that blocks restart.  Record
+    iterations are those of single steps exactly, and values and points
+    agree to REL (REL_STRONGLY_CONVEX for the strongly convex runs)."""
+    fold = name in _STRONGLY_CONVEX and data.draw(st.booleans(), label="folding rows")
+    if fold:
+        dense, problem = np.array([[3.0, 3.0], [3.0, -3.0]]), build_kaczmarz
+    else:
+        m = data.draw(st.integers(2, 12), label="m")
+        dense = _rows("dense", m, data.draw(st.integers(1, 6), label="d"),
+                      data.draw(st.integers(0, 2 ** 16), label="rows seed"))
+        variants = ["kaczmarz", "ridge", "lasso"]
+        if name in ("nu_acdm_ns", "rcdm"):
+            variants.append("penalty")
+        variant = data.draw(st.sampled_from(variants), label="problem")
+        problem = (build_kaczmarz if variant == "kaczmarz" else
+                   _erm(variant, 0.2, 0.05, data.draw(st.floats(2.0, 8.0), label="label scale")))
+    a = SparseRowMatrix.from_dense(dense)
+    x0 = np.linspace(-0.5, 0.4, a.d if name == "kaczmarz" else a.m) + 0.05
+    stride = data.draw(st.integers(solvers._BLOCK_MIN, 40), label="stride")
+    # 1500 steps or more fold c on the orthogonal rows (see
+    # test_block_steps_fold_inside_a_run)
+    iters = data.draw(st.integers(1500, 3000) if fold else st.integers(1, 12 * stride),
+                      label="iters")
+    stop = data.draw(st.one_of(st.none(), st.integers(1, 6)), label="stop after")
+    with _block_len(data.draw(st.integers(2 * stride, 5 * stride), label="block length")), \
+            _record_crossings() as seen:
+        trace = _compare(name, a, x0, iters, stride, data.draw(st.integers(0, 99)), stop, problem)
+    if trace.iters.size > 3:
+        # a block spans at least the segment it ends at and the one before
+        assert seen["crossed"] > 0
+    if stop is not None and iters >= stop * stride:
+        assert trace.iters[-1] == stop * stride
+
+
+@pytest.mark.parametrize("name", ["nu_acdm", "nu_acdm_ns", "rcdm", "kaczmarz"])
+def test_dense_runs_stop_at_a_record_inside_a_block(name):
+    """A 40 x 6 ridge dual (a system for kaczmarz) at a stride of 16 takes
+    blocks of _DENSE_BLOCK steps; the run stops at its third record, step
+    48, inside its first block.  It returns the point single steps reach
+    there, to rounding, and takes no step of the block after the stop."""
+    a = SparseRowMatrix.from_dense(_rows("dense", 40, 6, seed=2))
+    n = a.d if name == "kaczmarz" else a.m
+    with _record_crossings() as seen:
+        trace = _compare(name, a, np.linspace(-0.5, 0.4, n), 600, 16, seed=4, stop=3,
+                         problem=_erm("ridge", 0.3))
+    assert list(trace.iters) == [0, 16, 32, 48]
+    rows = seen["rows"]
+    assert rows.added == 48 < len(rows.rows) == solvers._DENSE_BLOCK
+
+
+def test_beta_sweep_blocks_run_across_records():
+    """The 30 x 8 penalty dual of beta-sweep at its stride of n = 30 steps:
+    600-step nu_acdm_ns runs take blocks of about _DENSE_BLOCK steps (the
+    row rule alone would give isqrt(2^18 / 8) = 181), which run across
+    records, and agree with single steps to 1e-12."""
+    ds = gen_skewed_dataset(30, 8, two_level_norms(30, 0.3), seed=71)
+    pen, prof = build_penalty_dual(ds.features, ds.labels, 0.1, beta=0.4)
+    blocks = solvers._Blocks(pen, None, np.zeros(30), np.zeros(30),
+                             np.zeros((2, 8)), "nu-acdm-ns")
+    assert blocks.crosses and blocks.block_len == solvers._DENSE_BLOCK < 181
+    with _record_crossings() as seen:
+        for seed in range(3):
+            _compare("nu_acdm_ns", ds.features, np.zeros(30), 600, 30, seed=seed,
+                     problem=lambda a, b, beta: (pen, prof))
+    assert seen["crossed"] > 0
+
+
+def test_dense_repeat_mask_tells_coordinates_apart_above_2_16():
+    """The repeat mask compares coordinates as uint16 on duals of at most
+    2^16 rows.  On a ridge dual of 2^16 + 1 rows of one column a rigged
+    sampler alternates coordinates 0 and 2^16, equal mod 2^16: blocks must
+    see no repeat between them, and agree with single steps."""
+    n = 2 ** 16 + 1
+    a = SparseRowMatrix.from_dense(np.linspace(1.0, 2.0, n)[:, None])
+    steps = np.tile([0, n - 1], 32)
+    with mock.patch.object(solvers.WeightedSampler, "sample_block",
+                           lambda self, size: steps[:size].copy()):
+        _compare("nu_acdm", a, np.zeros(n), 64, 16, seed=1, problem=_erm("ridge", 0.5))
+
+
+def test_dense_block_cap_leaves_the_gram_path_choice_alone():
+    """_takes_gram reads the row rule's block length, not the one capped at
+    _DENSE_BLOCK: 300 x 100 and 1000 x 500 systems stay on the Gram path
+    and a system of 30 columns (row blocks of isqrt(2^18 / 30) = 93 steps)
+    on the row path, whose blocks are then capped."""
+    def blocks(m, d):
+        oracle = build_kaczmarz(*_system(m, d))[0]
+        return solvers._Blocks(oracle, None, np.zeros(m), None,
+                               oracle.aggregate(np.zeros(m))[None, :], "test")
+
+    for m, d in ((300, 100), (1000, 500)):
+        gram = blocks(m, d)
+        assert gram.r is not None and not gram.crosses
+        assert gram.block_len == solvers._GRAM_BLOCK
+    rows = blocks(100, 30)
+    assert rows.r is None and rows.crosses
+    assert rows.block_len == min(93, solvers._DENSE_BLOCK)
+
+
 @pytest.mark.parametrize("name", ["nu_acdm", "rcdm", "kaczmarz"])
 def test_block_steps_on_rows_of_a_wide_matrix(name):
     """Scattered rows over 2^17 + 5 columns, whose entries fall on 9 columns
@@ -508,6 +649,50 @@ def test_block_steps_name_the_iteration_of_a_non_finite_gradient(name):
     assert messages[0] == messages[1]
     label = {"nu_acdm": "nu-acdm", "acdm_baseline": "acdm", "rcdm": "rcdm"}[name]
     assert messages[0].startswith(f"{label}: ")
+
+
+@pytest.mark.parametrize("stop", [None, 1])
+def test_dense_blocks_take_the_records_before_a_non_finite_gradient(stop):
+    """Rows 0 and 1 are one hyperplane pair with right-hand sides +-1e308,
+    and the sampler is rigged: steps 0 to 19 and from 22 on take rows 2
+    and 3, step 20 row 0 and step 21 row 1, whose gradient overflows.  The
+    rows have all 4 columns (1e-300 where the pairs barely meet), so at a
+    stride of 16 the first block, of _DENSE_BLOCK steps, holds the record
+    at step 16 and the overflow.  A run that stops at that record returns
+    there, as single steps do; one that does not names iteration 21 on
+    both paths."""
+    s, tiny = 0.5 ** 0.5, 1e-300
+    dense = np.array([[s, s, tiny, tiny], [s, s, tiny, tiny],
+                      [tiny, tiny, 1.0, 0.5], [tiny, tiny, -0.5, 1.0]])
+    a = SparseRowMatrix.from_dense(dense)
+    b = np.array([1e308, -1e308, 1.0, 2.0])
+    steps = np.tile([2, 3], 100)
+    steps[20:22] = [0, 1]
+    outcomes = []
+    for blocks in (True, False):
+        calls = itertools.count()
+        dist = (None if stop is None else
+                lambda x, agg, value: 0.0 if next(calls) >= stop else 1.0)
+        cfg = SolverConfig(iters=200, seed=0, trace_stride=16, dist_fn=dist,
+                           stop_when_dist_below=None if stop is None else 0.5)
+        with contextlib.ExitStack() as stack:
+            stack.enter_context(mock.patch.object(
+                solvers.WeightedSampler, "sample_block", lambda self, size: steps[:size].copy()))
+            if not blocks:
+                stack.enter_context(mock.patch.object(solvers, "_takes_blocks",
+                                                      return_value=False))
+            try:
+                y, trace = solvers.rcdm(*build_kaczmarz(a, b), np.zeros(4), cfg)
+                outcomes.append((list(trace.iters), y))
+            except InvariantViolation as err:
+                outcomes.append((str(err), None))
+    (got, got_y), (want, want_y) = outcomes
+    assert got == want
+    if stop is None:
+        assert got == "rcdm: non-finite gradient at iteration 21"
+    else:
+        assert got == [0, 16]
+        assert _close(got_y, want_y)
 
 
 def test_short_strides_and_checked_runs_take_single_steps():

@@ -281,6 +281,24 @@ def test_bench_rejects_a_negative_epoch_budget_before_any_work(monkeypatch, caps
     assert err.splitlines()[-1] == f"invalid value: {name} must be an integer >= 0; got -1"
 
 
+@pytest.mark.parametrize("problem, algo", [("ridge", "nu-acdm"), ("kaczmarz", "kaczmarz")])
+@pytest.mark.parametrize("flag", ["--epochs", "--seed"])
+def test_solve_rejects_a_negative_count_before_any_build(monkeypatch, capsys, flag,
+                                                         problem, algo):
+    """--epochs -1 used to build the problem and then fail naming
+    SolverConfig's iters, and --seed -1 to fail in numpy's generator after
+    the build; both now name the flag, and nothing is generated or built."""
+    import nucd.cli
+
+    calls = []
+    for owner, name in ((nucd.cli, "gen_linear_system"), (nucd.cli, "gen_skewed_dataset"),
+                        (problems, "build_kaczmarz"), (bench, "build_erm")):
+        monkeypatch.setattr(owner, name, lambda *a, name=name, **k: calls.append(name))
+    code, out, err = run(capsys, "solve", "--problem", problem, "--algo", algo, flag, "-1")
+    assert code == 1 and out == "" and calls == []
+    assert err.splitlines()[-1] == f"invalid value: {flag} must be an integer >= 0; got -1"
+
+
 @pytest.mark.parametrize("eps", ["nan", "inf", "-1e-8"])
 @pytest.mark.parametrize("experiment", ["kaczmarz-race", "erm-race"])
 def test_bench_rejects_a_bad_eps_before_any_work(monkeypatch, capsys, experiment, eps):

@@ -357,6 +357,28 @@ def test_penalty_reference_raises_above_the_residual_bound(monkeypatch):
         reference_minimum(oracle)
 
 
+def test_penalty_reference_bound_is_relative_to_the_gradients_terms():
+    """A 126 x 12 dual with rows at norms 89 and 1, lam = 3.8e-4 and labels
+    scaled by 1/80: Q's entries reach about 1e3, so full_grad rounds at
+    about 1e-4 times the unit roundoff of its terms, and the polished point
+    reads a residual of 1.1e-8.  An absolute bound of 1e-9 refused it; the
+    bound 1e-9 max(1, max_i(|l_i|/n + (|Q| |y|)_i)), some 1e-5 here,
+    certifies it, and the point is a minimum against nearby points."""
+    ds = gen_skewed_dataset(126, 12, two_level_norms(126, 0.2, hi=89.0, lo=1.0), seed=5895)
+    oracle, _ = build_penalty_dual(ds.features, ds.labels * 0.0125, 3.8e-4)
+    ref = reference_minimum(oracle)
+    dense = ds.features.to_dense()
+    q = dense @ dense.T / (oracle.lam * 126 * 126)
+    terms = float(np.max(np.abs(oracle.labels) / 126 + np.abs(q) @ np.abs(ref.minimizer)))
+    residual = float(np.max(np.abs(oracle.full_grad(ref.minimizer))))
+    assert 1e-9 < residual <= 1e-9 * terms
+    assert ref.uncertainty == residual
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        y = ref.minimizer + rng.standard_normal(126) * 1e-4
+        assert oracle.value(y) >= ref.value
+
+
 def test_lasso_dual_runs_and_recovers_sparse_primal():
     data = _skewed(n=25, d=6, seed=29)
     lam = 0.4  # large enough to zero some coordinates

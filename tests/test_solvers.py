@@ -661,6 +661,13 @@ def test_config_validation():
         SolverConfig(iters=1, check_level="sometimes")
 
 
+def test_config_refuses_a_negative_seed():
+    """The sampler's generator takes no negative seed; the config names it."""
+    with pytest.raises(ValueError, match="^seed must be nonnegative$"):
+        SolverConfig(iters=1, seed=-1)
+    assert SolverConfig(iters=1, seed=0).seed == 0
+
+
 def test_early_stop_without_dist_fn_is_refused():
     """Without a dist_fn every distance is NaN and the stop never fires."""
     with pytest.raises(ValueError, match="needs a dist_fn"):

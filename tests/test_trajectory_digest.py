@@ -32,10 +32,12 @@ def test_two_runs_print_identical_digests():
     # duals and 2 on 2 penalty duals; then, unchecked with several blocks
     # per segment, kaczmarz and nu_acdm on a Lasso dual; then, unchecked on
     # the Gram path of a 100 x 48 system, kaczmarz and 3 solvers on its
-    # quadratic; then 4 solvers on the folding 2 x 2 system at a stride of
-    # 1 at 3 check levels and unchecked at strides of 64 and 997
+    # quadratic; then nu_acdm_ns on a 30 x 8 penalty dual at a stride of 30
+    # and nu_acdm on a ridge dual of the same rows in one segment; then 4
+    # solvers on the folding 2 x 2 system at a stride of 1 at 3 check levels
+    # and unchecked at strides of 64 and 997
     assert len(solver_cells) == ((9 * 5 + 3 * 2 + 3) * 3 + 2 + 4 * 5 + 2 * 2
-                                 + 2 + 1 + 3 + 4 * (3 + 2))
+                                 + 2 + 1 + 3 + 2 + 4 * (3 + 2))
     names = {tuple(cell[:3]) for cell in solver_cells}
     assert ("linsys-scattered-stride64", "kaczmarz", "off") in names
     assert ("lasso-mixed-stride64", "nu_acdm", "off") in names
@@ -45,6 +47,8 @@ def test_two_runs_print_identical_digests():
     assert ("lasso-scattered64-stride1000", "nu_acdm", "off") in names
     assert ("linsys-gram-100x48", "kaczmarz", "off") in names
     assert ("kaczmarz-gram-100x48", "rcdm", "off") in names
+    assert ("penalty-30x8-stride30", "nu_acdm_ns", "off") in names
+    assert ("ridge-30x8-stride1200", "nu_acdm", "off") in names
     assert ("fold-2x2-stride1", "nu_acdm", "full") in names
     assert ("fold-2x2-stride997", "nu_acdm_ns", "off") in names
     # then the drivers: 3 algos x 2 seeds, 2 x 2, 3 x 1 and 3 betas; then

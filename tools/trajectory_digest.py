@@ -41,6 +41,12 @@ on its Kaczmarz quadratic, unchecked at a stride of 50 steps
 ("gram-100x48").  That path reads a Gram formed by BLAS syrk, whose
 rounding may depend on the BLAS thread count, so compare digests taken
 at one fixed thread count (OPENBLAS_NUM_THREADS=1, as CI does).
+Two cells take beta-sweep's shape: nu_acdm_ns on a 30 x 8 penalty dual at
+a stride of 30 steps ("penalty-30x8-stride30"), whose dense-row blocks run
+across records (and restart twice at 20 epochs), and nu_acdm on a ridge
+dual of the same rows in one segment of SEGMENT_EPOCHS epochs
+("ridge-30x8-stride1200"), whose blocks are cut at solvers._DENSE_BLOCK
+steps, below the isqrt(2^18 / 8) = 181 of the row rule.
 
 The line `parse-libsvm parse_libsvm rows=R sha1 structure_sha1` digests
 what parse_libsvm reads from one generated LibSVM file holding signed
@@ -85,6 +91,8 @@ CHECK_LEVELS = ("off", "cheap", "full")
 FOLD_STEPS = 3000
 # steps of each cell of several blocks per segment: three segments
 WINDOW_STEPS = 3000
+# epochs of the one-segment ridge cell
+SEGMENT_EPOCHS = 40
 ROW_KINDS = ("dense", "scattered", "mixed")
 
 
@@ -154,8 +162,10 @@ def cells(epochs: int):
     """Yield (problem, solver, check_level, sha1, iters_sha1) for every
     cell."""
     from nucd import solvers
+    from nucd.data_io import gen_skewed_dataset, two_level_norms
     from nucd.matrix import SparseRowMatrix
-    from nucd.problems import build_kaczmarz, build_lasso_dual
+    from nucd.problems import (build_kaczmarz, build_lasso_dual, build_penalty_dual,
+                               build_ridge_dual)
 
     def norm_sq(x, agg, value):
         return float(np.dot(x, x))
@@ -230,6 +240,18 @@ def cells(epochs: int):
     for solver in ("nu_acdm", "acdm_baseline", "rcdm"):
         yield ("kaczmarz-gram-100x48", solver, "off",
                *_digest(*runs[solver](oracle, prof, start(a.m), cfg)))
+    # beta-sweep's 30 x 8 penalty dual at its stride of n steps, and a
+    # ridge dual of the same rows in one segment of SEGMENT_EPOCHS epochs
+    ds = gen_skewed_dataset(30, 8, two_level_norms(30, 0.3), seed=71)
+    oracle, prof = build_penalty_dual(ds.features, ds.labels, 0.1, beta=0.4)
+    cfg = solvers.SolverConfig(iters=epochs * 30, seed=3, trace_stride=30, dist_fn=norm_sq)
+    yield ("penalty-30x8-stride30", "nu_acdm_ns", "off",
+           *_digest(*solvers.nu_acdm_ns(oracle, prof, start(30), cfg)))
+    oracle, prof = build_ridge_dual(ds.features, ds.labels, 0.1, beta=0.4)
+    cfg = solvers.SolverConfig(iters=SEGMENT_EPOCHS * 30, seed=3,
+                               trace_stride=SEGMENT_EPOCHS * 30, dist_fn=norm_sq)
+    yield (f"ridge-30x8-stride{SEGMENT_EPOCHS * 30}", "nu_acdm", "off",
+           *_digest(*solvers.nu_acdm(oracle, prof, start(30), cfg)))
     # tau = 0.264 on these rows, so c falls by rho = 0.54 per step
     a = SparseRowMatrix.from_dense(np.array([[1.0, 0.3], [0.2, 2.0]]))
     oracle, prof = build_kaczmarz(a, np.array([1.0, -1.0]))
