@@ -52,6 +52,7 @@ _FEATURE_BOUND = 1 << 20
 # row ending in "\n".  Its bytes that are not digits are the symbols below
 # (0: any other byte); the digits between two symbols form a run.
 _NL, _SP, _COLON, _DOT, _MINUS, _PLUS, _EXP, _EXP_SIGN = range(1, 9)
+_NL_BYTE, _COLON_BYTE = ord("\n"), ord(":")
 _SYMBOL = np.zeros(256, dtype=np.uint8)
 for _chars, _sym in ((b"\n", _NL), (b" ", _SP), (b":", _COLON), (b".", _DOT),
                      (b"-", _MINUS), (b"+", _PLUS), (b"eE", _EXP)):
@@ -76,9 +77,6 @@ for _states, _sym, _run in (
     _FOLLOWS[list(_states), _sym, _run] = True
 # more digits than this might not be exact as a double
 _INDEX_DIGITS = 15
-# the reader refuses a "+" sign, and every "+" the grammar lets through is
-# followed by digits, so it is read as a leading zero instead
-_ONE_PER_LINE = bytes.maketrans(b" :+", b"\n\n0")
 _MM_HEADER = b"%%%%MatrixMarket matrix array real general\n%d 1\n"
 # held while _read_numbers has changed the reader's thread count
 _READER_LOCK = threading.Lock()
@@ -131,40 +129,90 @@ def parse_libsvm(path, n_features: int | None = None) -> Dataset:
     check, or spells a number outside the bulk grammar is decoded into
     lines as text mode reads them, tidied and converted again; failing
     that, it is read by _scan_line, which names the first bad token's line
-    and column.  A file whose lines end in a lone "\r" is one block."""
+    and column.  A file whose lines end in a lone "\r" is one block.
+
+    A first pass over the file counts its line ends and colons
+    (_capacity), which bound its rows and entries, and the matrix's four
+    arrays are allocated at those sizes.  Each block is converted straight
+    into them, so what is live at once is the finished arrays and one
+    block's conversion; arrays the bounds overshot (comments, blank lines,
+    "\r\n" line ends) are then shrunk in place."""
     limit = _INDEX_MAX if n_features is None else n_features
-    blocks = [_convert_tidy(b"", limit)]  # typed empty arrays
-    starts = []  # (byte offset, first line) of each block
-    offset, first_line = 0, 1
+    starts = []  # (byte offset, first line, first entry) of each block
+    offset, first_line, row, entry = 0, 1, 0, 0
     with open(path, "rb") as fh:
+        rows, entries = _capacity(fh)
+        labels = np.empty(rows)
+        indptr = np.empty(rows + 1, dtype=np.int64)  # row counts, then summed
+        indices = np.empty(entries, dtype=np.int64)
+        data = np.empty(entries)
         while block := _read_block(fh):
-            starts.append((offset, first_line))
+            starts.append((offset, first_line, entry))
             offset = fh.tell()
-            # "\r" and non-ASCII bytes are outside the bulk grammar
-            parts = _convert_tidy(block, limit)
-            if parts is None:
-                lines = _lines(block)
-                parts = (_convert_lines(lines, block, limit)
-                         or _scan_block(path, first_line, lines, n_features))
-                first_line += len(lines)
-            else:
-                first_line += parts[1].size  # a tidy block holds a row a line
-            blocks.append(parts)
-        labels, counts, indices, data = map(np.concatenate, zip(*blocks))
+            # views of the arrays' unfilled parts, alive only for this call
+            filled = _convert_block(path, first_line, block, limit, n_features,
+                                    (labels[row:], indptr[row + 1:],
+                                     indices[entry:], data[entry:]))
+            first_line += filled[0]
+            row += filled[1]
+            entry += filled[2]
+        # no view of the arrays is left, so realloc may shrink them in place
+        for arr, size in ((labels, row), (indptr, row + 1), (indices, entry), (data, entry)):
+            if arr.size > size:
+                arr.resize(size, refcheck=False)
         if n_features is None:
             n_features = int(indices.max()) + 1 if indices.size else 0
             bound = max(_FEATURE_BOUND, indices.size)
             if n_features > bound:
                 # the block holding the first entry above the bound
-                entry_ends = np.cumsum([p[2].size for p in blocks[1:]])
                 first = int(np.argmax(indices >= bound))
-                offset, line_no = starts[int(np.searchsorted(entry_ends, first, "right"))]
+                pos = int(np.searchsorted([s[2] for s in starts], first, "right")) - 1
+                offset, line_no, _ = starts[pos]
                 fh.seek(offset)
                 _scan_block(path, line_no, _lines(_read_block(fh)), None, bound)
-    del blocks  # free the per-block copies before the matrix build
-    indptr = np.concatenate([[0], np.cumsum(counts)])
-    features = SparseRowMatrix(indptr, indices, data, (counts.size, n_features))
+    indptr[0] = 0
+    np.cumsum(indptr, out=indptr)
+    features = SparseRowMatrix(indptr, indices, data, (row, n_features))
     return Dataset(features, labels)
+
+
+def _capacity(fh):
+    """(rows, entries) bounds of a binary file, which is then rewound: a
+    row ends at each "\n" or "\r" or at the file's end, and an entry
+    holds one colon.  Every locale encoding spells these three characters
+    as their ASCII bytes, and no multibyte character holds those bytes."""
+    rows = entries = 0
+    last = _NL_BYTE
+    buf = bytearray(1 << 18)  # any size counts the same
+    chars = np.frombuffer(buf, dtype=np.uint8)
+    while size := fh.readinto(buf):
+        entries += np.count_nonzero(chars[:size] == _COLON_BYTE)
+        rows += np.count_nonzero(chars[:size] == _NL_BYTE)
+        # find stops at the first "\r" at memchr speed; count reads a
+        # 256 KiB piece in about 100 us even when it holds none
+        if buf.find(b"\r", 0, size) >= 0:
+            rows += buf.count(b"\r", 0, size)
+        last = buf[size - 1]
+    fh.seek(0)
+    return rows + (last not in b"\r\n"), entries
+
+
+def _convert_block(path, first_line, block, limit, n_features, out):
+    """Convert a block into out, the unfilled parts of parse_libsvm's
+    (labels, row counts, indices, values), by _convert_tidy, by
+    _convert_lines of its decoded lines, or by _scan_block.  Returns
+    (lines, rows, entries) of the block."""
+    filled = _convert_tidy(block, limit, out)
+    if filled is not None:
+        return (filled[0], *filled)  # a tidy block holds a row a line
+    lines = _lines(block)
+    filled = _convert_lines(lines, block, limit, out)
+    if filled is None:
+        parts = _scan_block(path, first_line, lines, n_features)
+        for dst, src in zip(out, parts):
+            dst[:src.size] = src
+        filled = parts[0].size, parts[2].size
+    return (len(lines), *filled)
 
 
 def _read_block(fh):
@@ -187,7 +235,7 @@ def _lines(block):
     return io.TextIOWrapper(io.BytesIO(block), errors="backslashreplace").readlines()
 
 
-def _convert_lines(lines, block, limit):
+def _convert_lines(lines, block, limit, out):
     """_convert_tidy of a block's decoded lines with comments, blank lines
     and runs of blanks tidied away, or None if that is not ASCII, is the
     block's own bytes (which _convert_tidy refused), or fails."""
@@ -196,13 +244,15 @@ def _convert_lines(lines, block, limit):
     if not tidy.isascii():
         return None
     data = tidy.encode("ascii")
-    return None if data == block else _convert_tidy(data, limit)
+    return None if data == block else _convert_tidy(data, limit, out)
 
 
-def _convert_tidy(data, limit):
-    """(labels, per-row entry counts, 0-based indices, values) of a block of
-    ASCII bytes, each line ending in "\n", or None unless the block is tidy
-    and in the bulk grammar and passes every check."""
+def _convert_tidy(data, limit, out):
+    """Write the rows of a block of ASCII bytes, each line ending in "\n",
+    into out, the unfilled parts of (labels, per-row entry counts, 0-based
+    indices, values), and return (rows, entries); or None unless the block
+    is tidy and in the bulk grammar and passes every check.  out may then
+    hold part of the block, which the next writer overwrites."""
     chars = np.frombuffer(data, dtype=np.uint8)
     pos = np.flatnonzero((chars < ord("0")) | (chars > ord("9")))
     sym = _SYMBOL.take(chars.take(pos))
@@ -220,15 +270,28 @@ def _convert_tidy(data, limit):
     is_end = sym <= _COLON
     ends = np.compress(is_end, pos)
     seps = np.compress(is_end, sym)
+    plus = np.compress(sym == _PLUS, pos)
     # the reader's buffers come on top of what is live here, so the
-    # arrays only the checks read go first: a 256 KiB block's peak falls
-    # from about 2.1 to 1.5 MB, which fits in the heap glibc keeps
-    # between parses instead of growing it (and faulting) every time
+    # arrays only the checks read go first.  From here on, what is live
+    # besides the matrix's arrays is the block, two copies of it for the
+    # reader, the numbers and token ends, and then one copy of the
+    # entries: a 256 KiB block peaks about 1.2 MB above the arrays, which
+    # fits in the heap glibc keeps between parses instead of growing it
+    # (and faulting) every time
     del pos, sym, run, state, prev, is_end
+    # one number a line: every separator becomes "\n", and the reader,
+    # which refuses a "+" sign, reads it as a leading zero (every "+" the
+    # grammar lets through is followed by digits)
+    body = bytearray(data)
+    body_chars = np.frombuffer(body, dtype=np.uint8)
+    body_chars[ends] = _NL_BYTE
+    body_chars[plus] = ord("0")
+    del body_chars
     try:
-        nums = _read_numbers(data.translate(_ONE_PER_LINE), ends.size)
+        nums = _read_numbers(body, ends.size)
     except ValueError:
         return None
+    del body
     # the reader reads -0, -0.0 and negative underflows as +0.0 (other
     # negatives keep their sign): a zero whose token starts with "-" is -0.0
     zeros = np.flatnonzero(nums == 0.0)
@@ -240,10 +303,11 @@ def _convert_tidy(data, limit):
     counts = np.diff(row_ends, prepend=-1) // 2
     is_label = np.zeros(nums.size, dtype=bool)
     is_label[row_ends - 2 * counts] = True
-    labels = nums[is_label]
-    entries = nums[~is_label]
-    idx = entries[0::2].astype(np.int64)
-    vals = entries[1::2]
+    labels_out, counts_out, indices_out, values_out = out
+    rows = counts.size
+    entries = np.compress(~is_label, nums)  # index, value, index, ...
+    idx = indices_out[:entries.size // 2]
+    idx[:] = entries[0::2]  # exact: an index has at most 15 digits
     if idx.size and (idx.min() < 1 or idx.max() > limit):
         return None
     # entry j + 1 must exceed entry j wherever both lie in one row
@@ -252,7 +316,11 @@ def _convert_tidy(data, limit):
     ascending[starts[(starts > 0) & (starts < idx.size)] - 1] = True
     if not np.all(ascending):
         return None
-    return labels, counts, idx - 1, vals
+    idx -= 1
+    values_out[:idx.size] = entries[1::2]
+    np.compress(is_label, nums, out=labels_out[:rows])
+    counts_out[:rows] = counts
+    return rows, idx.size
 
 
 def _read_numbers(body, count):

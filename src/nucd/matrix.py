@@ -19,6 +19,12 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse
 
+# the row norms and the ascending check run over chunks of whole rows of at
+# most this many entries, so that their per-entry temporaries (row ids and
+# squares, 16 bytes an entry, then one comparison byte) stay near 0.5 MB
+# whatever the entry count; only a row longer than a chunk takes more
+_ROW_CHUNK = 1 << 15
+
 
 class SparseRowMatrix:
     """Sparse m x d matrix stored by rows.
@@ -28,6 +34,11 @@ class SparseRowMatrix:
     data    : (nnz,) float64 values
     dense   : (m, d) view of data when every row holds all d columns, else
               None
+
+    The given arrays are kept, not copied, when they already have these
+    dtypes.  Besides them the constructor keeps only row_norms_sq (m,);
+    its checks and norms run over chunks of whole rows (_ROW_CHUNK), so
+    what is live at once beyond the arrays is one chunk's temporaries.
     """
 
     def __init__(self, indptr, indices, data, shape):
@@ -49,33 +60,53 @@ class SparseRowMatrix:
         # weights; cache once.  A row with an entry above about 1.3e154 has
         # a squared norm that no double holds: it reads inf, and the
         # problem builders refuse it by row.  bincount adds each row's
-        # squares in entry order, as a loop would
-        row_of_entry = np.repeat(np.arange(self.m), np.diff(self.indptr))
+        # squares in entry order, as a loop would, and a chunk holds whole
+        # rows, so no sum depends on where the chunks end
+        self.row_norms_sq = np.zeros(self.m)
         with np.errstate(over="ignore"):
-            self.row_norms_sq = np.bincount(row_of_entry, self.data * self.data,
-                                            minlength=self.m)
+            for r0, r1 in self._row_chunks():
+                lo, hi = self.indptr[r0], self.indptr[r1]
+                row_of_entry = np.repeat(np.arange(r1 - r0), np.diff(self.indptr[r0:r1 + 1]))
+                vals = self.data[lo:hi]
+                self.row_norms_sq[r0:r1] = np.bincount(row_of_entry, vals * vals,
+                                                       minlength=r1 - r0)
+
+    def _row_chunks(self):
+        """(first row, end row) of consecutive runs of whole rows, each
+        holding at most _ROW_CHUNK entries, or one row that holds more."""
+        if self.nnz <= _ROW_CHUNK:
+            return [(0, self.m)]
+        ends = [0]
+        while ends[-1] < self.m:
+            end = int(np.searchsorted(self.indptr, self.indptr[ends[-1]] + _ROW_CHUNK, "right")) - 1
+            ends.append(min(max(end, ends[-1] + 1), self.m))
+        return list(zip(ends[:-1], ends[1:]))
 
     def _validate(self):
         if self.indptr.shape != (self.m + 1,):
             raise ValueError("indptr length must be m + 1")
         if self.indptr[0] != 0 or self.indptr[-1] != self.indices.size:
             raise ValueError("indptr must start at 0 and end at nnz")
-        if np.any(np.diff(self.indptr) < 0):
+        if np.any(self.indptr[1:] < self.indptr[:-1]):
             raise ValueError("indptr must be nondecreasing")
         if self.indices.size != self.data.size:
             raise ValueError("indices and data must have equal length")
         if self.indices.size:
             if self.indices.min() < 0 or self.indices.max() >= self.d:
                 raise ValueError("column index out of range")
-        if not np.all(np.isfinite(self.data)):
-            raise ValueError("matrix values must be finite")
+            # min and max are NaN if any entry is, and infinite if one is
+            if not (np.isfinite(self.data.min()) and np.isfinite(self.data.max())):
+                raise ValueError("matrix values must be finite")
         # entry j + 1 must exceed entry j wherever both lie in one row
-        bad = self.indices[1:] <= self.indices[:-1]
-        starts = self.indptr[1:-1]
-        bad[starts[(starts > 0) & (starts < self.nnz)] - 1] = False
-        if bad.any():
-            i = int(np.searchsorted(self.indptr, np.argmax(bad) + 1, side="right")) - 1
-            raise ValueError(f"row {i}: column indices not strictly ascending")
+        for r0, r1 in self._row_chunks():
+            lo, hi = self.indptr[r0], self.indptr[r1]
+            cols = self.indices[lo:hi]
+            bad = cols[1:] <= cols[:-1]
+            starts = self.indptr[r0 + 1:r1] - lo
+            bad[starts[(starts > 0) & (starts < hi - lo)] - 1] = False
+            if bad.any():
+                i = int(np.searchsorted(self.indptr, lo + np.argmax(bad) + 1, side="right")) - 1
+                raise ValueError(f"row {i}: column indices not strictly ascending")
 
     @classmethod
     def from_dense(cls, arr) -> "SparseRowMatrix":

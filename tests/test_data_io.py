@@ -5,6 +5,7 @@ import pathlib
 import re
 import subprocess
 import sys
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -550,6 +551,129 @@ def test_feature_bound_grows_with_the_entry_count(tmp_path, monkeypatch):
     with pytest.raises(ParseError) as err:
         parse_libsvm(p)
     assert str(err.value).startswith(f"{p}:8:3: index 40 is above 36, ")
+
+
+def _concatenated_blocks(path, n_features=None):
+    """parse_libsvm's arrays as its blocks were once joined: each block
+    converted into arrays of its own, then one np.concatenate a field and
+    indptr from the row counts' cumsum.  Returns (labels, indptr, indices,
+    values, feature count)."""
+    limit = np.iinfo(np.int64).max if n_features is None else n_features
+    blocks = [(np.empty(0), np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0))]
+    first_line = 1
+    with open(path, "rb") as fh:
+        while block := data_io._read_block(fh):
+            rows = block.count(b"\n") + block.count(b"\r")
+            entries = block.count(b":")
+            out = (np.empty(rows), np.empty(rows, np.int64),
+                   np.empty(entries, np.int64), np.empty(entries))
+            lines, rows, entries = data_io._convert_block(
+                path, first_line, block, limit, n_features, out)
+            first_line += lines
+            blocks.append((out[0][:rows], out[1][:rows], out[2][:entries], out[3][:entries]))
+    labels, counts, indices, data = map(np.concatenate, zip(*blocks))
+    indptr = np.concatenate([[0], np.cumsum(counts)])
+    if n_features is None:
+        n_features = int(indices.max()) + 1 if indices.size else 0
+    return labels, indptr, indices, data, n_features
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.data())
+def test_arrays_filled_in_place_equal_the_concatenated_blocks(tmp_path_factory, data):
+    """Files of bulk rows, rows the line scanner reads, rows without
+    entries, comments and blank lines, with "\n" or "\r\n" line ends and
+    no rows at all among them, read in blocks of 1 byte, 64 bytes or the
+    default: the arrays parse_libsvm fills in place equal the per-block
+    arrays joined by np.concatenate, dtypes and bits (so sign bits)
+    included."""
+    fast = st.one_of(st.sampled_from(_FAST_NUMBERS),
+                     st.floats(allow_nan=False, allow_infinity=False).map(lambda x: f"{x:.17g}"))
+    lines = []
+    for _ in range(data.draw(st.integers(0, 10))):
+        kind = data.draw(st.sampled_from(["bulk", "bulk", "scanned", "empty", "blank", "comment"]))
+        if kind == "blank":
+            text = data.draw(st.sampled_from(["", " ", "\t"]))
+        elif kind == "comment":
+            text = data.draw(st.sampled_from(["# 1:2 3:4", "  #", "#:"]))
+        elif kind == "empty":
+            text = data.draw(fast)
+        else:
+            number = fast if kind == "bulk" else _number()
+            text = data.draw(number)
+            idx = 0
+            for _ in range(data.draw(st.integers(1 if kind == "scanned" else 0, 5))):
+                idx += data.draw(st.integers(1, 40))
+                text += f" {idx}:{data.draw(number)}"
+        lines.append(text)
+    end = data.draw(st.sampled_from(["\n", "\r\n"]))
+    p = tmp_path_factory.mktemp("join") / "data.libsvm"
+    p.write_bytes((end.join(lines) + data.draw(st.sampled_from([end, ""]))).encode())
+    block_bytes = data.draw(st.sampled_from([1, 64, data_io._BLOCK_BYTES]))
+    n_features = data.draw(st.sampled_from([None, 400]))
+    with mock.patch.object(data_io, "_BLOCK_BYTES", block_bytes):
+        got = parse_libsvm(p, n_features)
+        labels, indptr, indices, values, d = _concatenated_blocks(p, n_features)
+    f = got.features
+    for have, want in ((got.labels, labels), (f.indptr, indptr),
+                       (f.indices, indices), (f.data, values)):
+        assert have.dtype == want.dtype
+        assert have.tobytes() == want.tobytes()
+    assert (f.m, f.d) == (labels.size, d)
+
+
+# one block's conversion holds the block, the reader's copy of it, byte
+# masks over it and 8-byte positions and run lengths a symbol: about 6
+# bytes a block byte on write_libsvm's rows, so 1.5 MB at 256 KiB
+_BLOCK_ALLOWANCE = 8 * data_io._BLOCK_BYTES
+
+
+@pytest.fixture(scope="module")
+def large_libsvm(tmp_path_factory):
+    """write_libsvm of 12 500 rows of 10 entries (125 000 entries, some
+    3.4 MB and 13 default blocks), with the reader loaded."""
+    rng = np.random.default_rng(11)
+    m, k, d = 12_500, 10, 5_000
+    # one column in each of k bands, so a row's columns ascend
+    cols = rng.integers(0, d // k, (m, k)) + np.arange(k) * (d // k)
+    ds = Dataset(SparseRowMatrix(np.arange(m + 1) * k, cols.ravel(),
+                                 rng.standard_normal(m * k), (m, d)),
+                 rng.standard_normal(m))
+    p = tmp_path_factory.mktemp("large") / "data.libsvm"
+    write_libsvm(ds, p)
+    assert parse_libsvm(p).features.nnz == 125_000
+    return p
+
+
+def _traced(fn):
+    """(fn(), traced peak and traced bytes kept, both above the start)."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        out = fn()
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, peak - start, kept - start
+
+
+def test_parse_peaks_at_its_arrays_plus_one_block(large_libsvm):
+    """The parse's traced peak is its arrays plus one block's conversion:
+    no per-block copy of the entries waits for a join."""
+    ds, peak, _ = _traced(lambda: parse_libsvm(large_libsvm))
+    f = ds.features
+    arrays = sum(a.nbytes for a in (ds.labels, f.indptr, f.indices, f.data, f.row_norms_sq))
+    assert arrays > 2_000_000
+    assert peak <= arrays + _BLOCK_ALLOWANCE
+
+
+def test_matrix_build_takes_at_most_1_mb_besides_what_it_keeps(large_libsvm):
+    """The constructor's row norms and checks run over chunks of rows, so
+    its temporaries stay at 1 MB or less on 125 000 entries."""
+    f = parse_libsvm(large_libsvm).features
+    _, peak, kept = _traced(lambda: SparseRowMatrix(f.indptr, f.indices, f.data, (f.m, f.d)))
+    assert kept >= f.row_norms_sq.nbytes
+    assert peak - kept <= 1_000_000
 
 
 # --- generators ---

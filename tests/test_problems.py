@@ -357,6 +357,53 @@ def test_penalty_reference_raises_above_the_residual_bound(monkeypatch):
         reference_minimum(oracle)
 
 
+def test_penalty_reference_refines_a_pattern_with_a_flat_direction():
+    """A 30 x 8 dual at lam = 0.1, the instance of the beta-sweep workload
+    at seed 2992, pass 33.  The Newton start ends with 9 coordinates inside
+    [-1, 1] while Q has rank 8, so D is linear along a null direction of
+    that pattern's system and the polish alone stops at a residual of
+    1.28e-8, above the bound.  The exact line search along -grad D crosses
+    into the minimizer's pattern, where the polish certifies the point."""
+    ds = gen_skewed_dataset(30, 8, two_level_norms(30, 0.3), seed=4230828921)
+    oracle, _ = build_penalty_dual(ds.features, ds.labels, 0.1)
+    dense = ds.features.to_dense()
+    q = dense @ dense.T / (0.1 * 30 * 30)
+    start = problems._newton_start(oracle, q)
+    assert np.sum(np.abs(start) <= 1.0) == 9
+    polished, _ = problems._pattern_polish(oracle, q, start)
+    assert 1.2e-8 < np.max(np.abs(oracle.full_grad(polished))) < 1.3e-8
+    ref = reference_minimum(oracle)
+    assert np.max(np.abs(oracle.full_grad(ref.minimizer))) <= 1e-9
+    assert np.sum(np.abs(ref.minimizer) <= 1.0) <= 8
+    assert duality_gap(oracle, ref.minimizer) <= 1e-9 * max(1.0, abs(ref.value))
+    assert ref.value < oracle.value(polished)
+    rng = np.random.default_rng(4)
+    for _ in range(20):
+        y = ref.minimizer + rng.standard_normal(30) * 1e-4
+        assert oracle.value(y) >= ref.value
+
+
+def test_line_minimum_is_the_minimum_along_its_line():
+    """On random penalty duals and directions, D at the line search's point
+    is no larger than at any of 200 points along the line, kinks among
+    them."""
+    rng = np.random.default_rng(8)
+    for _ in range(20):
+        n, d = int(rng.integers(3, 20)), int(rng.integers(1, 6))
+        ds = gen_skewed_dataset(n, d, two_level_norms(n, 0.3), seed=int(rng.integers(2**16)))
+        oracle, _ = build_penalty_dual(ds.features, ds.labels * 5.0, 0.05)
+        dense = ds.features.to_dense()
+        q = dense @ dense.T / (0.05 * n * n)
+        y = rng.standard_normal(n) * 2.0
+        direction = -oracle.full_grad(y)
+        best = problems._line_minimum(oracle, q, y, direction)
+        t = np.linalg.norm(best - y) / np.linalg.norm(direction)
+        value = oracle.value(best)
+        for s in np.linspace(0.0, 3.0 * t + 1.0, 200):
+            probe = oracle.value(y + s * direction)
+            assert value <= probe + 1e-12 * max(1.0, abs(probe))
+
+
 def test_penalty_reference_bound_is_relative_to_the_gradients_terms():
     """A 126 x 12 dual with rows at norms 89 and 1, lam = 3.8e-4 and labels
     scaled by 1/80: Q's entries reach about 1e3, so full_grad rounds at
